@@ -13,6 +13,10 @@ Knobs (environment variables):
   ones); both models run by default, as in the paper.
 * ``REPRO_CACHE_DIR`` — where pretrained weights and cached attack
   profiles live.
+* ``REPRO_RESULTS_DIR`` — where fresh artifacts are written (default
+  ``.bench/`` at the repo root, untracked).  The committed baselines under
+  ``results/`` are never rewritten by a run; updating one is an explicit
+  copy.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from repro.experiments import reporting
 
 os.environ.setdefault("REPRO_EXPERIMENT_ROUNDS", "3")
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+RESULTS_DIR = Path(
+    os.environ.get(
+        "REPRO_RESULTS_DIR", Path(__file__).resolve().parent.parent / ".bench"
+    )
+)
 
 
 def bench_models():
@@ -41,7 +49,7 @@ def bench_models():
 def emit(
     title: str, rows, columns=None, filename: str = None, deterministic: bool = False
 ) -> None:
-    """Print a table and persist it under ``results/``.
+    """Print a table and persist it under :data:`RESULTS_DIR`.
 
     ``deterministic=True`` is for artifacts that must be byte-identical
     across reruns (the campaign JSONs): rows should already be projected

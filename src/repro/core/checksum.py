@@ -15,6 +15,7 @@ cover MSB-1 flips (Section VIII).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -113,6 +114,7 @@ def compute_group_sums(
     return sums.astype(np.int64)
 
 
+@functools.lru_cache(maxsize=None)
 def accumulator_dtype(group_size: int) -> np.dtype:
     """Narrowest dtype that holds any masked group sum exactly.
 

@@ -13,7 +13,7 @@ work queue of scan slices drawn from all registered models:
   and the engine coalesces every slice sharing a *kernel bucket* (same
   :meth:`~repro.core.signature.FusedSignatures.kernel_key`, i.e. same
   ``group_size`` and ``signature_bits``) into one stacked verification pass
-  via :func:`~repro.core.signature.batched_mismatched_rows`.  Structurally
+  via :class:`~repro.core.signature.StackedVerifier`.  Structurally
   identical models at the same rotation position share one broadcast
   index/sign matrix; models of *different* architectures ride the same
   stacked pass through bucketed padded stacking (row counts padded to the
@@ -97,7 +97,9 @@ from repro.core.signature import (
     ScanScratch,
     SharedPlaneSpec,
     StackedVerifier,
-    batched_mismatched_rows,
+    # Not called by the engine; bound here because the benchmark's traced
+    # run wraps this module's name (radarbench/spans.py).
+    batched_mismatched_rows,  # noqa: F401
     shared_memory_available,
     split_by_padding_waste,
 )
@@ -323,6 +325,27 @@ class _PlannedSlice:
     batch_size: int = 1
     batch_width: int = 0
     worker: Optional[str] = None
+
+
+def _homogeneous(batch: List[_PlannedSlice]) -> bool:
+    """Whether a stacked batch may take the kernel's broadcast branch.
+
+    The one place homogeneity is decided, for the inline and the process
+    path alike: every model shares one structure key (identical index and
+    sign matrices) and plans the same row ranges.
+    """
+    first, rest = batch[0], batch[1:]
+    if not rest:
+        return True
+    key = first.managed.scheduler.fused.structure_key()
+    if any(planned.managed.scheduler.fused.structure_key() != key for planned in rest):
+        return False
+    ranges = first.managed.scheduler.slice_descriptor(first.shard_indices).row_ranges
+    return all(
+        planned.managed.scheduler.slice_descriptor(planned.shard_indices).row_ranges
+        == ranges
+        for planned in rest
+    )
 
 
 class VerificationEngine:
@@ -779,7 +802,7 @@ class VerificationEngine:
                 continue
             key = planned.managed.scheduler.fused.kernel_key()
             batches.setdefault(key, []).append(planned)
-        groups: List[Tuple[List[_PlannedSlice], ScanScratch]] = []
+        groups: List[Tuple[List[_PlannedSlice], ScanScratch, StackedVerifier]] = []
         for key, batch in batches.items():
             # Width-disparity guard: padding every slice to the bucket max is
             # wasteful when one model's row count dwarfs the rest, so such a
@@ -867,25 +890,15 @@ class VerificationEngine:
         tasks: List[ScanTask] = []
         for task_id, batch in enumerate(batches):
             items: List[ScanTaskItem] = []
-            descriptors = []
             for planned in batch:
                 spec = self._ensure_shared(planned.managed)
                 descriptor = planned.managed.scheduler.slice_descriptor(
                     planned.shard_indices
                 )
-                descriptors.append(descriptor)
                 items.append(
                     ScanTaskItem(planned.managed.name, spec, descriptor.row_ranges)
                 )
-            first = batch[0].managed.scheduler.fused.structure_key()
-            homogeneous = all(
-                planned.managed.scheduler.fused.structure_key() == first
-                for planned in batch[1:]
-            ) and all(
-                descriptor.row_ranges == descriptors[0].row_ranges
-                for descriptor in descriptors[1:]
-            )
-            tasks.append(ScanTask(task_id, tuple(items), homogeneous))
+            tasks.append(ScanTask(task_id, tuple(items), _homogeneous(batch)))
         started = time.perf_counter()
         # Untraced runs keep the plain run(tasks) signature so pool stand-ins
         # (tests, alternative pools) owe nothing to the tracing surface.
@@ -1022,28 +1035,21 @@ class VerificationEngine:
         self,
         batch: List[_PlannedSlice],
         scratch: ScanScratch,
-        verifier: Optional[StackedVerifier] = None,
+        verifier: StackedVerifier,
     ) -> None:
         span = (
             self.tracer.span("scan.kernel", parent=self._tick_span_ctx)
             if self.tracer.enabled
             else NULL_SPAN
         )
+        homogeneous = _homogeneous(batch)
         started = time.perf_counter()
         # Singletons go through the same kernel: a one-model "stack" costs the
         # same as the direct path but reuses the cached layer maps instead of
         # re-walking the module tree every tick.
-        if verifier is not None:
-            flagged = verifier.verify(
-                [planned.rows for planned in batch], scratch
-            )
-        else:
-            flagged = batched_mismatched_rows(
-                [planned.managed.scheduler.fused for planned in batch],
-                [planned.managed.layer_map for planned in batch],
-                [planned.rows for planned in batch],
-                scratch=scratch,
-            )
+        flagged = verifier.verify(
+            [planned.rows for planned in batch], scratch, homogeneous
+        )
         elapsed = time.perf_counter() - started
         share = elapsed / len(batch)
         width = max(planned.rows.size for planned in batch)

@@ -463,7 +463,6 @@ class ScanScheduler:
         self,
         model: Module,
         budget_s: Optional[float] = None,
-        reference: bool = False,
     ) -> ScanPassResult:
         """Verify the next slice of shards against the golden signatures.
 
@@ -476,9 +475,7 @@ class ScanScheduler:
 
         ``step`` is plan → verify → :meth:`apply_scan`; the middle stage runs
         on the zero-copy scan kernel of
-        :class:`~repro.core.signature.FusedSignatures` (``reference=True``
-        pins it to the retained PR-3 per-layer path — the bit-exactness
-        oracle the kernel benchmark measures against).  Callers that verify
+        :class:`~repro.core.signature.FusedSignatures`.  Callers that verify
         a planned slice *externally* (the batched cross-model pass of
         :class:`~repro.core.fleet.VerificationEngine`) run the same pipeline
         with their own middle stage.
@@ -487,7 +484,7 @@ class ScanScheduler:
         shard_indices = self.plan(budget_s=budget)
         rows = self.slice_rows(shard_indices)
         started = time.perf_counter()
-        flagged_rows = self.fused.mismatched_rows(model, rows, reference=reference)
+        flagged_rows = self.fused.mismatched_rows(model, rows)
         elapsed = time.perf_counter() - started
         return self.apply_scan(
             shard_indices, flagged_rows, measured_s=elapsed, budget_s=budget
@@ -506,7 +503,7 @@ class ScanScheduler:
         pass and ``flagged_rows`` the mismatching global rows found within
         it (however they were computed — per model via
         ``fused.mismatched_rows`` as :meth:`step` does, or stacked across
-        models by :func:`~repro.core.signature.batched_mismatched_rows`).
+        models by :class:`~repro.core.signature.StackedVerifier`).
         ``measured_s`` is fed to the cost model's ``observe`` hook when it
         has one, so measured pricing calibrates no matter who executed the
         verification.

@@ -7,13 +7,18 @@ from the clean weights.  The store also accounts for its own size, which is
 the paper's storage-overhead metric (2 bits per group; 5.6 KB for
 ResNet-18 at ``G = 512``, 8.2 KB for ResNet-20 at ``G = 8``).
 
-The run-time side of this module is the **zero-copy scan kernel** of
+The store's per-layer recomputation (:meth:`SignatureStore.current_signatures`,
+:meth:`SignatureStore.mismatched_rows`) is the one bit-identity oracle.
+The run-time side of this module is the **zero-copy scan kernel**,
+:func:`stacked_mismatched_rows`, over the fused views of
 :class:`FusedSignatures`: all layers fused at store-build time into one
 contiguous int8 weight plane with a single global gather-index matrix and a
 single int8 sign mask, so verifying any set of global rows is one int8
 gather plus one narrow-accumulation ``einsum`` — no per-layer Python loop,
 no ``searchsorted`` routing, no materialized product matrix, and (for
-engine-adopted models) no weight copies at all.
+engine-adopted models) no weight copies at all.  Every verification path —
+one model, an engine bucket (:class:`StackedVerifier`), a worker process —
+is a thin caller of that one kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -45,7 +49,6 @@ except ImportError:  # pragma: no cover - e.g. WASM / stripped builds
 from repro.core.checksum import (
     accumulator_dtype,
     compute_signatures,
-    signature_from_sums,
     signature_shift_mask,
 )
 from repro.core.config import RadarConfig
@@ -130,21 +133,75 @@ class SignatureStore:
     def layer_names(self) -> List[str]:
         return list(self._layers)
 
-    # -- run-time recomputation ----------------------------------------------
-    def current_signatures(self, model: Module) -> Dict[str, np.ndarray]:
-        """Recompute signatures from the model's current (possibly corrupted) weights."""
+    # -- run-time recomputation: the bit-identity oracle ---------------------
+    def row_starts(self) -> np.ndarray:
+        """Global row numbering: layer ``i`` owns rows ``[starts[i], starts[i+1])``.
+
+        Row ``r`` is group ``r - starts[i]`` of its owning layer, layers in
+        store order; every scan path names groups by these global rows.
+        """
+        starts = np.zeros(len(self._layers) + 1, dtype=np.int64)
+        starts[1:] = np.cumsum([entry.num_groups for entry in self._layers.values()])
+        return starts
+
+    def current_signatures(
+        self, model: Module, rows: Optional[np.ndarray] = None
+    ) -> Dict[str, np.ndarray]:
+        """Recompute signatures from the model's current (possibly corrupted) weights.
+
+        The paper's check, layer by layer through
+        :func:`~repro.core.checksum.compute_signatures` — the same code that
+        computed the goldens, with no fusion, no structure detection and no
+        stacking.  This is the one bit-identity reference every scan path is
+        tested against.  ``rows`` restricts it to the given global rows
+        (:meth:`row_starts`): each layer then maps to the signatures of its
+        listed groups, in row order.
+        """
         layer_map = dict(quantized_layers(model))
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            starts = self.row_starts()
+            owner = np.searchsorted(starts, rows, side="right") - 1
         signatures = {}
-        for name, entry in self._layers.items():
+        for position, (name, entry) in enumerate(self._layers.items()):
             if name not in layer_map:
                 raise ProtectionError(f"Protected layer {name!r} missing from model")
+            groups = None if rows is None else rows[owner == position] - starts[position]
             signatures[name] = compute_signatures(
                 layer_map[name].qweight.reshape(-1),
                 entry.layout,
                 entry.key,
                 self.config.signature_bits,
+                groups=groups,
             )
         return signatures
+
+    def mismatched_rows(
+        self, model: Module, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Global rows (among ``rows``, in order) whose signature differs from golden.
+
+        The oracle's verdict in the scan kernel's terms: what
+        :meth:`FusedSignatures.mismatched_rows` must return, computed by
+        :meth:`current_signatures`.
+        """
+        total = self.total_groups()
+        rows = (
+            np.arange(total, dtype=np.int64)
+            if rows is None
+            else np.asarray(rows, dtype=np.int64)
+        )
+        if rows.size and not (0 <= rows.min() and rows.max() < total):
+            raise ProtectionError(f"global rows out of range ({total} groups)")
+        current = self.current_signatures(model, rows)
+        starts = self.row_starts()
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        mismatch = np.zeros(rows.size, dtype=bool)
+        for position, entry in enumerate(self._layers.values()):
+            where = owner == position
+            golden = entry.golden[rows[where] - starts[position]]
+            mismatch[where] = current[entry.layer_name] != golden
+        return rows[mismatch]
 
     def fused(self) -> "FusedSignatures":
         """Cached vectorized view over all layers (rebuilt by :meth:`build`)."""
@@ -233,7 +290,14 @@ STRUCTURED_MIN_COLUMNS_PER_LAYER = 512
 
 
 def _stacked_tile_width(num_models: int, group_size: int, width: int) -> int:
-    """Columns per cache-blocked stacked tile (the whole width if it fits)."""
+    """Columns per cache-blocked stacked tile (the whole width if it fits).
+
+    A stack of one is never tiled: measured on ResNet-18 at ``G = 512``,
+    the per-tile block-gather dispatch cost more than the cache locality
+    bought.
+    """
+    if num_models == 1:
+        return int(width)
     per_column = 2 * num_models * group_size
     tile = STACKED_TILE_BYTES // max(per_column, 1)
     if tile < MIN_STACKED_TILE_COLUMNS:
@@ -420,16 +484,24 @@ def _verified_slot_shifts(
     return hint
 
 
-def _contiguous_start(rows: np.ndarray, size: int) -> Optional[int]:
-    """``rows[0]`` when ``rows`` is a contiguous ascending range, else None."""
+def _checked_start(rows: np.ndarray, size: int, total: int) -> Optional[int]:
+    """``rows[0]`` when ``rows`` is a contiguous ascending range, else None.
+
+    Also rejects rows outside ``[0, total)``; a contiguous range needs only
+    its two ends checked.
+    """
     if size == 0:
         return None
     start = int(rows[0])
-    if int(rows[size - 1]) - start + 1 != size:
-        return None
-    if size > 1 and not bool(np.all(np.diff(rows) == 1)):
-        return None
-    return start
+    if int(rows[size - 1]) - start + 1 == size and (
+        size == 1 or bool((rows[1:] - rows[:-1] == 1).all())
+    ):
+        if start < 0 or start + size > total:
+            raise ProtectionError(f"global rows out of range ({total} groups)")
+        return start
+    if not (0 <= rows.min() and rows.max() < total):
+        raise ProtectionError(f"global rows out of range ({total} groups)")
+    return None
 
 
 #: Shared zero-length flagged-rows array for clean passes.  Write-locked so
@@ -602,7 +674,8 @@ class FusedSignatures:
       secret masking key, ``0`` on padded slots — so masking and padding
       cost nothing beyond the multiply already fused into the sum.
 
-    Verifying any row set is then one int8 gather plus one masked-sum
+    Verifying any row set is then a stack of one through the scan kernel
+    (:func:`stacked_mismatched_rows`): one int8 gather plus one masked-sum
     ``einsum`` accumulated in int32 (int64 only when ``group_size * 128``
     could overflow — never at paper scales), with all workspaces reused
     from a :class:`ScanScratch` across passes.  Both matrices are stored
@@ -623,16 +696,14 @@ class FusedSignatures:
       layers memcpy'd into the plane per pass: still int8-narrow and still
       free of the per-layer gather loop.
 
-    The PR-3 per-layer implementation is retained behind ``reference=True``
-    on :meth:`group_sums` / :meth:`signatures` / :meth:`mismatched_rows`
-    for bit-exactness tests and as the benchmark baseline
-    (``benchmarks/test_bench_scan_kernel.py``).
+    The bit-identity reference for every verdict is the store's per-layer
+    checksum path (:meth:`SignatureStore.mismatched_rows`), which is also
+    the baseline of ``benchmarks/test_bench_scan_kernel.py``.
     """
 
     def __init__(self, store: SignatureStore) -> None:
         if len(store) == 0:
             raise ProtectionError("Signature store is empty; call store.build(model) first")
-        self.store = store
         self.config = store.config
         entries = list(store)
         self.layer_names: List[str] = [entry.layer_name for entry in entries]
@@ -643,9 +714,7 @@ class FusedSignatures:
         self._indices: List[np.ndarray] = []
         self._sign_masks: List[np.ndarray] = []
         self._num_weights: List[int] = []
-        row_starts = np.zeros(len(entries) + 1, dtype=np.int64)
-        golden_blocks = []
-        for position, entry in enumerate(entries):
+        for entry in entries:
             groups = entry.layout.groups
             valid = groups != PAD_INDEX
             signs = (
@@ -657,10 +726,9 @@ class FusedSignatures:
             self._indices.append(np.where(valid, groups, 0))
             self._sign_masks.append(mask)
             self._num_weights.append(entry.layout.num_weights)
-            row_starts[position + 1] = row_starts[position] + entry.num_groups
-            golden_blocks.append(entry.golden)
+        row_starts = store.row_starts()
         self._row_starts = row_starts
-        self.golden = np.concatenate(golden_blocks).astype(np.uint8)
+        self.golden = np.concatenate([entry.golden for entry in entries]).astype(np.uint8)
         self.total_groups = int(row_starts[-1])
         # Shared empty per-layer arrays for the clean-scan fast path of
         # rows_to_layer_groups (never mutated; reports treat them read-only).
@@ -673,9 +741,9 @@ class FusedSignatures:
             self.config.signature_bits,
         )
 
-        # -- fused kernel state (built lazily by _ensure_kernel: streaming-
-        # only callers use the per-layer arrays and never pay for the global
-        # matrices or the weight plane) ---------------------------------------
+        # -- fused kernel state (built lazily by _ensure_kernel: callers that
+        # only translate rows never pay for the global matrices or the
+        # weight plane) ----------------------------------------------------------
         offsets = np.zeros(len(entries) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum(self._num_weights)
         self._weight_offsets = offsets
@@ -693,12 +761,11 @@ class FusedSignatures:
                 for position, entry in enumerate(entries)
             ],
         )
-        self._accum_dtype = accumulator_dtype(group_size)
         self._scratch = ScanScratch()
         self._kernel_indices: Optional[np.ndarray] = None
         self._kernel_signs: Optional[np.ndarray] = None
         self._plane: Optional[np.ndarray] = None
-        self._row_arange: Optional[np.ndarray] = None
+        self._all_rows: Optional[np.ndarray] = None
         # Adoption state: the layer objects whose qweight buffers are views
         # of the plane, and those views themselves (identity-checked per
         # scan; see _prepare_plane).
@@ -755,9 +822,8 @@ class FusedSignatures:
             np.concatenate(self._sign_masks).T
         )
         self._plane = np.empty(self.total_weights, dtype=np.int8)
-        # Cached identity permutation so _row_block's contiguity test is an
-        # allocation-free compare against a view.
-        self._row_arange = np.arange(self.total_groups, dtype=np.int64)
+        # The row slice of a full scan.
+        self._all_rows = np.arange(self.total_groups, dtype=np.int64)
 
     @property
     def adopted(self) -> bool:
@@ -782,8 +848,9 @@ class FusedSignatures:
         grouping/masking parameters over the same layer names and weight
         counts — produce *identical* ``GroupLayout`` index matrices and
         secret-key sign masks (both are deterministic functions of these
-        fields), so their slices can be verified together in one batched
-        pass (:func:`batched_mismatched_rows`).  Golden signatures are NOT
+        fields), so one row slice can be verified for all of them through
+        the kernel's shared index/sign broadcast (``homogeneous`` in
+        :func:`stacked_mismatched_rows`).  Golden signatures are NOT
         part of the key: they depend on each model's weights and stay
         per-view.
         """
@@ -809,7 +876,7 @@ class FusedSignatures:
         the same width and binarize them identically, so their slices can
         share one padded stacked pass even when layer names, weight counts
         or masking keys differ (heterogeneous fleets); see
-        :func:`batched_mismatched_rows`.
+        :class:`StackedVerifier`.
         """
         return self._kernel_key
 
@@ -944,11 +1011,22 @@ class FusedSignatures:
         self._plane_sources[position] = layer.qweight
 
     def _covered_positions(self, rows: Optional[np.ndarray]) -> Sequence[int]:
-        """Layers whose plane segment a row slice reads (all, for a full scan)."""
+        """Layers whose plane segment a row slice reads (all, for a full scan).
+
+        The layers spanned by the slice's lowest and highest row: exact for
+        the contiguous slices schedulers plan, a superset for scattered
+        rows.  Out-of-range rows land on the first or last layer and reach
+        the kernel, which rejects them.
+        """
         if rows is None:
             return range(len(self.layer_names))
-        owning = np.searchsorted(self._row_starts, rows, side="right") - 1
-        return np.unique(owning).tolist()
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            return ()
+        first, last = np.searchsorted(
+            self._row_starts[1:-1], (rows.min(), rows.max()), side="right"
+        )
+        return range(int(first), int(last) + 1)
 
     def _prepare_plane(
         self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
@@ -1179,116 +1257,7 @@ class FusedSignatures:
             except (BufferError, ValueError):  # pragma: no cover - stray view
                 pass
 
-    # -- the kernel ------------------------------------------------------------
-    def _validated_rows(self, rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        if rows is None:
-            return None
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and not (0 <= rows.min() and rows.max() < self.total_groups):
-            raise ProtectionError(f"global rows out of range ({self.total_groups} groups)")
-        return rows
-
-    def _contiguous_rows_start(self, rows: np.ndarray, count: int) -> Optional[int]:
-        """``rows[0]`` if ``rows`` is a contiguous ascending in-range run.
-
-        One comparison against the prebuilt arange proves contiguity *and*
-        bounds at once (an out-of-range run compares against a shorter or
-        wrapped slice and fails), so contiguous callers skip the min/max
-        validation passes entirely.  Requires the kernel to be built.
-        """
-        start = int(rows[0])
-        if start < 0 or int(rows[count - 1]) - start + 1 != count:
-            return None
-        if not np.array_equal(rows, self._row_arange[start : start + count]):
-            return None
-        return start
-
-    def _kernel_sums(
-        self,
-        layer_map: Mapping[str, Module],
-        rows: Optional[np.ndarray],
-        scratch: Optional[ScanScratch] = None,
-        contiguous_start: Union[str, None, int] = "auto",
-    ) -> np.ndarray:
-        """Masked checksums for validated ``rows`` (``None`` = all groups).
-
-        Full scans and contiguous row ranges over a structured plane (the
-        shapes every scheduler shard slice has) gather with block slice
-        copies (:meth:`PlaneStructure.gather_block`); arbitrary row sets —
-        and planes whose layers all failed fuse-time structure detection —
-        take the general fancy-indexing gather.  The einsum and binarize
-        are shared, and integer sums are exact, so the path choice can
-        never change a verdict.
-
-        ``contiguous_start`` is the memoized result of
-        :meth:`_contiguous_rows_start` when the caller already computed it
-        (``"auto"`` re-derives it here; the parameter only avoids a second
-        pass over ``rows`` on the hottest path).
-
-        Returns a view into scratch storage — callers either consume it
-        immediately (binarize/compare) or copy it out (:meth:`group_sums`).
-        """
-        self._ensure_kernel()
-        plane = self._prepare_plane(layer_map, rows)
-        scratch = scratch if scratch is not None else self._scratch
-        group_size = self.config.group_size
-        if rows is None:
-            count = self.total_groups
-            start: Optional[int] = 0
-        else:
-            count = int(rows.size)
-            if count == 0:
-                return np.empty(0, dtype=self._accum_dtype)
-            if contiguous_start == "auto":
-                start = self._contiguous_rows_start(rows, count)
-            else:
-                start = contiguous_start
-        if start is not None and self._structure.any_structured:
-            gathered = scratch.take("gathered", (group_size, count), np.int8)
-            self._structure.gather_block(
-                plane, self._kernel_indices, gathered, start, start + count
-            )
-            signs = self._kernel_signs[:, start : start + count]
-        else:
-            if rows is None:
-                indices = self._kernel_indices
-                signs = self._kernel_signs
-            else:
-                indices, signs = self._row_block(rows, count, scratch)
-            gathered = scratch.take("gathered", (group_size, count), np.int8)
-            # mode="clip" skips per-element bounds checking; every index was
-            # validated at build time (and row slices just above), so
-            # clipping can never trigger.
-            np.take(plane, indices, out=gathered, mode="clip")
-        sums = scratch.take("sums", (count,), self._accum_dtype)
-        np.einsum("gr,gr->r", gathered, signs, dtype=self._accum_dtype, out=sums)
-        return sums
-
-    def _row_block(
-        self, rows: np.ndarray, count: int, scratch: ScanScratch
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Index and sign columns for a validated row slice.
-
-        A contiguous ascending range — the shape every round-robin shard
-        slice has — is served as plain views of the global matrices (no
-        copy at all); anything else is gathered into scratch with one
-        ``axis=1`` take per matrix.
-        """
-        start = int(rows[0])
-        if int(rows[-1]) - start + 1 == count and np.array_equal(
-            rows, self._row_arange[start : start + count]
-        ):
-            block = slice(start, start + count)
-            return self._kernel_indices[:, block], self._kernel_signs[:, block]
-        group_size = self.config.group_size
-        indices = scratch.take(
-            "row-indices", (group_size, count), self._kernel_indices.dtype
-        )
-        np.take(self._kernel_indices, rows, axis=1, out=indices)
-        signs = scratch.take("row-signs", (group_size, count), np.int8)
-        np.take(self._kernel_signs, rows, axis=1, out=signs)
-        return indices, signs
-
+    # -- verification ----------------------------------------------------------
     def _layer_map(self, model: Module) -> Dict[str, Module]:
         """``{name: quantized layer}`` for ``model``, memoized for adoption.
 
@@ -1314,156 +1283,30 @@ class FusedSignatures:
             self._cached_layer_map = layer_map
         return layer_map
 
-    # -- recomputation ---------------------------------------------------------
-    def group_sums(
-        self,
-        model: Module,
-        rows: Optional[np.ndarray] = None,
-        reference: bool = False,
-    ) -> np.ndarray:
-        """Masked checksums for the given global rows (``None`` = every group).
-
-        ``reference=True`` runs the retained PR-3 per-layer path (int64
-        promotion, per-layer gathers, ``searchsorted`` routing) — the
-        bit-exactness oracle and benchmark baseline for the kernel.
-        """
-        layer_map = self._layer_map(model)
-        rows = self._validated_rows(rows)
-        if reference:
-            return self._reference_sums(layer_map, rows)
-        return self._kernel_sums(layer_map, rows).astype(np.int64)
-
-    def _reference_sums(
-        self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
-    ) -> np.ndarray:
-        if rows is None:
-            sums = np.empty(self.total_groups, dtype=np.int64)
-            for position in range(len(self.layer_names)):
-                flat = self._layer_flat(layer_map, position)
-                start, end = self._row_starts[position], self._row_starts[position + 1]
-                gathered = flat[self._indices[position]].astype(np.int64)
-                sums[start:end] = (gathered * self._sign_masks[position]).sum(axis=1)
-            return sums
-        sums = np.empty(rows.size, dtype=np.int64)
-        owning_layer = np.searchsorted(self._row_starts, rows, side="right") - 1
-        for position in np.unique(owning_layer):
-            where = np.nonzero(owning_layer == position)[0]
-            local = rows[where] - self._row_starts[position]
-            flat = self._layer_flat(layer_map, position)
-            gathered = flat[self._indices[position][local]].astype(np.int64)
-            sums[where] = (gathered * self._sign_masks[position][local]).sum(axis=1)
-        return sums
-
-    def signatures(
-        self,
-        model: Module,
-        rows: Optional[np.ndarray] = None,
-        reference: bool = False,
-    ) -> np.ndarray:
-        """Current signatures for the given global rows, in row order."""
-        if reference:
-            return signature_from_sums(
-                self.group_sums(model, rows, reference=True), self.config.signature_bits
-            )
-        layer_map = self._layer_map(model)
-        rows = self._validated_rows(rows)
-        sums = self._kernel_sums(layer_map, rows)
-        return signature_from_sums(sums, self.config.signature_bits)
-
     def mismatched_rows(
-        self,
-        model: Module,
-        rows: Optional[np.ndarray] = None,
-        reference: bool = False,
+        self, model: Module, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Global rows (among ``rows``) whose current signature differs from golden."""
-        if reference:
-            current = self.signatures(model, rows, reference=True)
-            if rows is None:
-                return np.nonzero(current != self.golden)[0].astype(np.int64)
-            rows = np.asarray(rows, dtype=np.int64)
-            return rows[current != self.golden[rows]]
-        layer_map = self._layer_map(model)
-        start: Union[str, None, int] = "auto"
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.size:
-                # Contiguity first: one arange comparison both validates the
-                # bounds and unlocks the block gather + golden-view compare,
-                # so the scheduler-slice hot path never pays min/max.
-                self._ensure_kernel()
-                start = self._contiguous_rows_start(rows, rows.size)
-            if start is None or rows.size == 0:
-                rows = self._validated_rows(rows)
-        sums = self._kernel_sums(layer_map, rows, contiguous_start=start)
-        # The sums live in scratch and are consumed right here, so binarize
-        # them in place instead of allocating signature_from_sums's
-        # intermediates on the hottest path.
-        shift, mask = signature_shift_mask(self.config.signature_bits)
-        np.right_shift(sums, shift, out=sums)
-        np.bitwise_and(sums, mask, out=sums)
-        if rows is None:
-            return np.nonzero(sums != self.golden)[0].astype(np.int64)
-        if isinstance(start, int):
-            return rows[sums != self.golden[start : start + rows.size]]
-        return rows[sums != self.golden[rows]]
+        """Global rows (among ``rows``) whose current signature differs from golden.
 
-    def layer_stream_signatures(
-        self,
-        layer_name: str,
-        qweight_flat: np.ndarray,
-        groups: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Signatures of one layer's *streamed* weights on the kernel path.
-
-        The streaming counterpart of :meth:`signatures`: no model object,
-        just the flat int8 payload a DMA engine would deliver for
-        ``layer_name``.  Uses the fused per-layer gather matrix and sign
-        mask with narrow accumulation, so
-        :class:`~repro.core.streaming.StreamingVerifier` shares the
-        kernel's speed without owning a plane.  ``groups`` restricts the
-        check to the listed local group indices (in order).
+        ``rows=None`` verifies every group.  A stack of one through
+        :func:`stacked_mismatched_rows`, on this view's own scratch: the
+        single-model path of :class:`~repro.core.runtime.ProtectedInference`
+        and :meth:`~repro.core.scheduler.ScanScheduler.step`.
         """
-        position = self._position_of(layer_name)
-        qweight_flat = np.asarray(qweight_flat)
-        if qweight_flat.dtype != np.int8:
-            raise ProtectionError(
-                f"Expected int8 weights, got dtype {qweight_flat.dtype}"
-            )
-        if qweight_flat.ndim != 1 or qweight_flat.size != self._num_weights[position]:
-            raise ProtectionError(
-                f"Layer {layer_name!r} stream has shape {qweight_flat.shape}, "
-                f"expected ({self._num_weights[position]},)"
-            )
-        indices = self._indices[position]
-        signs = self._sign_masks[position]
-        if groups is not None:
-            groups = np.atleast_1d(np.asarray(groups, dtype=np.int64))
-            num_groups = indices.shape[0]
-            if groups.size and not (
-                0 <= groups.min() and groups.max() < num_groups
-            ):
-                raise ProtectionError(
-                    f"group indices out of range ({num_groups} groups)"
-                )
-            if groups.size == 0:
-                return np.empty(0, dtype=np.uint8)
-            count = int(groups.size)
-            group_size = self.config.group_size
-            row_indices = self._scratch.take(
-                "stream-indices", (count, group_size), indices.dtype
-            )
-            np.take(indices, groups, axis=0, out=row_indices)
-            row_signs = self._scratch.take(
-                "stream-signs", (count, group_size), np.int8
-            )
-            np.take(signs, groups, axis=0, out=row_signs)
-            indices, signs = row_indices, row_signs
-        gathered = self._scratch.take("stream-gathered", indices.shape, np.int8)
-        np.take(qweight_flat, indices, out=gathered)
-        sums = self._scratch.take("stream-sums", (indices.shape[0],), self._accum_dtype)
-        np.einsum("ij,ij->i", gathered, signs, dtype=self._accum_dtype, out=sums)
-        return signature_from_sums(sums, self.config.signature_bits)
+        layer_map = self._layer_map(model)
+        plane = self._prepare_plane(layer_map, rows)
+        return stacked_mismatched_rows(
+            [plane],
+            [self._kernel_indices],
+            [self._kernel_signs],
+            [self.golden],
+            [self._all_rows if rows is None else rows],
+            self.config.group_size,
+            self.config.signature_bits,
+            self._scratch,
+            True,
+            [self._structure],
+        )[0]
 
     def rows_to_layer_groups(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
         """Translate global rows into per-layer group indices (all layers present).
@@ -1482,9 +1325,6 @@ class FusedSignatures:
             inside = rows[(rows >= start) & (rows < end)]
             result[name] = np.unique(inside - start).astype(np.int64)
         return result
-
-
-RowsArg = Union[np.ndarray, Sequence[np.ndarray]]
 
 
 def split_by_padding_waste(
@@ -1544,6 +1384,7 @@ def _stacked_sums(
     signs_list: Sequence[np.ndarray],
     rows_list: Sequence[np.ndarray],
     sizes: Sequence[int],
+    starts: Sequence[Optional[int]],
     width: int,
     group_size: int,
     accum: np.dtype,
@@ -1551,11 +1392,10 @@ def _stacked_sums(
     homogeneous: bool,
     structures: Sequence[Optional[PlaneStructure]],
 ) -> np.ndarray:
-    """The stacked gather + einsum shared by coordinator and workers.
+    """The stacked gather + einsum core of :func:`stacked_mismatched_rows`.
 
-    One arithmetic core behind both :func:`batched_mismatched_rows` (the
-    in-process engine path) and :func:`stacked_mismatched_rows` (the
-    shared-memory worker path), so the two can never drift bit-wise.
+    ``starts[i]`` is the first row of model *i*'s slice when that slice is
+    one contiguous ascending run, else ``None``.
 
     The width axis is processed in cache-blocked tiles
     (:func:`_stacked_tile_width`): the per-tile gathered stack and sign
@@ -1575,7 +1415,7 @@ def _stacked_sums(
     sums = scratch.take("stacked-sums", (num_models, width), accum)
     if homogeneous:
         rows0 = rows_list[0]
-        start0 = _contiguous_start(rows0, width)
+        start0 = starts[0]
         indices0 = indices_list[0]
         signs0 = signs_list[0]
         for w0 in range(0, width, tile):
@@ -1628,9 +1468,6 @@ def _stacked_sums(
                 "kgr,gr->kr", stacked, signs, dtype=accum, out=sums[:, w0:w1]
             )
         return sums
-    starts = [
-        _contiguous_start(rows_list[index], sizes[index]) for index in range(num_models)
-    ]
     for w0 in range(0, width, tile):
         w1 = w0 + tile
         if w1 > width:
@@ -1694,164 +1531,36 @@ def _stacked_sums(
 def batched_mismatched_rows(
     views: Sequence[FusedSignatures],
     layer_maps: Sequence[Mapping[str, Module]],
-    rows: RowsArg,
+    rows: Sequence[np.ndarray],
     scratch: Optional[ScanScratch] = None,
 ) -> List[np.ndarray]:
-    """Verify row slices of several models in one stacked kernel pass.
+    """Verify per-model row slices of several models in one stacked pass.
 
-    ``views[i]`` is model *i*'s fused view and ``layer_maps[i]`` its
-    ``{layer_name: quantized layer}`` mapping.  Two calling conventions:
-
-    * ``rows`` as a **single array** — the legacy homogeneous contract: all
-      views must share a :meth:`FusedSignatures.structure_key` and the one
-      slice is verified for every model.
-    * ``rows`` as a **sequence of per-model arrays** — bucketed padded
-      stacking: views only need matching :meth:`FusedSignatures.kernel_key`
-      (``group_size``, ``signature_bits``); row counts are padded to the
-      bucket max with zero sign rows, so models of *different*
-      architectures still share the stacked gather + einsum + binarize +
-      compare.  This is what lets the fleet engine coalesce heterogeneous
-      fleets instead of falling back to sequential per-model scans.
-
-    When every view shares a structure key and every model scans the same
-    rows, the stack degenerates to the broadcast fast path (one shared
-    index/sign matrix); otherwise each model contributes its own.  Either
-    way the per-pass NumPy dispatch overhead is paid once for the whole
-    batch, the gather stays int8 and the accumulation narrow, and all
-    stacked workspaces come from ``scratch`` (the engine passes its
-    per-bucket :class:`ScanScratch`; ``None`` allocates a private one).
-
-    Returns one flagged-row array per model, identical to what
-    ``views[i].mismatched_rows(model_i, rows_i)`` would report.
+    ``views[i]`` is model *i*'s fused view, ``layer_maps[i]`` its
+    ``{layer_name: quantized layer}`` mapping and ``rows[i]`` its global
+    row slice.  Views only need matching
+    :meth:`FusedSignatures.kernel_key` (``group_size``,
+    ``signature_bits``): row counts are padded to the longest slice with
+    zero sign rows, so models of *different* architectures share one
+    gather + einsum + binarize + compare.  A one-shot
+    :class:`StackedVerifier`; returns one flagged-row array per model,
+    identical to ``views[i].mismatched_rows(model_i, rows[i])``.
     """
-    if not views:
-        raise ProtectionError("batched_mismatched_rows needs at least one view")
-    if len(views) != len(layer_maps):
-        raise ProtectionError(
-            f"got {len(views)} views but {len(layer_maps)} layer maps"
-        )
-    # A list/tuple is per-model rows only when every element is itself an
-    # array-like; a plain sequence of ints (``rows=[0, 1, 2]``) keeps its
-    # historical meaning of one shared row slice.
-    per_model = (
-        not isinstance(rows, np.ndarray)
-        and isinstance(rows, (list, tuple))
-        and len(rows) > 0
-        and all(isinstance(item, (np.ndarray, list, tuple)) for item in rows)
-    )
-    shared = not per_model
-    reference = views[0]
-    if shared:
-        key = reference.structure_key()
-        for view in views[1:]:
-            if view.structure_key() != key:
-                raise ProtectionError(
-                    "batched verification of one shared row slice needs "
-                    "structurally identical models; structure keys differ "
-                    "(pass per-model row arrays for bucketed stacking)"
-                )
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return [rows.copy() for _ in views]
-        rows_list = [reference._validated_rows(rows)] * len(views)
-    else:
-        if len(rows) != len(views):
-            raise ProtectionError(
-                f"got {len(views)} views but {len(rows)} row arrays"
-            )
-        kernel_key = reference.kernel_key()
-        for view in views[1:]:
-            if view.kernel_key() != kernel_key:
-                raise ProtectionError(
-                    "bucketed stacking needs matching (group_size, "
-                    "signature_bits) kernel keys"
-                )
-        rows_list = [
-            view._validated_rows(np.asarray(item, dtype=np.int64))
-            for view, item in zip(views, rows)
-        ]
-
-    num_models = len(views)
-    sizes = [int(item.size) for item in rows_list]
-    width = max(sizes)
-    if width == 0:
-        return [np.empty(0, dtype=np.int64) for _ in views]
-    for view in views:
-        view._ensure_kernel()
-    scratch = scratch if scratch is not None else ScanScratch()
-    group_size = reference.config.group_size
-    accum = reference._accum_dtype
-    signature_bits = reference.config.signature_bits
-
-    reference_key = reference.structure_key()
-    rows0 = rows_list[0]
-    size0 = sizes[0]
-    homogeneous = all(
-        view.structure_key() == reference_key for view in views
-    ) and all(
-        item is rows0 or (size == size0 and np.array_equal(item, rows0))
-        for size, item in zip(sizes, rows_list)
-    )
-
-    planes = [
-        view._prepare_plane(layer_map, model_rows) if size else view._plane
-        for view, layer_map, model_rows, size in zip(
-            views, layer_maps, rows_list, sizes
-        )
-    ]
-    sums = _stacked_sums(
-        planes,
-        [view._kernel_indices for view in views],
-        [view._kernel_signs for view in views],
-        rows_list,
-        sizes,
-        width,
-        group_size,
-        accum,
-        scratch,
-        homogeneous,
-        [view._structure for view in views],
-    )
-
-    current = signature_from_sums(sums, signature_bits)
-    flagged: List[np.ndarray] = []
-    for index, (view, model_rows) in enumerate(zip(views, rows_list)):
-        size = sizes[index]
-        if size == 0:
-            flagged.append(np.empty(0, dtype=np.int64))
-            continue
-        mismatched = current[index, :size] != view.golden[model_rows]
-        flagged.append(model_rows[mismatched])
-    return flagged
+    return StackedVerifier(views, layer_maps).verify(rows, scratch)
 
 
 class StackedVerifier:
-    """A precompiled :func:`batched_mismatched_rows` over a fixed bucket.
+    """:func:`stacked_mismatched_rows` over a fixed bucket of fused views.
 
-    The fleet engine re-verifies the *same* set of views with the same
-    layer maps every tick; only the row slices change.  The general entry
-    point re-derives everything per call — kernel-key validation,
-    per-model metadata lists, homogeneity detection, and a per-model
-    golden gather/compare tail — which at fleet scale costs more Python
-    dispatch than the stacked kernel itself.  This class hoists all of it
-    to construction time:
-
-    * kernel keys are validated and the per-view index/sign/structure
-      lists are built once;
-    * when every view shares a structure key, the goldens are prestacked
-      into one ``(num_models, total_groups)`` matrix, so a homogeneous
-      contiguous slice compares against a *view* of it — the clean-tick
-      tail collapses to one vectorized compare + ``any`` instead of a
-      per-model gather/compare/nonzero loop.
-
-    :meth:`verify` re-checks per call only what can actually change
-    between ticks — each view's ``golden`` binding (``share``/``unshare``
-    rebind it in place) — and routes anything irregular (padded widths,
-    non-identical rows, rebound goldens) to the general function, so the
-    flagged rows are bit-identical to it by construction.  Callers are
-    responsible for rebuilding the verifier when bucket *membership*
-    changes (a re-sign replaces the fused view object, which the engine
-    detects by identity).
+    The fleet engine re-verifies the *same* views with the same layer maps
+    every tick; only the row slices change.  Construction validates the
+    kernel keys, builds every view's kernel arrays and, when the goldens
+    share one length, prestacks them into one ``(num_models, total_groups)``
+    matrix so a homogeneous contiguous slice compares against a *view* of
+    it in one vectorized pass.  Goldens are never rewritten in place (a
+    re-sign builds a new view), so the stack stays valid; the engine
+    rebuilds the verifier when bucket *membership* changes, which it
+    detects by view identity.
     """
 
     def __init__(
@@ -1876,124 +1585,46 @@ class StackedVerifier:
             view._ensure_kernel()
         self.views = list(views)
         self.layer_maps = list(layer_maps)
-        reference = views[0]
-        self._reference = reference
-        self._group_size = reference.config.group_size
-        self._signature_bits = reference.config.signature_bits
-        self._accum = reference._accum_dtype
-        self._indices = [view._kernel_indices for view in views]
-        self._signs = [view._kernel_signs for view in views]
         self._structures = [view._structure for view in views]
-        key = reference.structure_key()
-        self._uniform = all(view.structure_key() == key for view in views)
-        self._goldens = [view.golden for view in views]
-        self._golden_matrix = (
-            np.stack(self._goldens) if self._uniform else None
+        goldens = [view.golden for view in views]
+        self._goldens = (
+            np.stack(goldens) if len({golden.size for golden in goldens}) == 1 else goldens
         )
-        #: Identity-keyed memo of already-proven row tuples.  Schedulers
-        #: hand out their (immutable) shard arrays by reference, so a
-        #: rotation revisits the same id tuple every ``num_shards`` ticks;
-        #: the value keeps strong references to the keyed arrays, which
-        #: pins their ids for the life of the entry.
-        self._rows_memo: Dict[Tuple[int, ...], Tuple[Tuple[np.ndarray, ...], np.ndarray, Optional[int]]] = {}
-
-    def _intact(self) -> bool:
-        """Whether every view's kernel arrays still match the prebuilt ones."""
-        for index, view in enumerate(self.views):
-            if (
-                view.golden is not self._goldens[index]
-                or view._kernel_indices is not self._indices[index]
-                or view._kernel_signs is not self._signs[index]
-            ):
-                return False
-        return True
 
     def verify(
-        self, rows_list: Sequence[np.ndarray], scratch: Optional[ScanScratch] = None
+        self,
+        rows_list: Sequence[np.ndarray],
+        scratch: Optional[ScanScratch] = None,
+        homogeneous: bool = False,
     ) -> List[np.ndarray]:
         """Flagged-row arrays for one tick's per-model row slices.
 
-        Bit-identical to ``batched_mismatched_rows(views, layer_maps,
-        rows_list, scratch)``; the precompiled fast path only engages for
-        the steady fleet state (uniform bucket, every model scanning the
-        same in-range slice, kernel arrays unchanged since construction).
+        ``homogeneous`` is the caller's promise that every view shares one
+        structure key and every slice the same rows (see
+        :func:`stacked_mismatched_rows`).
         """
         views = self.views
-        num_models = len(views)
-        rows0 = rows_list[0]
-        width = rows0.size
-        if self._uniform and width and self._intact():
-            memo_key = tuple(map(id, rows_list))
-            memo = self._rows_memo.get(memo_key)
-            if memo is not None:
-                _, validated, start = memo
-                return self._verify_homogeneous(validated, width, scratch, start)
-            distinct = []
-            identical = True
-            for item in rows_list:
-                if item is rows0:
-                    continue
-                if item.size != width:
-                    identical = False
-                    break
-                distinct.append(item)
-            if identical and distinct:
-                # One stacked compare instead of a per-model array_equal
-                # loop: the steady state is "every model scans the same
-                # slice", so this almost always confirms.
-                identical = bool((np.vstack(distinct) == rows0).all())
-            if identical:
-                validated = self._reference._validated_rows(
-                    np.asarray(rows0, dtype=np.int64)
-                )
-                start = _contiguous_start(validated, width)
-                if len(self._rows_memo) >= 256:
-                    self._rows_memo.clear()
-                self._rows_memo[memo_key] = (tuple(rows_list), validated, start)
-                return self._verify_homogeneous(validated, width, scratch, start)
-        return batched_mismatched_rows(
-            views, self.layer_maps, list(rows_list), scratch=scratch
-        )
-
-    def _verify_homogeneous(
-        self,
-        rows0: np.ndarray,
-        width: int,
-        scratch: Optional[ScanScratch],
-        start: Optional[int],
-    ) -> List[np.ndarray]:
-        scratch = scratch if scratch is not None else ScanScratch()
-        views = self.views
-        num_models = len(views)
-        planes = [
-            view._prepare_plane(layer_map, rows0)
-            for view, layer_map in zip(views, self.layer_maps)
-        ]
-        sums = _stacked_sums(
-            planes,
-            self._indices,
-            self._signs,
-            [rows0] * num_models,
-            [width] * num_models,
-            width,
-            self._group_size,
-            self._accum,
+        if len(rows_list) != len(views):
+            raise ProtectionError(
+                f"got {len(views)} views but {len(rows_list)} row arrays"
+            )
+        config = views[0].config
+        return stacked_mismatched_rows(
+            [
+                view._prepare_plane(layer_map, rows)
+                for view, layer_map, rows in zip(views, self.layer_maps, rows_list)
+            ],
+            # Read per call: share/unshare rebind a view's kernel arrays.
+            [view._kernel_indices for view in views],
+            [view._kernel_signs for view in views],
+            self._goldens,
+            rows_list,
+            config.group_size,
+            config.signature_bits,
             scratch,
-            True,
+            homogeneous,
             self._structures,
         )
-        current = signature_from_sums(sums, self._signature_bits)
-        if start is not None:
-            golden_block = self._golden_matrix[:, start : start + width]
-        else:
-            golden_block = self._golden_matrix[:, rows0]
-        mismatch = current != golden_block
-        if not mismatch.any():
-            # One immutable empty shared by all models: flagged rows are
-            # treated as read-only downstream, and the write-lock makes a
-            # violation fail loudly instead of corrupting a neighbor.
-            return [_EMPTY_ROWS] * num_models
-        return [rows0[mismatch[index]] for index in range(num_models)]
 
 
 def stacked_mismatched_rows(
@@ -2008,26 +1639,29 @@ def stacked_mismatched_rows(
     homogeneous: bool = False,
     structures: Optional[Sequence[Optional[object]]] = None,
 ) -> List[np.ndarray]:
-    """:func:`batched_mismatched_rows` over plain arrays instead of views.
+    """The scan kernel: flagged global rows of a stack of models.
 
-    The worker-process half of the scan kernel: a process attached to
-    published :class:`SharedPlaneSpec` segments has no ``Module`` objects
-    and no :class:`FusedSignatures` — just each model's weight plane,
-    slot-major gather-index and sign matrices, and golden signatures.  This
-    runs the exact same arithmetic through :func:`_stacked_sums`
-    (cache-blocked int8 gather, narrow-accumulation einsum, in-order
-    binarize and golden compare), so its flagged rows are bit-identical to
-    the coordinator's in-process path for the same inputs.
+    Every verification path ends here — the single-model view
+    (:meth:`FusedSignatures.mismatched_rows`, a stack of one), the
+    engine's buckets (:class:`StackedVerifier`) and the worker processes,
+    which hold no ``Module`` objects and no :class:`FusedSignatures`, just
+    each model's weight plane, slot-major gather-index and sign matrices
+    and golden signatures (published :class:`SharedPlaneSpec` segments).
+    Model *i*'s rows ``rows_list[i]`` are gathered from ``planes[i]``,
+    summed under the sign mask by a cache-blocked narrow-accumulation
+    einsum (:func:`_stacked_sums`), binarized and compared with
+    ``goldens[i]``; the result lists the mismatching rows in slice order.
 
-    ``homogeneous=True`` is a coordinator-supplied promise that every model
+    ``homogeneous=True`` is a caller-supplied promise that every model
     shares one structure key *and* one row slice (the engine knows; the
-    worker cannot cheaply verify), enabling the shared index/sign broadcast
-    fast path.  ``structures`` optionally carries each model's published
-    rotated-arange structure — a :class:`PlaneStructure`, a picklable
-    :class:`PlaneStructureSpec`, or ``None`` — so workers run the
-    block-slice gather without re-deriving (or guessing) anything.  Both
-    flags change dispatch cost only — integer sums are exact, so every path
-    produces identical results.
+    kernel cannot cheaply verify), enabling the shared index/sign
+    broadcast; a 2-D ``goldens`` array then compares the whole stack at
+    once.  ``structures`` optionally carries each model's rotated-arange
+    structure — a :class:`PlaneStructure`, a picklable
+    :class:`PlaneStructureSpec`, or ``None`` — so contiguous slices gather
+    by block copies.  Contiguous slices also compare against a view of
+    their golden rows.  Neither flag changes a verdict: integer sums are
+    exact on every path.
     """
     num_models = len(planes)
     if not (
@@ -2050,38 +1684,48 @@ def stacked_mismatched_rows(
             for item in structures
         ]
     rows_list = [np.asarray(rows, dtype=np.int64) for rows in rows_list]
-    for rows, golden in zip(rows_list, goldens):
-        if rows.size and not (0 <= rows.min() and rows.max() < golden.size):
-            raise ProtectionError(f"global rows out of range ({golden.size} groups)")
     sizes = [int(rows.size) for rows in rows_list]
     width = max(sizes)
     if width == 0:
-        return [np.empty(0, dtype=np.int64) for _ in planes]
-    scratch = scratch if scratch is not None else ScanScratch()
-    accum = accumulator_dtype(group_size)
+        return [_EMPTY_ROWS] * num_models
+    checked = 1 if homogeneous else num_models
+    starts = [
+        _checked_start(rows_list[index], sizes[index], goldens[index].size)
+        for index in range(checked)
+    ]
+    if homogeneous:
+        starts *= num_models
     sums = _stacked_sums(
         planes,
         indices_list,
         signs_list,
         rows_list,
         sizes,
+        starts,
         width,
         group_size,
-        accum,
-        scratch,
+        accumulator_dtype(group_size),
+        scratch if scratch is not None else ScanScratch(),
         homogeneous,
         structure_list,
     )
-    current = signature_from_sums(sums, signature_bits)
+    shift, mask = signature_shift_mask(signature_bits)
+    np.right_shift(sums, shift, out=sums)
+    np.bitwise_and(sums, mask, out=sums)
+    if homogeneous and isinstance(goldens, np.ndarray):
+        rows0, start = rows_list[0], starts[0]
+        golden = goldens[:, start : start + width] if start is not None else goldens[:, rows0]
+        mismatch = sums != golden
+        if not mismatch.any():
+            return [_EMPTY_ROWS] * num_models
+        return [rows0[row_mismatch] for row_mismatch in mismatch]
     flagged: List[np.ndarray] = []
     for index in range(num_models):
-        size = sizes[index]
-        if size == 0:
-            flagged.append(np.empty(0, dtype=np.int64))
-            continue
-        model_rows = rows_list[index]
-        mismatched = current[index, :size] != goldens[index][model_rows]
-        flagged.append(model_rows[mismatched])
+        size, start, rows = sizes[index], starts[index], rows_list[index]
+        golden = goldens[index]
+        golden = golden[start : start + size] if start is not None else golden[rows]
+        mismatch = sums[index, :size] != golden
+        flagged.append(rows[mismatch] if mismatch.any() else _EMPTY_ROWS)
     return flagged
 
 

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.core.checksum import compute_signatures
 from repro.core.detector import DetectionReport
 from repro.core.recovery import RecoveryPolicy
 from repro.core.signature import SignatureStore
@@ -109,24 +110,19 @@ class StreamingVerifier:
         stream-level counterpart of one :class:`~repro.core.scheduler.ScanScheduler`
         shard slice; ``None`` verifies every group of the layer.
 
-        Verification runs on the scan kernel's per-layer arrays
-        (:meth:`~repro.core.signature.FusedSignatures.layer_stream_signatures`):
-        precomputed gather indices and int8 sign mask with narrow (int32)
-        accumulation, instead of re-deriving the layout's index matrix and
-        promoting every streamed weight to int64 per call.
+        Verification is the paper's per-layer check
+        (:func:`~repro.core.checksum.compute_signatures`), which also
+        validates the stream's dtype, shape and ``groups``.
         """
         entry = self.store.layer(layer_name)
-        qweight_flat = np.asarray(qweight_flat)
-        # Dtype/shape validation happens in layer_stream_signatures — one
-        # validator, one error message.
-        fused = self.store.fused()
+        bits = self.store.config.signature_bits
         if groups is None:
-            current = fused.layer_stream_signatures(layer_name, qweight_flat)
+            current = compute_signatures(qweight_flat, entry.layout, entry.key, bits)
             flagged = np.nonzero(current != entry.golden)[0].astype(np.int64)
         else:
             groups = np.atleast_1d(np.asarray(groups, dtype=np.int64))
-            current = fused.layer_stream_signatures(
-                layer_name, qweight_flat, groups=groups
+            current = compute_signatures(
+                qweight_flat, entry.layout, entry.key, bits, groups=groups
             )
             flagged = np.unique(groups[current != entry.golden[groups]])
         return StreamEvent(layer_name=layer_name, flagged_groups=flagged)

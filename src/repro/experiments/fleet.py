@@ -7,7 +7,7 @@ models used to advance their scan rotations *one model at a time* —
 :meth:`~repro.core.scheduler.ScanScheduler.step` calls, each paying the
 full NumPy dispatch cost of its own small slice.  The engine instead
 coalesces structurally identical models' slices into one stacked
-verification pass (:func:`~repro.core.signature.batched_mismatched_rows`).
+verification pass (:class:`~repro.core.signature.StackedVerifier`).
 
 This experiment measures both paths over the *same* fleet of quantized
 MLPs at the *same* per-tick budget (each model funded for exactly its
@@ -192,15 +192,15 @@ def _oracle_matches(engine: VerificationEngine, victim: str) -> bool:
     """Bit-exactness check against the sequential per-model oracle.
 
     Flips one MSB in ``victim``, takes the reference verdict with the
-    in-process fused scan (``protector.scan_fused`` — the ``reference=True``
-    oracle every kernel change is validated against), then runs one engine
-    tick (detection only) and compares the flagged groups per layer.
+    per-layer checksum oracle (``protector.scan``, the path every kernel
+    change is validated against), then runs one engine tick (detection
+    only) and compares the flagged groups per layer.
     """
     managed = engine.get(victim)
     _, layer = quantized_layers(managed.model)[0]
     flat = layer.qweight.reshape(-1)
     flat[3] = np.int8(int(flat[3]) ^ -128)
-    reference = managed.protector.scan_fused(managed.model)
+    reference = managed.protector.scan(managed.model)
     outcome = engine.tick(recovery_policy=RecoveryPolicy.NONE)[victim]
     observed = outcome.scan.report.flagged_groups
     expected = reference.flagged_groups
@@ -241,7 +241,7 @@ def fleet_process_scaling(
       counters per steady-state tick; 0 means scans gather straight from
       the (shm-backed) planes with no per-scan weight copies;
     * ``oracle_match`` — whether an injected MSB flip is flagged
-      bit-identically to the in-process ``scan_fused`` reference oracle.
+      bit-identically to the per-layer ``protector.scan`` oracle.
     """
     try:
         available_cpus = len(os.sched_getaffinity(0))

@@ -1,32 +1,28 @@
-"""Zero-copy scan kernel throughput: fused plane vs the PR-3 per-layer path.
+"""Zero-copy scan kernel throughput: fused plane vs the per-layer oracle.
 
 Not a paper artifact: this is the performance study behind the scan kernel
-(:class:`~repro.core.signature.FusedSignatures`).  The PR-3 verification
-path — retained verbatim behind ``reference=True`` — loops over layers in
-Python, promotes every gathered int8 weight to int64 (8× the bytes of the
-source), materializes the full ``gathered * sign_mask`` product matrix
-before row-summing, and routes sliced scans through a per-row
-``searchsorted`` dispatch.  The kernel replaces all of that with one int8
-gather out of a fused weight plane plus one narrow-accumulation
-``einsum('ij,ij->i')``, with every workspace reused across passes and —
-for adopted models — zero weight copies.
-
-Since the structure-aware gather landed, the kernel side also detects
-rotated-arange structure at fuse time and serves full scans with block
-slice copies over the plane (falling back to the general gather for
-unstructured layouts and narrow ranges); each result row records whether
-the measured plane was fully ``structured`` plus the host's
-``available_cpus``, so the CI floor can be structure- and
-environment-aware instead of flaky.
+(:func:`~repro.core.signature.stacked_mismatched_rows`, reached here as a
+stack of one through :class:`~repro.core.signature.FusedSignatures`).  The
+baseline is the bit-identity oracle,
+:meth:`~repro.core.signature.SignatureStore.mismatched_rows`: the paper's
+check computed layer by layer by
+:func:`~repro.core.checksum.compute_signatures`, re-deriving each layer's
+gather and routing sliced scans per layer, with no fusion and no structure
+detection.  The kernel replaces that with one int8 gather out of a fused
+weight plane (block slice copies where fuse-time detection proved a
+rotated-arange structure) plus one narrow-accumulation ``einsum``, with
+every workspace reused across passes and — for adopted models — zero
+weight copies.  Each result row records whether the measured plane was
+fully ``structured`` plus the host's ``available_cpus``, so the CI floor
+can be structure- and environment-aware.
 
 This experiment measures verified-groups-per-second of both paths over the
 same protected model, for a stop-the-world **full** scan and for a
 scheduler-planned shard **slice** (the amortized hot path), and reports
 the speedup.  ``results/scan_kernel.json`` is the committed baseline;
 ``benchmarks/test_bench_scan_kernel.py`` asserts the acceptance bar
-(kernel ≥ 4× the reference path full-scan, ≥ 5× sliced, on structured
-layouts) and ``scripts/check_perf_regression.py --kind kernel`` gates CI
-on it.
+(kernel ≥ 4× the oracle full-scan, ≥ 5× sliced, on structured layouts)
+and ``scripts/check_perf_regression.py --kind kernel`` gates CI on it.
 """
 
 from __future__ import annotations
@@ -78,11 +74,11 @@ def scan_kernel_throughput(
 
     The workload is a quantized ResNet-20 at the paper's CIFAR group size
     (``G = 8``): ~271k weights across 22 quantized layers, the regime where
-    the PR-3 path pays its per-layer gather dispatch 22 times per scan.
+    the per-layer oracle pays its gather dispatch 22 times per scan.
     Weights are freshly initialized (scan cost is content-independent, so
     no pretrained zoo is needed).  The kernel is measured in the fleet
     engine's steady state (model adopted into the weight plane, scratch
-    warm) against the retained reference path, on a full scan and on the
+    warm) against the per-layer oracle, on a full scan and on the
     slice a ``num_shards``-shard
     :class:`~repro.core.scheduler.ScanScheduler` plans per pass.
     """
@@ -103,7 +99,7 @@ def scan_kernel_throughput(
     for mode, rows_arg in (("full", None), ("slice", slice_rows)):
         checked = fused.total_groups if rows_arg is None else int(rows_arg.size)
         reference_s, kernel_s = _best_of_pair(
-            lambda: fused.mismatched_rows(model, rows_arg, reference=True),
+            lambda: protector.store.mismatched_rows(model, rows_arg),
             lambda: fused.mismatched_rows(model, rows_arg),
             repeats,
             iterations,

@@ -35,6 +35,20 @@ def _flip_weight(model, layer_index: int = 0, weight_index: int = 0) -> None:
     flat[weight_index] = np.int8(int(flat[weight_index]) ^ -128)
 
 
+def _oracle_flags(managed, shard_indices):
+    """The per-layer checksum oracle's verdict over one planned slice."""
+    rows = managed.scheduler.slice_rows(list(shard_indices))
+    return managed.scheduler.fused.rows_to_layer_groups(
+        managed.protector.store.mismatched_rows(managed.model, rows)
+    )
+
+
+def _assert_flags_equal(observed, expected) -> None:
+    assert set(observed) == set(expected)
+    for layer, groups in expected.items():
+        np.testing.assert_array_equal(observed[layer], groups)
+
+
 @pytest.fixture()
 def engine():
     return VerificationEngine(RadarConfig(group_size=8), num_shards=4)
@@ -108,11 +122,35 @@ class TestEngineValidation:
             engine.state_of("ghost")
 
 
+class TestSteadyStateMemory:
+    def test_full_scan_ticks_do_not_accumulate_memory(self):
+        """A FULL fleet's ticks keep nothing of past ticks' row slices."""
+        import tracemalloc
+
+        engine = VerificationEngine(
+            RadarConfig(group_size=8), num_shards=4, policy=ScanPolicy.FULL
+        )
+        for index in range(4):
+            engine.register(f"m{index}", _small_model(index, hidden=(128,), input_dim=64))
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                engine.tick()
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(280):
+                engine.tick()
+            growth = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert growth < 1 << 20, f"{growth} bytes retained across 280 ticks"
+
+
 class TestBatchedEquivalence:
     """The coalesced cross-model pass is an optimization, not an approximation."""
 
     def test_batched_kernel_matches_per_model_results(self):
-        views, layer_maps, models = [], [], []
+        views, layer_maps, models, stores = [], [], [], []
         for seed in range(3):
             model = _small_model(seed, hidden=(32, 16), input_dim=64)
             engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
@@ -120,20 +158,22 @@ class TestBatchedEquivalence:
             views.append(managed.scheduler.fused)
             layer_maps.append(managed.layer_map)
             models.append(model)
+            stores.append(managed.protector.store)
         _flip_weight(models[1], layer_index=1, weight_index=5)
         rows = np.arange(views[0].total_groups, dtype=np.int64)
-        batched = batched_mismatched_rows(views, layer_maps, rows)
-        for view, model, flagged in zip(views, models, batched):
-            np.testing.assert_array_equal(flagged, view.mismatched_rows(model, rows))
+        batched = batched_mismatched_rows(views, layer_maps, [rows] * len(views))
+        for store, model, flagged in zip(stores, models, batched):
+            np.testing.assert_array_equal(flagged, store.mismatched_rows(model, rows))
         assert batched[1].size > 0 and batched[0].size == 0
 
-    def test_batched_kernel_rejects_structure_mismatch(self):
+    def test_batched_kernel_rejects_a_shared_row_array(self):
+        """Rows are per model: one array for every model is not accepted."""
         small = _small_model(0)
         large = _small_model(1, hidden=(32, 16), input_dim=64)
         engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
         managed_small = engine.register("small", small)
         managed_large = engine.register("large", large)
-        with pytest.raises(ProtectionError, match="structure keys differ"):
+        with pytest.raises(ProtectionError, match="row arrays"):
             batched_mismatched_rows(
                 [managed_small.scheduler.fused, managed_large.scheduler.fused],
                 [managed_small.layer_map, managed_large.layer_map],
@@ -157,10 +197,13 @@ class TestBatchedEquivalence:
                 expected = managed.scheduler.step(managed.model)
                 actual = outcomes[name].scan
                 assert actual.shard_indices == expected.shard_indices
-                for layer, groups in expected.report.flagged_groups.items():
-                    np.testing.assert_array_equal(
-                        actual.report.flagged_groups[layer], groups
-                    )
+                _assert_flags_equal(
+                    actual.report.flagged_groups, expected.report.flagged_groups
+                )
+                _assert_flags_equal(
+                    actual.report.flagged_groups,
+                    _oracle_flags(managed, expected.shard_indices),
+                )
 
     def test_same_architecture_models_share_a_batch(self, engine):
         for index in range(4):
@@ -268,8 +311,15 @@ class TestLifecycle:
         transitions = []
         touched = set()
         for _ in range(engine.get(name).scheduler.worst_case_lag_passes):
+            expected = {
+                model: _oracle_flags(engine.get(model), engine.get(model).scheduler.plan())
+                for model in engine.names()
+            }
             outcomes = engine.tick()
             for outcome in outcomes.values():
+                _assert_flags_equal(
+                    outcome.scan.report.flagged_groups, expected[outcome.name]
+                )
                 if outcome.transitions:
                     touched.add(outcome.name)
                     transitions.extend(outcome.transitions)

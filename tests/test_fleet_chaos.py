@@ -2,9 +2,10 @@
 
 The acceptance property: under **any** seeded :class:`FaultPlan` — worker
 kills, scan delays, dropped and malformed results, poison tasks — every
-engine tick's verdicts are bit-identical to a fault-free sequential twin,
-and the pool self-heals without the engine degrading.  Faults may cost
-retries and respawns; they may never cost correctness.
+engine tick's verdicts are bit-identical to a fault-free sequential twin
+and to the per-layer checksum oracle, and the pool self-heals without the
+engine degrading.  Faults may cost retries and respawns; they may never
+cost correctness.
 
 Also covers the plan itself: seeded determinism (same seed, same faults —
 what makes a chaos failure reproducible from one integer), pickling (the
@@ -172,6 +173,17 @@ class TestChaosVerdictParity:
                     _assert_flags_equal(
                         outcomes[name].scan.report.flagged_groups,
                         expected[name].scan.report.flagged_groups,
+                    )
+                    # And to the per-layer checksum oracle over the same rows.
+                    managed = chaos.get(name)
+                    rows = managed.scheduler.slice_rows(
+                        list(outcomes[name].scan.shard_indices)
+                    )
+                    _assert_flags_equal(
+                        outcomes[name].scan.report.flagged_groups,
+                        managed.scheduler.fused.rows_to_layer_groups(
+                            managed.protector.store.mismatched_rows(managed.model, rows)
+                        ),
                     )
             assert not chaos.degraded
             return chaos.fault_stats()

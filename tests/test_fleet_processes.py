@@ -8,8 +8,9 @@ the CLI surface (``--processes`` / ``--workers`` validation, ``infer-demo``).
 
 The load-bearing property: ``processes=N`` is an *execution lane*, not an
 approximation — every tick's scan results must be bit-identical to the
-sequential in-process engine and to the retained PR-3 ``reference=True``
-oracle, for any fleet composition and any process count.
+sequential in-process engine and to the per-layer checksum oracle
+(:meth:`~repro.core.signature.SignatureStore.mismatched_rows`), for any
+fleet composition and any process count.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def _assert_flags_equal(observed, expected) -> None:
         )
 
 
+def _assert_oracle_verdict(managed, outcome) -> None:
+    """An engine outcome flags exactly what the checksum oracle finds."""
+    rows = managed.scheduler.slice_rows(list(outcome.scan.shard_indices))
+    _assert_flags_equal(
+        outcome.scan.report.flagged_groups,
+        managed.scheduler.fused.rows_to_layer_groups(
+            managed.protector.store.mismatched_rows(managed.model, rows)
+        ),
+    )
+
+
 def _build_mirrored_engines(structures, processes, **kwargs):
     """A process-pooled engine and its sequential twin (same models)."""
     config = RadarConfig(group_size=8)
@@ -146,17 +158,9 @@ class TestProcessOracleEquivalence:
                         ours.scan.report.flagged_groups,
                         theirs.scan.report.flagged_groups,
                     )
-                    # And bit-identical to the retained PR-3 per-layer path
-                    # (the reference=True oracle) over the scanned rows.
-                    managed = pooled.get(name)
-                    fused = managed.scheduler.fused
-                    rows = managed.scheduler.slice_rows(
-                        list(ours.scan.shard_indices)
-                    )
-                    oracle = fused.rows_to_layer_groups(
-                        fused.mismatched_rows(managed.model, rows, reference=True)
-                    )
-                    _assert_flags_equal(ours.scan.report.flagged_groups, oracle)
+                    # And bit-identical to the per-layer checksum oracle
+                    # over the scanned rows.
+                    _assert_oracle_verdict(pooled.get(name), ours)
             # Same events, in the same order, for the same models.
             assert [
                 (event.type, event.model) for event in pooled.bus.events()
@@ -535,7 +539,7 @@ class TestSupervisedPool:
         engine = self._published_engine()
         try:
             reference = {
-                name: engine.get(name).protector.scan_fused(
+                name: engine.get(name).protector.scan(
                     engine.get(name).model
                 ).flagged_groups
                 for name in engine.names()
@@ -545,7 +549,7 @@ class TestSupervisedPool:
             os.kill(pool._workers[0].pid, signal.SIGKILL)
             pool._workers[0].join(timeout=5.0)
             # The next tick detects the death, respawns in place, and the
-            # verdicts stay bit-identical to the in-process oracle.
+            # verdicts stay bit-identical to the per-layer oracle.
             outcomes = engine.tick(recovery_policy=RecoveryPolicy.NONE)
             for name in engine.names():
                 _assert_flags_equal(
@@ -569,7 +573,9 @@ class TestSupervisedPool:
         )
         try:
             managed = engine.get("m0")
-            reference = managed.protector.scan_fused(managed.model)
+            _flip_weight(managed.model, 0, 7)
+            reference = managed.protector.scan(managed.model)
+            assert reference.attack_detected
             results = pool.run(_full_scan_tasks(engine))
             assert set(results) == {0}
             assert results[0].worker == -1  # coordinator quarantine
@@ -625,7 +631,7 @@ class TestSupervisedPool:
         )
         try:
             managed = engine.get("m0")
-            reference = managed.protector.scan_fused(managed.model)
+            reference = managed.protector.scan(managed.model)
             fused = managed.scheduler.fused
             for _ in range(2):  # internal ids 0 then 1: DROP then DELAY
                 results = pool.run(_full_scan_tasks(engine))
@@ -654,7 +660,7 @@ class TestSupervisedPool:
         pool = ProcessScanPool(2, fault_plan=plan, **FAULT_POOL_OPTIONS)
         try:
             managed = engine.get("m0")
-            reference = managed.protector.scan_fused(managed.model)
+            reference = managed.protector.scan(managed.model)
             results = pool.run(_full_scan_tasks(engine))
             fused = managed.scheduler.fused
             _assert_flags_equal(
@@ -717,6 +723,7 @@ class TestDegradeRestore:
                         outcomes[name].scan.report.flagged_groups,
                         expected[name].scan.report.flagged_groups,
                     )
+                    _assert_oracle_verdict(pooled.get(name), outcomes[name])
             fleet_events = [
                 event for event in pooled.bus.events()
                 if event.model == FLEET_SCOPE
@@ -761,7 +768,15 @@ class TestDegradeRestore:
             _flip_weight(engine.get("m").model, 0, 5)
             detected = False
             for _ in range(engine.get("m").scheduler.worst_case_lag_passes):
+                managed = engine.get("m")
+                shards = managed.scheduler.plan()
+                expected = managed.scheduler.fused.rows_to_layer_groups(
+                    managed.protector.store.mismatched_rows(
+                        managed.model, managed.scheduler.slice_rows(shards)
+                    )
+                )
                 outcomes = engine.tick()
+                _assert_flags_equal(outcomes["m"].scan.report.flagged_groups, expected)
                 detected = detected or outcomes["m"].attack_detected
             assert detected  # degraded mode still detects and serves
             assert engine.fault_stats()["degraded"] is True

@@ -3,9 +3,10 @@
 Three contracts are pinned here:
 
 * **Bit-exactness** — the kernel (fused int8 plane + narrow-accumulation
-  einsum) returns exactly what the retained PR-3 reference path returns,
-  across group sizes, interleave/masking settings, signature widths and
-  every row-slice shape the scheduler can produce.
+  einsum) returns exactly what the per-layer checksum oracle
+  (:meth:`SignatureStore.mismatched_rows`) returns, across group sizes,
+  interleave/masking settings, signature widths and every row-slice shape
+  the scheduler can produce.
 * **Adoption** — moving a model's weights into the plane is invisible to
   callers: in-place mutations are seen immediately, wholesale buffer
   replacement re-adopts transparently, foreign models never corrupt the
@@ -28,10 +29,13 @@ from repro.core import (
     RadarConfig,
     RecoveryPolicy,
     ScanScratch,
+    SignatureStore,
+    StreamingVerifier,
     VerificationEngine,
     batched_mismatched_rows,
     split_by_padding_waste,
 )
+from repro.core.signature import StackedVerifier
 from repro.errors import ProtectionError
 from repro.models.small import MLP, LeNet5
 from repro.quant.layers import quantize_model, quantized_layers
@@ -50,6 +54,17 @@ def _protected_mlp(
     return model, protector
 
 
+def _assert_oracle_verdict(managed, outcome):
+    """An engine outcome flags exactly what the checksum oracle finds."""
+    rows = managed.scheduler.slice_rows(list(outcome.scan.shard_indices))
+    expected = managed.scheduler.fused.rows_to_layer_groups(
+        managed.protector.store.mismatched_rows(managed.model, rows)
+    )
+    assert set(outcome.scan.report.flagged_groups) == set(expected)
+    for layer, groups in expected.items():
+        np.testing.assert_array_equal(outcome.scan.report.flagged_groups[layer], groups)
+
+
 def _flip(model, layer_index=0, weight_index=0):
     _, layer = quantized_layers(model)[layer_index]
     flat = layer.qweight.reshape(-1)
@@ -65,7 +80,7 @@ class TestKernelBitExactness:
         signature_bits=st.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_kernel_matches_reference_across_configs(
+    def test_kernel_matches_oracle_across_configs(
         self, seed, group_size, use_interleave, use_masking, signature_bits
     ):
         model, protector = _protected_mlp(
@@ -91,16 +106,8 @@ class TestKernelBitExactness:
         ]
         for rows in row_cases:
             np.testing.assert_array_equal(
-                fused.group_sums(model, rows),
-                fused.group_sums(model, rows, reference=True),
-            )
-            np.testing.assert_array_equal(
-                fused.signatures(model, rows),
-                fused.signatures(model, rows, reference=True),
-            )
-            np.testing.assert_array_equal(
                 fused.mismatched_rows(model, rows),
-                fused.mismatched_rows(model, rows, reference=True),
+                protector.store.mismatched_rows(model, rows),
             )
 
     def test_adopted_and_copy_mode_agree(self):
@@ -118,10 +125,20 @@ class TestKernelBitExactness:
         with pytest.raises(ProtectionError, match="out of range"):
             fused.mismatched_rows(model, np.array([fused.total_groups]))
 
-    def test_group_sums_returns_int64(self):
-        model, protector = _protected_mlp(seed=5)
-        fused = protector.store.fused()
-        assert fused.group_sums(model).dtype == np.int64
+    def test_oracle_row_restriction_matches_full_recompute(self):
+        model, protector = _protected_mlp(seed=5, hidden=(16, 8))
+        store = protector.store
+        full = store.current_signatures(model)
+        starts = store.row_starts()
+        rows = np.array([store.total_groups() - 1, 0, 3, 3, 9], dtype=np.int64)
+        restricted = store.current_signatures(model, rows)
+        for position, name in enumerate(store.layer_names()):
+            local = rows[(rows >= starts[position]) & (rows < starts[position + 1])]
+            np.testing.assert_array_equal(
+                restricted[name], full[name][local - starts[position]]
+            )
+        with pytest.raises(ProtectionError, match="out of range"):
+            store.mismatched_rows(model, np.array([store.total_groups()]))
 
 
 class TestPlaneAdoption:
@@ -134,7 +151,7 @@ class TestPlaneAdoption:
         flagged = fused.mismatched_rows(model)
         assert flagged.size > 0
         np.testing.assert_array_equal(
-            flagged, fused.mismatched_rows(model, reference=True)
+            flagged, protector.store.mismatched_rows(model)
         )
 
     def test_set_qweight_replacement_is_readopted(self):
@@ -151,7 +168,7 @@ class TestPlaneAdoption:
         # The swap was healed by re-adoption: the buffer is a plane view again.
         assert layer.qweight.base is not None
         np.testing.assert_array_equal(
-            flagged, fused.mismatched_rows(model, reference=True)
+            flagged, protector.store.mismatched_rows(model)
         )
 
     def test_foreign_model_scan_does_not_corrupt_adopted_plane(self):
@@ -226,13 +243,31 @@ class TestPlaneAdoption:
         gc.collect()
         assert all(sentinel() is None for sentinel in sentinels)
 
+    def test_store_is_freed_without_cyclic_gc(self):
+        """The store and its fused view form no reference cycle."""
+        import gc
+        import weakref
+
+        model, protector = _protected_mlp(seed=15)
+        gc.disable()
+        try:
+            store = SignatureStore(protector.config).build(model)
+            fused = store.fused()
+            fused.adopt(dict(quantized_layers(model)))
+            assert fused.mismatched_rows(model).size == 0
+            sentinels = [weakref.ref(store), weakref.ref(fused)]
+            del store, fused
+            assert all(sentinel() is None for sentinel in sentinels)
+        finally:
+            gc.enable()
+
     def test_streaming_path_does_not_build_the_global_kernel(self):
         """Streaming-only callers must not pay for the plane/global matrices."""
         model, protector = _protected_mlp(seed=14)
         fused = protector.store.fused()
         name = protector.store.layer_names()[0]
         layer = dict(quantized_layers(model))[name]
-        fused.layer_stream_signatures(name, layer.qweight.reshape(-1))
+        StreamingVerifier(protector.store).verify_layer(name, layer.qweight.reshape(-1))
         assert fused._kernel_indices is None and fused._plane is None
         # The first plane scan builds it on demand.
         fused.mismatched_rows(model)
@@ -260,82 +295,91 @@ class TestScanScratch:
 
 class TestBucketedStacking:
     def _fleet(self, specs):
-        """Protected (model, fused, layer_map) triples from (seed, hidden) specs."""
-        triples = []
+        """Protected (model, fused, layer_map, store) tuples from (seed, hidden) specs."""
+        fleet = []
         for seed, hidden in specs:
             model, protector = _protected_mlp(
                 seed=seed, hidden=hidden, input_dim=32, num_classes=4
             )
             fused = protector.store.fused()
-            triples.append((model, fused, dict(quantized_layers(model))))
-        return triples
+            fleet.append((model, fused, dict(quantized_layers(model)), protector.store))
+        return fleet
 
-    def test_heterogeneous_stack_matches_sequential(self):
-        triples = self._fleet(
+    def test_heterogeneous_stack_matches_oracle(self):
+        fleet = self._fleet(
             [(0, (16,)), (1, (16,)), (2, (24, 12)), (3, (8, 8, 8))]
         )
-        _flip(triples[1][0], 0, 3)
-        _flip(triples[2][0], 1, 1)
+        _flip(fleet[1][0], 0, 3)
+        _flip(fleet[2][0], 1, 1)
         rng = new_rng(("bucket", 1))
         rows_list = []
-        for _, fused, _ in triples:
+        for _, fused, _, _ in fleet:
             total = fused.total_groups
             rows_list.append(
                 np.sort(rng.choice(total, size=max(1, total // 2), replace=False))
             )
         batched = batched_mismatched_rows(
-            [fused for _, fused, _ in triples],
-            [layer_map for _, _, layer_map in triples],
+            [fused for _, fused, _, _ in fleet],
+            [layer_map for _, _, layer_map, _ in fleet],
             rows_list,
         )
-        for (model, fused, _), rows, flagged in zip(triples, rows_list, batched):
-            np.testing.assert_array_equal(
-                flagged, fused.mismatched_rows(model, rows, reference=True)
-            )
+        for (model, _, _, store), rows, flagged in zip(fleet, rows_list, batched):
+            np.testing.assert_array_equal(flagged, store.mismatched_rows(model, rows))
 
     def test_mixed_row_counts_pad_to_bucket_max(self):
-        triples = self._fleet([(0, (16,)), (1, (24, 12))])
-        _flip(triples[0][0], 0, 0)
+        fleet = self._fleet([(0, (16,)), (1, (24, 12))])
+        _flip(fleet[0][0], 0, 0)
         rows_list = [
-            np.arange(triples[0][1].total_groups, dtype=np.int64),
+            np.arange(fleet[0][1].total_groups, dtype=np.int64),
             np.arange(3, dtype=np.int64),  # much shorter slice
         ]
         batched = batched_mismatched_rows(
-            [fused for _, fused, _ in triples],
-            [layer_map for _, _, layer_map in triples],
+            [fused for _, fused, _, _ in fleet],
+            [layer_map for _, _, layer_map, _ in fleet],
             rows_list,
             scratch=ScanScratch(),
         )
-        for (model, fused, _), rows, flagged in zip(triples, rows_list, batched):
-            np.testing.assert_array_equal(
-                flagged, fused.mismatched_rows(model, rows, reference=True)
-            )
+        for (model, _, _, store), rows, flagged in zip(fleet, rows_list, batched):
+            np.testing.assert_array_equal(flagged, store.mismatched_rows(model, rows))
 
     def test_empty_per_model_rows_yield_empty_results(self):
-        triples = self._fleet([(0, (16,)), (1, (24, 12))])
+        fleet = self._fleet([(0, (16,)), (1, (24, 12))])
         rows_list = [
             np.empty(0, dtype=np.int64),
             np.arange(4, dtype=np.int64),
         ]
         batched = batched_mismatched_rows(
-            [fused for _, fused, _ in triples],
-            [layer_map for _, _, layer_map in triples],
+            [fused for _, fused, _, _ in fleet],
+            [layer_map for _, _, layer_map, _ in fleet],
             rows_list,
         )
         assert batched[0].size == 0
         np.testing.assert_array_equal(
-            batched[1],
-            triples[1][1].mismatched_rows(triples[1][0], rows_list[1]),
+            batched[1], fleet[1][3].mismatched_rows(fleet[1][0], rows_list[1])
         )
 
-    def test_shared_rows_still_require_identical_structure(self):
-        triples = self._fleet([(0, (16,)), (1, (24, 12))])
-        with pytest.raises(ProtectionError, match="structure keys differ"):
-            batched_mismatched_rows(
-                [fused for _, fused, _ in triples],
-                [layer_map for _, _, layer_map in triples],
-                np.arange(4, dtype=np.int64),
-            )
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_homogeneous_promise_matches_oracle(self, seed):
+        """The broadcast branch and the prestacked-golden compare are exact."""
+        fleet = self._fleet([(seed + index, (16,)) for index in range(3)])
+        rng = new_rng(("homogeneous", seed))
+        _flip(fleet[int(rng.integers(3))][0], 0, int(rng.integers(32)))
+        verifier = StackedVerifier(
+            [fused for _, fused, _, _ in fleet],
+            [layer_map for _, _, layer_map, _ in fleet],
+        )
+        total = fleet[0][1].total_groups
+        for rows in (
+            np.arange(total, dtype=np.int64),
+            np.arange(total // 3, 2 * total // 3, dtype=np.int64),
+            rng.choice(total, size=max(1, total // 3), replace=False),
+        ):
+            flagged = verifier.verify([rows] * len(fleet), ScanScratch(), True)
+            for (model, _, _, store), model_flagged in zip(fleet, flagged):
+                np.testing.assert_array_equal(
+                    model_flagged, store.mismatched_rows(model, rows)
+                )
 
     def test_mismatched_kernel_keys_rejected(self):
         model_a, protector_a = _protected_mlp(seed=0, group_size=8)
@@ -348,21 +392,6 @@ class TestBucketedStacking:
                     dict(quantized_layers(model_b)),
                 ],
                 [np.arange(2, dtype=np.int64), np.arange(2, dtype=np.int64)],
-            )
-
-    def test_plain_int_list_keeps_shared_rows_meaning(self):
-        """``rows=[0, 1, 2]`` is one shared slice, not three per-model arrays."""
-        triples = self._fleet([(0, (16,)), (1, (16,)), (2, (16,))])
-        _flip(triples[2][0], 0, 0)
-        batched = batched_mismatched_rows(
-            [fused for _, fused, _ in triples],
-            [layer_map for _, _, layer_map in triples],
-            [0, 1, 2],
-        )
-        shared_rows = np.array([0, 1, 2], dtype=np.int64)
-        for (model, fused, _), flagged in zip(triples, batched):
-            np.testing.assert_array_equal(
-                flagged, fused.mismatched_rows(model, shared_rows)
             )
 
     def test_row_array_count_must_match_views(self):
@@ -417,13 +446,10 @@ class TestHeterogeneousEngine:
             )
             for name, outcome in outcomes.items():
                 expected = reference.get(name).scheduler.step(
-                    reference.get(name).model, reference=True
+                    reference.get(name).model
                 )
                 assert outcome.scan.shard_indices == expected.shard_indices
-                for layer, groups in expected.report.flagged_groups.items():
-                    np.testing.assert_array_equal(
-                        outcome.scan.report.flagged_groups[layer], groups
-                    )
+                _assert_oracle_verdict(engine.get(name), outcome)
                 if outcome.attack_detected:
                     detected.add(name)
         assert detected == {"wide"}
@@ -435,42 +461,37 @@ class TestHeterogeneousEngine:
         return model
 
 
-class TestStreamKernel:
-    def test_layer_stream_signatures_match_store_recomputation(self):
+class TestStreamVerifier:
+    def test_stream_verdicts_match_the_oracle(self):
         model, protector = _protected_mlp(seed=9, group_size=8)
-        fused = protector.store.fused()
+        store = protector.store
         _flip(model, 0, 4)
-        from repro.core.checksum import compute_signatures
-
-        for entry in protector.store:
-            layer = dict(quantized_layers(model))[entry.layer_name]
+        expected = store.fused().rows_to_layer_groups(store.mismatched_rows(model))
+        assert any(groups.size for groups in expected.values())
+        verifier = StreamingVerifier(store)
+        for name, layer in quantized_layers(model):
             stream = layer.qweight.reshape(-1)
-            expected = compute_signatures(
-                stream, entry.layout, entry.key, protector.config.signature_bits
-            )
             np.testing.assert_array_equal(
-                fused.layer_stream_signatures(entry.layer_name, stream), expected
+                verifier.verify_layer(name, stream).flagged_groups, expected[name]
             )
-            subset = np.arange(0, entry.num_groups, 2, dtype=np.int64)
+            subset = np.arange(0, store.layer(name).num_groups, 2, dtype=np.int64)
             np.testing.assert_array_equal(
-                fused.layer_stream_signatures(entry.layer_name, stream, subset),
-                expected[subset],
+                verifier.verify_layer(name, stream, subset).flagged_groups,
+                np.intersect1d(expected[name], subset),
             )
 
-    def test_stream_kernel_validates_inputs(self):
+    def test_stream_verifier_validates_inputs(self):
         model, protector = _protected_mlp(seed=10)
-        fused = protector.store.fused()
+        verifier = StreamingVerifier(protector.store)
         name = protector.store.layer_names()[0]
         entry = protector.store.layer(name)
         stream = np.zeros(entry.layout.num_weights, dtype=np.int8)
         with pytest.raises(ProtectionError, match="not protected"):
-            fused.layer_stream_signatures("ghost", stream)
+            verifier.verify_layer("ghost", stream)
         with pytest.raises(ProtectionError, match="int8"):
-            fused.layer_stream_signatures(name, stream.astype(np.int64))
+            verifier.verify_layer(name, stream.astype(np.int64))
         with pytest.raises(ProtectionError, match="out of range"):
-            fused.layer_stream_signatures(
-                name, stream, np.array([entry.num_groups])
-            )
+            verifier.verify_layer(name, stream, np.array([entry.num_groups]))
 
 
 class TestRowRangeLookup:
@@ -575,12 +596,9 @@ class TestWidthDisparityGuard:
             assert outcomes["mlp-0"].batch_size >= 2
             for name, outcome in outcomes.items():
                 managed = sequential.get(name)
-                expected = managed.scheduler.step(managed.model, reference=True)
+                expected = managed.scheduler.step(managed.model)
                 assert outcome.scan.shard_indices == expected.shard_indices
-                for layer, groups in expected.report.flagged_groups.items():
-                    np.testing.assert_array_equal(
-                        outcome.scan.report.flagged_groups[layer], groups
-                    )
+                _assert_oracle_verdict(guarded.get(name), outcome)
                 if outcome.attack_detected:
                     detected.add(name)
         assert detected == {"lenet", "mlp-0"}
@@ -597,11 +615,12 @@ class TestStructureDetectionEdgeCases:
     sharing a factor with ``num_groups``, single-group layers, layouts
     whose index matrix is foreign to the analytic hint — must either be
     served by the block-slice gather or fall back to the general gather,
-    and in both cases return exactly what the retained ``reference=True``
-    per-layer oracle returns.
+    and in both cases return exactly what the per-layer checksum oracle
+    (:meth:`SignatureStore.mismatched_rows`) returns.
     """
 
-    def _assert_bit_identical(self, fused, model, seed=0):
+    def _assert_bit_identical(self, store, model, seed=0):
+        fused = store.fused()
         rng = new_rng(("structure-edge", seed))
         for _, layer in quantized_layers(model):
             flat = layer.qweight.reshape(-1)
@@ -617,11 +636,7 @@ class TestStructureDetectionEdgeCases:
         ):
             np.testing.assert_array_equal(
                 fused.mismatched_rows(model, rows),
-                fused.mismatched_rows(model, rows, reference=True),
-            )
-            np.testing.assert_array_equal(
-                fused.group_sums(model, rows),
-                fused.group_sums(model, rows, reference=True),
+                store.mismatched_rows(model, rows),
             )
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -631,7 +646,7 @@ class TestStructureDetectionEdgeCases:
         fused = protector.store.fused()
         assert not fused.structured
         assert not fused.structure.any_structured
-        self._assert_bit_identical(fused, model, seed)
+        self._assert_bit_identical(protector.store, model, seed)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -652,7 +667,7 @@ class TestStructureDetectionEdgeCases:
             entry.layout.slot_shifts() is not None for entry in protector.store
         ]
         assert any(claimed)  # the edge case is actually exercised
-        self._assert_bit_identical(fused, model, seed)
+        self._assert_bit_identical(protector.store, model, seed)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -667,7 +682,7 @@ class TestStructureDetectionEdgeCases:
         )
         fused = protector.store.fused()
         assert not fused.structured
-        self._assert_bit_identical(fused, model, seed)
+        self._assert_bit_identical(protector.store, model, seed)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -716,4 +731,4 @@ class TestStructureDetectionEdgeCases:
         # (offset t+1), so no layer may be claimed as structured.
         assert not fused.structured
         assert not fused.structure.any_structured
-        self._assert_bit_identical(fused, model, seed)
+        self._assert_bit_identical(store, model, seed)

@@ -60,30 +60,41 @@ class TestFusedSignatures:
 
     def test_row_slices_cover_exactly_the_requested_groups(self, protected):
         model, protector = protected
+        _flip_msb(model, 0, 5)
         fused = protector.store.fused()
-        all_sigs = fused.signatures(model)
-        rows = np.array([0, 3, fused.total_groups - 1], dtype=np.int64)
-        np.testing.assert_array_equal(fused.signatures(model, rows), all_sigs[rows])
+        flagged = fused.mismatched_rows(model)
+        assert flagged.size
+        rows = np.array([0, int(flagged[0]), fused.total_groups - 1], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fused.mismatched_rows(model, rows), rows[np.isin(rows, flagged)]
+        )
 
-    def test_partial_sums_match_per_layer_checksums(self, protected):
+    def test_layer_row_ranges_match_per_layer_checksums(self, protected):
         model, protector = protected
-        from repro.core.checksum import compute_group_sums
+        from repro.core.checksum import compute_signatures
 
+        _flip_msb(model, 1, 12)
         fused = protector.store.fused()
         for entry in protector.store:
             start, end = fused.row_range(entry.layer_name)
             layer = dict(quantized_layers(model))[entry.layer_name]
-            expected = compute_group_sums(
-                layer.qweight.reshape(-1), entry.layout, entry.key
+            current = compute_signatures(
+                layer.qweight.reshape(-1),
+                entry.layout,
+                entry.key,
+                protector.config.signature_bits,
             )
             rows = np.arange(start, end, dtype=np.int64)
-            np.testing.assert_array_equal(fused.group_sums(model, rows), expected)
+            np.testing.assert_array_equal(
+                fused.mismatched_rows(model, rows) - start,
+                np.nonzero(current != entry.golden)[0],
+            )
 
     def test_out_of_range_rows_rejected(self, protected):
         model, protector = protected
         fused = protector.store.fused()
         with pytest.raises(ProtectionError):
-            fused.group_sums(model, np.array([fused.total_groups]))
+            fused.mismatched_rows(model, np.array([fused.total_groups]))
 
     def test_empty_store_rejected(self):
         from repro.core.signature import FusedSignatures
