@@ -51,8 +51,9 @@ def signature_from_sums(sums: np.ndarray, signature_bits: int = 2) -> np.ndarray
     negative ``M`` too), so the packed signature is a single shift-and-mask
     over the whole array: bits ``[8, 7]`` for the 2-bit default, bit ``7``
     alone for 1 bit, bits ``[8, 7, 6]`` for 3 bits.  Any signed integer
-    dtype is accepted and shifted natively — the scan kernel feeds int32
-    checksums through without a promotion to int64.
+    dtype is accepted and shifted natively, and only bits 6-8 are ever
+    read — which is why the scan kernel may accumulate in int16 (exact
+    modulo 2**16) while the oracle keeps exact sums.
     """
     if signature_bits not in (1, 2, 3):
         raise ProtectionError(f"signature_bits must be 1, 2 or 3, got {signature_bits}")
@@ -116,11 +117,14 @@ def compute_group_sums(
 
 @functools.lru_cache(maxsize=None)
 def accumulator_dtype(group_size: int) -> np.dtype:
-    """Narrowest dtype that holds any masked group sum exactly.
+    """Narrowest dtype that holds any masked group sum exactly (the oracle's).
 
     A group of ``group_size`` int8 weights, each contributing at most
     ``|±128|`` after masking, bounds the checksum by ``group_size * 128`` —
     int32 covers every realistic configuration; int64 is the guard rail.
+    Only :func:`compute_group_sums`, the bit-identity oracle's path, uses
+    it: the scan kernel keeps just the low 16 bits
+    (:data:`~repro.core.signature.KERNEL_ACCUMULATOR`).
     """
     if group_size * 128 <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)

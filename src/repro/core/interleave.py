@@ -156,14 +156,17 @@ class GroupLayout:
         at original index ``r * N + (g + s_r) % N`` with ``N = num_groups``
         and ``s_r = (r * t) % N`` — i.e. slot ``r``'s gather column over all
         groups is the contiguous block ``[r * N, (r + 1) * N)`` rotated left
-        by ``s_r``.  That is what lets the scan kernel replace the fancy
-        gather with block slice copies (:class:`~repro.core.signature.PlaneStructure`).
+        by ``s_r``.  Equivalently, slot ``r`` of group ``g`` sits at
+        ``r * (N + t) + g - m * N`` with ``m = (r * t + g) // N``: for each
+        wrap count ``m`` a uniform-strided view of the weights.  That is
+        what lets the scan kernel replace the fancy gather with einsums over
+        strided views (:class:`~repro.core.signature.PlaneStructure`).
 
         Returns the ``(group_size,)`` int64 shift vector, or ``None`` for
         layouts the detector deliberately does not claim and the kernel
         serves through the general gather instead: contiguous layouts (slot
         columns are stride-``G`` sequences, not rotations), single-group
-        layouts (one group per slot row — nothing a block copy would
+        layouts (one group per slot row — nothing a strided view would
         batch), and zero-rotation interleaves (``t % N == 0``: every shift
         collapses to 0 — the detector is deliberately conservative and only
         claims proper rotations, so degenerate edge cases ride the

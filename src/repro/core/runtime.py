@@ -291,10 +291,11 @@ class ProtectedInference:
 
     @property
     def structured(self) -> bool:
-        """Whether inline checks gather on the block-slice fast path.
+        """Whether every layer of the inline check may run on the band path.
 
         True when fuse-time detection proved every protected layer's
-        rotated-arange structure (:class:`~repro.core.signature.PlaneStructure`);
+        rotated-arange structure (:class:`~repro.core.signature.PlaneStructure`),
+        so wide enough layers sum over strided views of the weight plane;
         False means at least one layer's checks ride the general gather.
         Either way results are bit-identical — this only reports which
         engine serves the per-batch check cost.

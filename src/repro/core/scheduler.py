@@ -673,9 +673,9 @@ class ScanScheduler:
             "policy": self.policy.value,
             "worst_case_lag_passes": self.worst_case_lag_passes,
             "passes": self.passes,
-            # Whether every layer's gather runs on the block-slice fast
-            # path (fuse-time rotated-arange detection); shard slices of an
-            # unstructured plane fall back to the general gather.
+            # Whether every layer has a verified rotated-arange structure
+            # (fuse-time detection), so wide shard slices can run on the
+            # band path; an unstructured plane rides the general gather.
             "structured": bool(self.fused.structured),
         }
         if self.budget_s is not None:

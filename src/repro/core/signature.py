@@ -13,12 +13,14 @@ The run-time side of this module is the **zero-copy scan kernel**,
 :func:`stacked_mismatched_rows`, over the fused views of
 :class:`FusedSignatures`: all layers fused at store-build time into one
 contiguous int8 weight plane with a single global gather-index matrix and a
-single int8 sign mask, so verifying any set of global rows is one int8
-gather plus one narrow-accumulation ``einsum`` — no per-layer Python loop,
-no ``searchsorted`` routing, no materialized product matrix, and (for
-engine-adopted models) no weight copies at all.  Every verification path —
-one model, an engine bucket (:class:`StackedVerifier`), a worker process —
-is a thin caller of that one kernel.
+single int8 sign mask.  Verifying a wide contiguous range of an interleaved
+plane is a few int16 ``einsum`` calls per layer over strided views of the
+plane itself (:class:`PlaneStructure`); any other row set is one int8
+gather plus one int16 ``einsum``.  Neither path has a per-group Python
+loop or a materialized product matrix, and (for engine-adopted models)
+neither copies a weight.  Every verification path — one model, an engine
+bucket (:class:`StackedVerifier`), a worker process — is a thin caller of
+that one kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +48,7 @@ try:  # pragma: no cover - present on every supported platform
 except ImportError:  # pragma: no cover - e.g. WASM / stripped builds
     shared_memory = None  # type: ignore[assignment]
 
-from repro.core.checksum import (
-    accumulator_dtype,
-    compute_signatures,
-    signature_shift_mask,
-)
+from repro.core.checksum import compute_signatures, signature_shift_mask
 from repro.core.config import RadarConfig
 from repro.core.interleave import PAD_INDEX, GroupLayout
 from repro.core.masking import SecretKey
@@ -269,32 +267,44 @@ class ScanScratch:
         return buffer[:size].reshape(shape)
 
 
-#: Cache-blocking budget for the stacked kernel: the per-tile gathered
-#: stack and sign stack (2 int8 bytes per model per slot per column) are
-#: sized to stay resident in a typical per-core L2 slice while the einsum
-#: that immediately consumes them re-reads every byte.
+#: Cache-blocking budget for the general-gather stacked kernel: the
+#: per-tile gathered stack and sign stack (2 int8 bytes per model per slot
+#: per column) are sized to stay resident in a typical per-core L2 slice
+#: while the einsum that immediately consumes them re-reads every byte.
 STACKED_TILE_BYTES = 1 << 20
 
 #: Tiles never shrink below this many columns — past that point the extra
 #: per-tile NumPy dispatch costs more than the cache locality buys.
 MIN_STACKED_TILE_COLUMNS = 256
 
-#: Crossover between the block-slice gather and the general fancy gather,
-#: in columns per covered layer.  Measured on the ResNet-20 G=8 plane: the
-#: general ``np.take`` costs ~1.1 ns per gathered element but streams the
-#: int64 index matrix (8 bytes per element vs 1 weight byte), while the
-#: block path costs ~2 slice copies per slot row per layer regardless of
-#: width — they break even when a range covers roughly this many columns
-#: per layer it touches.
-STRUCTURED_MIN_COLUMNS_PER_LAYER = 512
+#: The scan kernel's accumulator.  A signature reads only bits 6-8 of the
+#: masked sum ``M`` and int16 arithmetic is exact modulo 2**16, so the low
+#: 16 bits — all the kernel keeps — are right for every group size and
+#: signature width, with half the accumulator traffic of int32.  The
+#: oracle keeps exact sums (:func:`~repro.core.checksum.accumulator_dtype`).
+KERNEL_ACCUMULATOR = np.dtype(np.int16)
+
+#: Fewest weights one band einsum must cover before the band path beats
+#: the general gather.  A band costs a fixed ~6-10 µs of dispatch (view,
+#: einsum, add) plus ~0.3 ns per weight of its box, and banding a layer
+#: can split a neighbouring ``np.take`` run in two; ``np.take`` plus its
+#: einsum cost ~1-3 ns per weight.  Measured on a 2-CPU host by
+#: interleaving whole checks at thresholds from 4096 to 16384: ResNet-20
+#: (G=8) full scans and shard slices were fastest at 8192 (at 4096, slices
+#: whose bands split a take run ran up to ~40% slower; at 16384, slices it
+#: kept off the bands ran up to ~55% slower), and ResNet-18 (G=512) full
+#: checks were flat across the range.  A layer (or the part of it a slice covers) below
+#: this stays on ``np.take``; every banded layer has at least two bands,
+#: so a slice under twice this many weights skips the band path outright.
+MIN_WEIGHTS_PER_BAND = 8192
 
 
 def _stacked_tile_width(num_models: int, group_size: int, width: int) -> int:
     """Columns per cache-blocked stacked tile (the whole width if it fits).
 
-    A stack of one is never tiled: measured on ResNet-18 at ``G = 512``,
-    the per-tile block-gather dispatch cost more than the cache locality
-    bought.
+    A stack of one is never tiled: its gather feeds one einsum directly,
+    and measured on ResNet-18 at ``G = 512`` the per-tile dispatch cost
+    more than the cache locality bought.
     """
     if num_models == 1:
         return int(width)
@@ -309,15 +319,39 @@ class PlaneStructureSpec(NamedTuple):
     """Plain-data rotated-arange structure of one published plane.
 
     The picklable half of :class:`PlaneStructure`, carried inside a
-    :class:`SharedPlaneSpec` so worker processes run the block-slice gather
-    without re-deriving (or trusting) anything: per-layer global row
-    bounds, plane offsets, and the per-slot rotation shifts (``None`` for
-    layers the fuse-time detector demoted to the general gather).
+    :class:`SharedPlaneSpec` so worker processes run the band path without
+    re-deriving (or trusting) anything: per-layer global row bounds, plane
+    offsets, and the per-slot rotation shifts (``None`` for layers the
+    fuse-time detector demoted to the general gather).  The sign bands
+    themselves are not shipped: each attachment cuts them once from the
+    published sign matrix.
     """
 
     row_starts: Tuple[int, ...]
     weight_offsets: Tuple[int, ...]
     shifts: Tuple[Optional[Tuple[int, ...]], ...]
+
+
+class _Band(NamedTuple):
+    """One wrap band of a structured layer (see :class:`PlaneStructure`)."""
+
+    #: ``m``: the band holds the slots whose column wrapped ``m`` times.
+    wrap: int
+    #: First slot row and first layer-local column of the bounding box.
+    row0: int
+    col0: int
+    #: Plane offset of the box's ``(row0, col0)`` corner.
+    offset: int
+    #: ``(rows, cols)`` int8 sign mask, zero outside the band's staircase.
+    signs: np.ndarray
+
+
+class _BandedLayer(NamedTuple):
+    """A layer served by the band path: ``N`` groups, interleave ``t``."""
+
+    groups: int
+    shift: int
+    bands: Tuple[_Band, ...]
 
 
 class PlaneStructure:
@@ -329,18 +363,23 @@ class PlaneStructure:
     layer's actual index matrix (see :func:`_verified_slot_shifts`), and
     shipped to scan workers as a :class:`PlaneStructureSpec`.
 
-    :meth:`gather_block` replaces the kernel's fancy ``np.take`` gather for
-    any contiguous global-row range: on a structured layer, slot row ``r``
-    of the slot-major gather matrix reads the plane block
-    ``[base + r*N, base + (r+1)*N)`` rotated left by ``s_r``, so a
-    contiguous range of ``L`` groups moves as at most two contiguous slice
-    copies per slot row instead of ``L`` random accesses per slot row.
-    Copies are clamped to the layer's real weights; the skipped positions
-    are exactly the padded slots, whose sign mask is 0, so whatever scratch
-    garbage they leave behind is multiplied away by the einsum —
-    bit-identical to the general gather by construction, with no
-    out-of-bounds read possible.  Unstructured layers inside the range fall
-    back to the general ``np.take`` on their column sub-block.
+    :meth:`band_sums` computes the masked sums of a contiguous global-row
+    range without gathering.  On a structured layer of ``N`` groups with
+    interleave ``t``, slot ``r`` of group ``g`` sits at plane offset
+    ``base + r*N + (g + r*t) mod N``.  Splitting the slot-by-group grid by
+    the wrap count ``m = (r*t + g) // N`` turns each part into a
+    uniform-strided view of the plane — ``base - m*N + r*(N + t) + g`` —
+    so the layer's sums are ``Σ_m einsum(view_m, band_m)``, where
+    ``band_m`` is the layer's slot-major sign mask zeroed outside the
+    band's staircase.  Bands are trimmed to their bounding boxes (at most
+    ~2× the layer's area) and cut once, lazily, from the kernel's sign
+    matrix; views are built per call with ``np.ndarray(buffer=plane, ...)``,
+    which bounds-checks every one.  Positions a box covers outside the
+    staircase (other wraps, padded slots, the next layer's weights) carry
+    sign 0, so the sums equal the general gather's exactly modulo 2**16.
+    Layers that are unstructured, too small for the per-band dispatch to
+    pay off (:data:`MIN_WEIGHTS_PER_BAND`) or whose boxes would leave the
+    plane stay on the general ``np.take`` gather.
     """
 
     def __init__(self, row_starts, weight_offsets, shifts) -> None:
@@ -353,6 +392,7 @@ class PlaneStructure:
         self.structured_layers = sum(
             1 for layer in self.shifts if layer is not None
         )
+        self._bands: Optional[List[Optional[_BandedLayer]]] = None
 
     @property
     def num_layers(self) -> int:
@@ -360,12 +400,12 @@ class PlaneStructure:
 
     @property
     def any_structured(self) -> bool:
-        """Whether :meth:`gather_block` beats the general gather at all."""
+        """Whether any layer can run on the band path."""
         return self.structured_layers > 0
 
     @property
     def fully_structured(self) -> bool:
-        """Whether every layer's gather runs on the block-slice path."""
+        """Whether every layer has a verified rotated-arange structure."""
         return self.structured_layers == self.num_layers
 
     def spec(self) -> PlaneStructureSpec:
@@ -382,80 +422,161 @@ class PlaneStructure:
     def from_spec(cls, spec: PlaneStructureSpec) -> "PlaneStructure":
         return cls(spec.row_starts, spec.weight_offsets, spec.shifts)
 
-    def gather_block(
+    def _banded_layer(
+        self, position: int, signs: np.ndarray
+    ) -> Optional[_BandedLayer]:
+        """Cut one layer's sign bands, or ``None`` to keep it on ``np.take``."""
+        shifts = self.shifts[position]
+        if shifts is None or len(shifts) < 2:
+            return None
+        group_size = len(shifts)
+        col_base = self.row_starts[position]
+        n = self.row_starts[position + 1] - col_base
+        t = shifts[1]  # verified: shifts[r] == (r * t) % n
+        wraps = ((group_size - 1) * t + n - 1) // n + 1
+        if group_size * n < MIN_WEIGHTS_PER_BAND * wraps:
+            return None
+        stride = n + t
+        base = self.weight_offsets[position]
+        bands = []
+        for m in range(wraps):
+            # Bounding box of {(r, g): m*n <= r*t + g < (m+1)*n}.
+            row0 = max(0, -((n - 1 - m * n) // t))
+            row1 = min(group_size, ((m + 1) * n - 1) // t + 1)
+            col0 = max(0, m * n - (row1 - 1) * t)
+            col1 = min(n, (m + 1) * n - row0 * t)
+            offset = base - m * n + row0 * stride + col0
+            end = offset + (row1 - row0 - 1) * stride + (col1 - col0)
+            if end > self.weight_offsets[-1]:
+                return None  # the view would leave the plane
+            first = m * n - np.arange(row0, row1, dtype=np.int64)[:, None] * t
+            columns = np.arange(col0, col1, dtype=np.int64)[None, :]
+            staircase = (columns >= first) & (columns < first + n)
+            block = signs[row0:row1, col_base + col0 : col_base + col1] * staircase
+            bands.append(
+                _Band(m, row0, col0, offset, block.astype(np.int8, copy=False))
+            )
+        return _BandedLayer(n, t, tuple(bands))
+
+    def band_sums(
         self,
         plane: np.ndarray,
-        kernel_indices: np.ndarray,
-        out: np.ndarray,
+        indices: np.ndarray,
+        signs: np.ndarray,
         start: int,
         stop: int,
-    ) -> None:
-        """Fill ``out[:, :stop - start]`` with the gathered plane values of
-        global rows ``[start, stop)`` (the slot-major kernel layout).
+        out: np.ndarray,
+        scratch: ScanScratch,
+    ) -> bool:
+        """Fill ``out`` with the masked sums of global rows ``[start, stop)``.
 
-        Narrow ranges are served by one general ``np.take`` instead: block
-        copies cost a fixed ~2 slice assignments per slot row per covered
-        layer, while the fancy gather scales with the column count (plus
-        int64 index-matrix traffic, which is what makes it lose on wide
-        ranges), so below ``STRUCTURED_MIN_COLUMNS_PER_LAYER`` columns per
-        covered layer the general gather is the faster engine.  Both fill
-        ``out`` with identical bytes.
+        ``indices`` and ``signs`` are the plane's slot-major kernel
+        matrices (``signs`` is also what the bands are cut from, on first
+        use).  Each covered layer wide enough for its bands runs on them;
+        runs of the other layers go through one general ``np.take`` each.
+        Returns ``False`` without touching ``out`` when no covered layer
+        qualifies — the caller's general gather is then the faster engine.
         """
+        group_size = signs.shape[0]
+        if (
+            not self.any_structured
+            or group_size * (stop - start) < 2 * MIN_WEIGHTS_PER_BAND
+        ):
+            return False
+        if self._bands is None:
+            self._bands = [
+                self._banded_layer(position, signs)
+                for position in range(self.num_layers)
+            ]
         row_starts = self.row_starts
-        first_layer = bisect.bisect_right(row_starts, start) - 1
-        if first_layer < 0:
-            first_layer = 0
-        covered = bisect.bisect_left(row_starts, stop, lo=first_layer + 1) - first_layer
-        if stop - start < covered * STRUCTURED_MIN_COLUMNS_PER_LAYER:
-            np.take(plane, kernel_indices[:, start:stop], out=out, mode="clip")
-            return
-        for position in range(max(first_layer, 0), self.num_layers):
-            col0 = row_starts[position]
-            if col0 >= stop:
-                break
-            col1 = row_starts[position + 1]
-            lo = start if start > col0 else col0
-            hi = stop if stop < col1 else col1
-            if hi <= lo:
-                continue
-            dest0 = lo - start
-            shifts = self.shifts[position]
-            if shifts is None:
-                np.take(
-                    plane,
-                    kernel_indices[:, lo:hi],
-                    out=out[:, dest0 : dest0 + (hi - lo)],
-                    mode="clip",
+        position = bisect.bisect_right(row_starts, start) - 1
+        # (first row, stop row, banded layer or None for np.take, layer's
+        # first row); adjacent np.take layers merge into one run.
+        plan: List[Tuple[int, int, Optional[_BandedLayer], int]] = []
+        lo = start
+        while lo < stop:
+            layer_start = row_starts[position]
+            hi = min(row_starts[position + 1], stop)
+            layer = self._bands[position]
+            if layer is not None:
+                # Too few of the layer's weights in range to pay for its bands.
+                if group_size * (hi - lo) < MIN_WEIGHTS_PER_BAND * len(layer.bands):
+                    layer = None
+            if layer is None and plan and plan[-1][2] is None:
+                plan[-1] = (plan[-1][0], hi, None, 0)
+            else:
+                plan.append((lo, hi, layer, layer_start))
+            lo = hi
+            position += 1
+        if all(layer is None for _, _, layer, _ in plan):
+            return False
+        for lo, hi, layer, layer_start in plan:
+            target = out[lo - start : hi - start]
+            if layer is None:
+                gathered = scratch.take("band-gather", (group_size, hi - lo), np.int8)
+                plane.take(indices[:, lo:hi], out=gathered, mode="clip")
+                np.einsum(
+                    "gr,gr->r",
+                    gathered,
+                    signs[:, lo:hi],
+                    dtype=KERNEL_ACCUMULATOR,
+                    out=target,
                 )
-                continue
-            base = self.weight_offsets[position]
-            limit = self.weight_offsets[position + 1]
-            n = col1 - col0
-            g0 = lo - col0
-            span = hi - lo
-            for r, shift in enumerate(shifts):
-                row_base = base + r * n
-                s = g0 + shift
-                if s >= n:
-                    s -= n
-                dest = out[r]
-                first = n - s
-                if first > span:
-                    first = span
-                src0 = row_base + s
-                src1 = src0 + first
-                if src1 > limit:
-                    src1 = limit
-                if src1 > src0:
-                    dest[dest0 : dest0 + src1 - src0] = plane[src0:src1]
-                remainder = span - first
-                if remainder > 0:
-                    src1 = row_base + remainder
-                    if src1 > limit:
-                        src1 = limit
-                    if src1 > row_base:
-                        wrap = dest0 + first
-                        dest[wrap : wrap + src1 - row_base] = plane[row_base:src1]
+            else:
+                _layer_band_sums(
+                    plane, layer, lo - layer_start, hi - layer_start, target, scratch
+                )
+        return True
+
+
+def _layer_band_sums(
+    plane: np.ndarray,
+    layer: _BandedLayer,
+    a: int,
+    b: int,
+    out: np.ndarray,
+    scratch: ScanScratch,
+) -> None:
+    """Sums of layer-local columns ``[a, b)`` over ``layer``'s bands.
+
+    Band 0 holds slot 0 of every group (slot 0 never wraps), so it spans
+    all of ``[a, b)`` and its einsum initializes ``out``; the other bands
+    add into it.
+    """
+    n, t = layer.groups, layer.shift
+    stride = n + t
+    partial = scratch.take("band-partial", (b - a,), KERNEL_ACCUMULATOR)
+    for band in layer.bands:
+        rows, cols = band.signs.shape
+        lo = a if a > band.col0 else band.col0
+        hi = min(b, band.col0 + cols)
+        if hi <= lo:
+            continue
+        # Only the slot rows whose staircase reaches columns [lo, hi).
+        row0 = max(band.row0, -((hi - 1 - band.wrap * n) // t))
+        row1 = min(band.row0 + rows, ((band.wrap + 1) * n - 1 - lo) // t + 1)
+        if row1 <= row0:
+            continue
+        i0, i1 = row0 - band.row0, row1 - band.row0
+        j0, j1 = lo - band.col0, hi - band.col0
+        view = np.ndarray(
+            (i1 - i0, j1 - j0),
+            dtype=np.int8,
+            buffer=plane,
+            offset=band.offset + i0 * stride + j0,
+            strides=(stride, 1),
+        )
+        summed = out if band.wrap == 0 else partial[: hi - lo]
+        np.einsum(
+            "rg,rg->g",
+            view,
+            band.signs[i0:i1, j0:j1],
+            dtype=KERNEL_ACCUMULATOR,
+            out=summed,
+        )
+        if band.wrap:
+            target = out[lo - a : hi - a]
+            np.add(target, summed, out=target)
 
 
 def _verified_slot_shifts(
@@ -574,9 +695,9 @@ class SharedPlaneSpec(NamedTuple):
     re-attach by (new) segment name when stale.
 
     ``structure`` carries the fuse-time rotated-arange detection verdict
-    (:class:`PlaneStructureSpec`) so workers run the block-slice gather on
-    exactly the layers the coordinator proved structured, without
-    re-deriving — or being able to disagree with — the classification.
+    (:class:`PlaneStructureSpec`) so workers run the band path on exactly
+    the layers the coordinator proved structured, without re-deriving — or
+    being able to disagree with — the classification.
     """
 
     model: str
@@ -620,8 +741,9 @@ class AttachedModelPlane:
             raise ProtectionError("multiprocessing.shared_memory is unavailable")
         self.spec = spec
         self._segments: List["shared_memory.SharedMemory"] = []
-        #: Rebuilt once per attachment (not per scan) so every task over
-        #: this plane reuses the executable structure metadata.
+        #: Rebuilt once per attachment (not per scan): the structure cuts
+        #: its sign bands from this attachment's sign matrix on first use,
+        #: and every later task over the plane reuses them.
         self.structure = (
             None if spec.structure is None else PlaneStructure.from_spec(spec.structure)
         )
@@ -675,14 +797,17 @@ class FusedSignatures:
       cost nothing beyond the multiply already fused into the sum.
 
     Verifying any row set is then a stack of one through the scan kernel
-    (:func:`stacked_mismatched_rows`): one int8 gather plus one masked-sum
-    ``einsum`` accumulated in int32 (int64 only when ``group_size * 128``
-    could overflow — never at paper scales), with all workspaces reused
-    from a :class:`ScanScratch` across passes.  Both matrices are stored
-    slot-major (``group_size × total_groups``) so the einsum reduces over
-    the short axis and streams rows contiguously.  There is no per-layer
-    Python loop, no per-row ``searchsorted`` dispatch, and no materialized
-    ``gathered * mask`` product matrix.
+    (:func:`stacked_mismatched_rows`), accumulated in int16 (exact modulo
+    2**16, which covers every signature bit), with all workspaces reused
+    from a :class:`ScanScratch` across passes.  Wide contiguous ranges of
+    interleaved layers sum over strided views of the plane against sign
+    bands cut once from the sign mask (:class:`PlaneStructure`), with no
+    gather at all; everything else is one int8 gather plus one masked-sum
+    ``einsum``.  Both matrices are stored slot-major (``group_size ×
+    total_groups``) so the einsum reduces over the short axis and streams
+    rows contiguously.  There is no per-group Python loop, no per-row
+    ``searchsorted`` dispatch, and no materialized ``gathered * mask``
+    product matrix.
 
     Weights reach the plane one of two ways:
 
@@ -749,8 +874,8 @@ class FusedSignatures:
         self._weight_offsets = offsets
         self.total_weights = int(offsets[-1])
         # Rotated-arange structure, detected (and proven) once at fuse
-        # time: layers whose verified shifts are None fall back to the
-        # general gather inside gather_block.
+        # time: layers whose verified shifts are None stay on the general
+        # gather; the others run on sign bands cut at first use.
         self._structure = PlaneStructure(
             row_starts,
             offsets,
@@ -837,7 +962,11 @@ class FusedSignatures:
 
     @property
     def structured(self) -> bool:
-        """True when every layer's gather runs on the block-slice path."""
+        """True when every layer has a verified rotated-arange structure.
+
+        Such layers can run on the band path; whether a given layer or
+        slice does also depends on its width (:data:`MIN_WEIGHTS_PER_BAND`).
+        """
         return self._structure.fully_structured
 
     def structure_key(self) -> Tuple:
@@ -1023,10 +1152,13 @@ class FusedSignatures:
         rows = np.asarray(rows)
         if rows.size == 0:
             return ()
-        first, last = np.searchsorted(
-            self._row_starts[1:-1], (rows.min(), rows.max()), side="right"
-        )
-        return range(int(first), int(last) + 1)
+        # bisect on the structure's plain-list starts: a per-scan
+        # np.searchsorted cost more than the rest of a narrow slice's setup.
+        starts = self._structure.row_starts
+        inner = len(starts) - 1
+        first = bisect.bisect_right(starts, int(rows.min()), 1, inner) - 1
+        last = bisect.bisect_right(starts, int(rows.max()), 1, inner) - 1
+        return range(first, last + 1)
 
     def _prepare_plane(
         self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
@@ -1387,32 +1519,91 @@ def _stacked_sums(
     starts: Sequence[Optional[int]],
     width: int,
     group_size: int,
-    accum: np.dtype,
     scratch: ScanScratch,
     homogeneous: bool,
     structures: Sequence[Optional[PlaneStructure]],
 ) -> np.ndarray:
-    """The stacked gather + einsum core of :func:`stacked_mismatched_rows`.
+    """The masked-sum core of :func:`stacked_mismatched_rows`.
 
     ``starts[i]`` is the first row of model *i*'s slice when that slice is
-    one contiguous ascending run, else ``None``.
+    one contiguous ascending run, else ``None``.  A contiguous slice of a
+    structured plane first tries its structure's gather-free band path
+    (:meth:`PlaneStructure.band_sums`, one einsum per band per model);
+    every other model goes through the general gather
+    (:func:`_gathered_sums`).  Both yield the same sums modulo 2**16.
+
+    Returns the ``(num_models, width)`` sums view into ``scratch``.
+    """
+    num_models = len(planes)
+    sums = scratch.take("stacked-sums", (num_models, width), KERNEL_ACCUMULATOR)
+    gathered = []
+    for index in range(num_models):
+        structure, start, size = structures[index], starts[index], sizes[index]
+        if (
+            start is None
+            or structure is None
+            or not structure.band_sums(
+                planes[index],
+                indices_list[index],
+                signs_list[index],
+                start,
+                start + size,
+                sums[index, :size],
+                scratch,
+            )
+        ):
+            gathered.append(index)
+    if not gathered:
+        return sums
+    out = sums
+    if len(gathered) < num_models:
+        planes, indices_list, signs_list, rows_list, sizes, starts = (
+            [values[index] for index in gathered]
+            for values in (planes, indices_list, signs_list, rows_list, sizes, starts)
+        )
+        out = scratch.take("gathered-sums", (len(gathered), width), KERNEL_ACCUMULATOR)
+    _gathered_sums(
+        planes,
+        indices_list,
+        signs_list,
+        rows_list,
+        sizes,
+        starts,
+        width,
+        group_size,
+        scratch,
+        homogeneous,
+        out,
+    )
+    if out is not sums:
+        sums[gathered] = out
+    return sums
+
+
+def _gathered_sums(
+    planes: Sequence[np.ndarray],
+    indices_list: Sequence[np.ndarray],
+    signs_list: Sequence[np.ndarray],
+    rows_list: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    starts: Sequence[Optional[int]],
+    width: int,
+    group_size: int,
+    scratch: ScanScratch,
+    homogeneous: bool,
+    sums: np.ndarray,
+) -> None:
+    """The general gather: ``np.take`` from each plane, then one einsum.
 
     The width axis is processed in cache-blocked tiles
     (:func:`_stacked_tile_width`): the per-tile gathered stack and sign
     stack stay L2-resident while the einsum that immediately consumes them
     re-reads every byte, instead of streaming a whole padded bucket through
-    cache twice.  Within each tile, a model whose rows are one contiguous
-    run routes through :meth:`PlaneStructure.gather_block` when its plane
-    has verified rotated-arange structure, serves plain index/sign *views*
-    when contiguous but unstructured, and falls back to the general padded
-    ``np.take`` for arbitrary row sets — all three produce identical int8
-    gathers, so the integer sums are exact regardless of path.
-
-    Returns the ``(num_models, width)`` sums view into ``scratch``.
+    cache twice.  Contiguous slices read plain index/sign *views*; arbitrary
+    row sets take their index and sign columns first.  Fills ``sums``.
     """
     num_models = len(planes)
     tile = _stacked_tile_width(num_models, group_size, width)
-    sums = scratch.take("stacked-sums", (num_models, width), accum)
     if homogeneous:
         rows0 = rows_list[0]
         start0 = starts[0]
@@ -1425,49 +1616,26 @@ def _stacked_sums(
             span = w1 - w0
             stacked = scratch.take("stacked", (num_models, group_size, span), np.int8)
             if start0 is not None:
-                lo = start0 + w0
-                hi = start0 + w1
-                signs = signs0[:, lo:hi]
-                if span < STRUCTURED_MIN_COLUMNS_PER_LAYER:
-                    # Narrow tiles (the budgeted fleet's per-tick slices)
-                    # can never clear gather_block's per-layer column
-                    # threshold — skip the per-model chooser and serve one
-                    # shared index view to plain takes, the pre-blocking
-                    # shape of this loop.
-                    block = indices0[:, lo:hi]
-                    for index in range(num_models):
-                        # ndarray.take skips the np.take wrapper dispatch;
-                        # at fleet scale the wrapper alone is a visible
-                        # share of a narrow pass.
-                        planes[index].take(block, out=stacked[index], mode="clip")
-                else:
-                    block = indices0[:, lo:hi]
-                    for index in range(num_models):
-                        structure = structures[index]
-                        if structure is not None and structure.any_structured:
-                            structure.gather_block(
-                                planes[index],
-                                indices_list[index],
-                                stacked[index],
-                                lo,
-                                hi,
-                            )
-                        else:
-                            planes[index].take(
-                                block, out=stacked[index], mode="clip"
-                            )
+                indices = indices0[:, start0 + w0 : start0 + w1]
+                signs = signs0[:, start0 + w0 : start0 + w1]
             else:
                 block = rows0[w0:w1]
                 indices = scratch.take("row-indices", (group_size, span), indices0.dtype)
                 np.take(indices0, block, axis=1, out=indices)
                 signs = scratch.take("row-signs", (group_size, span), np.int8)
                 np.take(signs0, block, axis=1, out=signs)
-                for index in range(num_models):
-                    planes[index].take(indices, out=stacked[index], mode="clip")
+            for index in range(num_models):
+                # ndarray.take skips the np.take wrapper dispatch; at fleet
+                # scale the wrapper alone is a visible share of a narrow pass.
+                planes[index].take(indices, out=stacked[index], mode="clip")
             np.einsum(
-                "kgr,gr->kr", stacked, signs, dtype=accum, out=sums[:, w0:w1]
+                "kgr,gr->kr",
+                stacked,
+                signs,
+                dtype=KERNEL_ACCUMULATOR,
+                out=sums[:, w0:w1],
             )
-        return sums
+        return
     for w0 in range(0, width, tile):
         w1 = w0 + tile
         if w1 > width:
@@ -1478,8 +1646,7 @@ def _stacked_sums(
         for index in range(num_models):
             # A model shorter than the bucket width contributes garbage
             # columns past ``valid``; zeroed signs null them exactly, so no
-            # padded gather is ever performed (the legacy path padded the
-            # row list with row 0 and gathered it anyway).
+            # padded gather is ever performed.
             valid = sizes[index] - w0
             if valid <= 0:
                 signs[index].fill(0)
@@ -1490,27 +1657,11 @@ def _stacked_sums(
             if start is not None:
                 lo = start + w0
                 hi = lo + valid
-                # Same narrow-span bypass as the homogeneous loop: below the
-                # per-layer column threshold the chooser always falls back.
-                structure = (
-                    structures[index]
-                    if valid >= STRUCTURED_MIN_COLUMNS_PER_LAYER
-                    else None
+                planes[index].take(
+                    indices_list[index][:, lo:hi],
+                    out=stacked[index][:, :valid],
+                    mode="clip",
                 )
-                if structure is not None and structure.any_structured:
-                    structure.gather_block(
-                        planes[index],
-                        indices_list[index],
-                        stacked[index][:, :valid],
-                        lo,
-                        hi,
-                    )
-                else:
-                    planes[index].take(
-                        indices_list[index][:, lo:hi],
-                        out=stacked[index][:, :valid],
-                        mode="clip",
-                    )
                 np.copyto(signs[index][:, :valid], signs_list[index][:, lo:hi])
             else:
                 block = rows_list[index][w0 : w0 + valid]
@@ -1524,8 +1675,13 @@ def _stacked_sums(
                 )
             if valid < span:
                 signs[index][:, valid:] = 0
-        np.einsum("kgr,kgr->kr", stacked, signs, dtype=accum, out=sums[:, w0:w1])
-    return sums
+        np.einsum(
+            "kgr,kgr->kr",
+            stacked,
+            signs,
+            dtype=KERNEL_ACCUMULATOR,
+            out=sums[:, w0:w1],
+        )
 
 
 def batched_mismatched_rows(
@@ -1637,7 +1793,7 @@ def stacked_mismatched_rows(
     signature_bits: int,
     scratch: Optional[ScanScratch] = None,
     homogeneous: bool = False,
-    structures: Optional[Sequence[Optional[object]]] = None,
+    structures: Optional[Sequence[Optional[PlaneStructure]]] = None,
 ) -> List[np.ndarray]:
     """The scan kernel: flagged global rows of a stack of models.
 
@@ -1647,21 +1803,21 @@ def stacked_mismatched_rows(
     which hold no ``Module`` objects and no :class:`FusedSignatures`, just
     each model's weight plane, slot-major gather-index and sign matrices
     and golden signatures (published :class:`SharedPlaneSpec` segments).
-    Model *i*'s rows ``rows_list[i]`` are gathered from ``planes[i]``,
-    summed under the sign mask by a cache-blocked narrow-accumulation
-    einsum (:func:`_stacked_sums`), binarized and compared with
-    ``goldens[i]``; the result lists the mismatching rows in slice order.
+    Model *i*'s rows ``rows_list[i]`` are summed under the sign mask in
+    int16 (:data:`KERNEL_ACCUMULATOR`, :func:`_stacked_sums`), binarized
+    and compared with ``goldens[i]``; the result lists the mismatching
+    rows in slice order.
 
     ``homogeneous=True`` is a caller-supplied promise that every model
     shares one structure key *and* one row slice (the engine knows; the
     kernel cannot cheaply verify), enabling the shared index/sign
     broadcast; a 2-D ``goldens`` array then compares the whole stack at
-    once.  ``structures`` optionally carries each model's rotated-arange
-    structure — a :class:`PlaneStructure`, a picklable
-    :class:`PlaneStructureSpec`, or ``None`` — so contiguous slices gather
-    by block copies.  Contiguous slices also compare against a view of
-    their golden rows.  Neither flag changes a verdict: integer sums are
-    exact on every path.
+    once.  ``structures`` optionally carries each model's
+    :class:`PlaneStructure` (or ``None``) so wide contiguous slices of
+    structured planes sum over strided band views instead of gathering;
+    the structure caches its bands, so callers pass the same object every
+    call.  Contiguous slices also compare against a view of their golden
+    rows.  Neither choice changes a verdict.
     """
     num_models = len(planes)
     if not (
@@ -1671,18 +1827,11 @@ def stacked_mismatched_rows(
     if num_models == 0:
         return []
     if structures is None:
-        structure_list: List[Optional[PlaneStructure]] = [None] * num_models
-    else:
-        if len(structures) != num_models:
-            raise ProtectionError(
-                f"got {num_models} planes but {len(structures)} structures"
-            )
-        structure_list = [
-            PlaneStructure.from_spec(item)
-            if isinstance(item, PlaneStructureSpec)
-            else item
-            for item in structures
-        ]
+        structures = [None] * num_models
+    elif len(structures) != num_models:
+        raise ProtectionError(
+            f"got {num_models} planes but {len(structures)} structures"
+        )
     rows_list = [np.asarray(rows, dtype=np.int64) for rows in rows_list]
     sizes = [int(rows.size) for rows in rows_list]
     width = max(sizes)
@@ -1704,10 +1853,9 @@ def stacked_mismatched_rows(
         starts,
         width,
         group_size,
-        accumulator_dtype(group_size),
         scratch if scratch is not None else ScanScratch(),
         homogeneous,
-        structure_list,
+        structures,
     )
     shift, mask = signature_shift_mask(signature_bits)
     np.right_shift(sums, shift, out=sums)

@@ -257,8 +257,8 @@ class TestSlotShiftDetection:
         This includes offsets that share a factor with ``num_groups``
         (t = 3 with 21 groups, say): coprimality changes which groups the
         rotation cycles through, but each slot row is still a contiguous
-        block rotated by ``(r * t) mod N`` — exactly what the block-slice
-        gather needs — so such layouts are claimed, not declined.
+        block rotated by ``(r * t) mod N`` — exactly what the band path's
+        strided views need — so such layouts are claimed, not declined.
         """
         layout = GroupLayout(
             num_weights=num_weights,

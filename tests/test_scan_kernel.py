@@ -35,10 +35,12 @@ from repro.core import (
     batched_mismatched_rows,
     split_by_padding_waste,
 )
+import repro.core.signature as signature_module
 from repro.core.signature import StackedVerifier
 from repro.errors import ProtectionError
 from repro.models.small import MLP, LeNet5
-from repro.quant.layers import quantize_model, quantized_layers
+from repro.nn.layers import Sequential
+from repro.quant.layers import QuantLinear, quantize_model, quantized_layers
 from repro.utils.rng import new_rng
 
 
@@ -614,7 +616,7 @@ class TestStructureDetectionEdgeCases:
     Every edge the detector can meet — zero-rotation offsets, offsets
     sharing a factor with ``num_groups``, single-group layers, layouts
     whose index matrix is foreign to the analytic hint — must either be
-    served by the block-slice gather or fall back to the general gather,
+    served by the band path or fall back to the general gather,
     and in both cases return exactly what the per-layer checksum oracle
     (:meth:`SignatureStore.mismatched_rows`) returns.
     """
@@ -732,3 +734,212 @@ class TestStructureDetectionEdgeCases:
         assert not fused.structured
         assert not fused.structure.any_structured
         self._assert_bit_identical(store, model, seed)
+
+
+def _layer_stack(weight_counts, seed):
+    """A quantized model of independent linear layers with these weight counts."""
+    rng = new_rng(("layer-stack", seed))
+    model = Sequential(*[QuantLinear(count, 1, rng=rng) for count in weight_counts])
+    quantize_model(model)
+    return model
+
+
+def _wrap_groups(regime, group_size, shift, draw):
+    """A group count ``N`` putting ``shift * (group_size - 1)`` below, near
+    or far above ``N``: two bands, two or three, or many."""
+    span = shift * (group_size - 1)
+    if regime == "one":
+        return span + 1 + draw % 4
+    if regime == "near":
+        return max(2, span + draw % 5 - 2)
+    return max(2, span // (3 + draw % 18))
+
+
+def _mid_layer_slices(starts, total, rng):
+    """Contiguous slices that start or end mid-layer, straddle layers and
+    cover the plane's first and last layers."""
+    slices = [
+        (0, total),
+        (int(starts[0]), int(starts[1])),                       # first layer
+        (int(starts[-2]), total),                               # last layer
+        (0, int(starts[1]) + max(1, (int(starts[2]) - int(starts[1])) // 2)),
+        (int(starts[-2]) - 1, total - 1),                       # straddles into the last
+    ]
+    for _ in range(3):
+        lo = int(rng.integers(0, total - 1))
+        slices.append((lo, int(rng.integers(lo + 1, total + 1))))
+    return [np.arange(lo, hi, dtype=np.int64) for lo, hi in slices if hi > lo]
+
+
+class TestBandPath:
+    """The gather-free band path against the checksum oracle.
+
+    ``MIN_WEIGHTS_PER_BAND`` is a measured speed crossover, not a
+    correctness bound, so these tests lower it to 1 to put every
+    structured layer that fits inside the plane on the band path — small
+    layers included — and compare verdicts with
+    :meth:`SignatureStore.mismatched_rows` on slices of every shape.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        group_size=st.sampled_from([2, 8, 16, 512]),
+        shift=st.sampled_from([1, 2, 3, 5]),
+        regimes=st.lists(st.sampled_from(["one", "near", "many"]), min_size=3, max_size=3),
+        draws=st.lists(st.integers(min_value=0, max_value=1000), min_size=6, max_size=6),
+        use_masking=st.booleans(),
+        signature_bits=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_band_sums_match_the_oracle(
+        self, seed, group_size, shift, regimes, draws, use_masking, signature_bits
+    ):
+        if group_size == 512:
+            # Keep the 512-slot planes small enough for a unit test.
+            regimes = ["many" if regime == "one" else regime for regime in regimes]
+            regimes[0] = "many"
+        counts = []
+        for index, regime in enumerate(regimes):
+            groups = _wrap_groups(regime, group_size, shift, draws[index])
+            counts.append(max(1, groups * group_size - draws[3 + index] % group_size))
+        # A last layer long enough that no earlier layer's band boxes can
+        # leave the plane; its own boxes may, which keeps it on np.take.
+        counts.append(group_size * (shift + 2) + draws[0] % group_size)
+        model = _layer_stack(counts, seed)
+        protector = ModelProtector(
+            RadarConfig(
+                group_size=group_size,
+                interleave_offset=shift,
+                use_masking=use_masking,
+                signature_bits=signature_bits,
+            )
+        )
+        protector.protect(model)
+        store = protector.store
+        fused = store.fused()
+        rng = new_rng(("band-oracle", seed))
+        for _, layer in quantized_layers(model):
+            flat = layer.qweight.reshape(-1)
+            for index in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                flat[index] = np.int8(int(flat[index]) ^ -128)
+        starts = store.row_starts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signature_module, "MIN_WEIGHTS_PER_BAND", 1)
+            for rows in _mid_layer_slices(starts, fused.total_groups, rng):
+                np.testing.assert_array_equal(
+                    fused.mismatched_rows(model, rows),
+                    store.mismatched_rows(model, rows),
+                )
+            banded = fused.structure._bands
+        structured = [shifts is not None for shifts in fused.structure.shifts]
+        assert all(
+            banded[position] is not None
+            for position in range(len(regimes))
+            if structured[position]
+        )
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_real_crossover_keeps_verdicts(self, seed):
+        """With the measured constant, a model whose layers straddle the
+        crossover mixes bands and ``np.take`` runs inside one slice."""
+        least = signature_module.MIN_WEIGHTS_PER_BAND
+        # G=8, t=3: each of these layers has two bands.  The first sits just
+        # above the crossover, the second far below it, and the last one's
+        # boxes would leave the plane.
+        model = _layer_stack([2 * least + 40, 700, 3 * least, least], seed)
+        protector = ModelProtector(RadarConfig(group_size=8))
+        protector.protect(model)
+        store, fused = protector.store, protector.store.fused()
+        rng = new_rng(("band-crossover", seed))
+        _flip(model, int(rng.integers(4)), 0)
+        for rows in _mid_layer_slices(store.row_starts(), fused.total_groups, rng):
+            np.testing.assert_array_equal(
+                fused.mismatched_rows(model, rows), store.mismatched_rows(model, rows)
+            )
+        banded = [layer is not None for layer in fused.structure._bands]
+        assert banded[0] and banded[2] and not banded[1]
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_homogeneous_and_heterogeneous_stacks_match_the_oracle(self, seed):
+        rng = new_rng(("band-stacks", seed))
+        shapes = [[1500, 640, 900], [1500, 640, 900], [2000, 333, 1200]]
+        fleet = []
+        for index, counts in enumerate(shapes):
+            model = _layer_stack(counts, seed * 10 + index)
+            protector = ModelProtector(RadarConfig(group_size=16, interleave_offset=3))
+            protector.protect(model)
+            fleet.append((model, protector.store))
+        for model, _ in fleet:
+            _flip(model, int(rng.integers(3)), int(rng.integers(300)))
+        views = [store.fused() for _, store in fleet]
+        layer_maps = [dict(quantized_layers(model)) for model, _ in fleet]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signature_module, "MIN_WEIGHTS_PER_BAND", 1)
+            homogeneous = StackedVerifier(views[:2], layer_maps[:2])
+            total = views[0].total_groups
+            for rows in _mid_layer_slices(views[0]._row_starts, total, rng):
+                flagged = homogeneous.verify([rows, rows], ScanScratch(), True)
+                for (model, store), model_flagged in zip(fleet, flagged):
+                    np.testing.assert_array_equal(
+                        model_flagged, store.mismatched_rows(model, rows)
+                    )
+            rows_list = []
+            for view in views:
+                lo = int(rng.integers(0, view.total_groups - 1))
+                rows_list.append(
+                    np.arange(lo, int(rng.integers(lo + 1, view.total_groups + 1)))
+                )
+            rows_list[1] = rng.choice(views[1].total_groups, size=40, replace=False)
+            flagged = StackedVerifier(views, layer_maps).verify(rows_list, ScanScratch())
+            for (model, store), rows, model_flagged in zip(fleet, rows_list, flagged):
+                np.testing.assert_array_equal(
+                    model_flagged, store.mismatched_rows(model, rows)
+                )
+
+    @pytest.mark.parametrize("signature_bits", [2, 3])
+    @pytest.mark.parametrize("band_path", [False, True])
+    @pytest.mark.parametrize(
+        "target", [-65536, -32768 - 128, -32768 + 128, 32768 - 128, 32768 + 128]
+    )
+    def test_int16_accumulator_keeps_the_signature_bits(
+        self, target, band_path, signature_bits
+    ):
+        """A G=512 group whose masked sum overflows int16 is still binarized
+        exactly like the oracle's int64 sum, before and after an MSB flip."""
+        model = _layer_stack([512 * 6, 512 * 40], seed=0)
+        first = quantized_layers(model)[0][1]
+        flat = first.qweight.reshape(-1)
+        config = RadarConfig(
+            group_size=512, use_masking=False, signature_bits=signature_bits
+        )
+        protector = ModelProtector(config)
+        protector.protect(model)
+        members = protector.store.layer(quantized_layers(model)[0][0]).layout.members_of(2)
+        values = np.zeros(members.size, dtype=np.int64)
+        unit = 127 if target > 0 else -128
+        count, rest = divmod(abs(target), abs(unit))
+        values[:count] = unit
+        if rest:
+            values[count] = rest if target > 0 else -rest
+        assert values.sum() == target
+        flat[members] = values.astype(np.int8)
+        protector.protect(model)  # goldens of the extreme sums
+        store, fused = protector.store, protector.store.fused()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                signature_module, "MIN_WEIGHTS_PER_BAND", 1 if band_path else 1 << 40
+            )
+            rows = np.arange(fused.total_groups, dtype=np.int64)
+            assert fused.mismatched_rows(model, rows).size == 0
+            for index in (members[0], members[-1]):
+                # One MSB flip moves the sum by +-128 and toggles bit 7.
+                flat[index] = np.int8(int(flat[index]) ^ -128)
+                flagged = fused.mismatched_rows(model, rows)
+                np.testing.assert_array_equal(
+                    flagged, store.mismatched_rows(model, rows)
+                )
+                assert flagged.tolist() == [2]
+                flat[index] = np.int8(int(flat[index]) ^ -128)
+            assert (fused.structure._bands is not None) == band_path
