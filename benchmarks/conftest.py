@@ -16,7 +16,8 @@ Knobs (environment variables):
 * ``REPRO_RESULTS_DIR`` — where fresh artifacts are written (default
   ``.bench/`` at the repo root, untracked).  The committed baselines under
   ``results/`` are never rewritten by a run; updating one is an explicit
-  copy.
+  ``scripts/check_perf_regression.py ... --promote``, which copies the
+  fresh artifact only when its gate passed.
 """
 
 from __future__ import annotations

@@ -83,6 +83,12 @@ Three benchmark kinds are understood (``--kind``):
 Exit status: 0 when no regression (the last line says ``passed``, or
 ``SKIPPED`` when some check could not run here), 1 on regression or
 malformed input.
+
+``--promote`` makes updating a baseline an explicit step: after a plain
+pass it copies ``--fresh`` over ``--baseline`` and prints what it wrote.
+It refuses (baseline untouched, exit 1) when the gate failed or ended on
+``SKIPPED`` — a baseline must only ever come from a run that every check
+actually judged.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,8 +340,26 @@ def main(argv=None) -> int:
         "it; kernel = every row (full AND slice) must clear it, with "
         "unstructured rows owing only the pre-structure 2x bar",
     )
+    parser.add_argument(
+        "--promote", action="store_true",
+        help="on a plain pass, copy --fresh over --baseline; refused "
+        "(exit 1) on a failure or a SKIPPED outcome",
+    )
     args = parser.parse_args(argv)
 
+    outcome = run_gate(args)
+    if not args.promote:
+        return 0 if outcome in ("passed", "skipped") else 1
+    if outcome != "passed":
+        print(f"not promoted: the gate {outcome}; {args.baseline} is unchanged")
+        return 1
+    shutil.copyfile(args.fresh, args.baseline)
+    print(f"promoted {args.fresh} -> {args.baseline}")
+    return 0
+
+
+def run_gate(args) -> str:
+    """Run the gate and print its report; returns ``passed``, ``skipped`` or ``failed``."""
     spec = GATES[args.kind]
     baseline = load_rows(args.baseline, spec.key_field)
     fresh = load_rows(args.fresh, spec.key_field)
@@ -343,7 +368,7 @@ def main(argv=None) -> int:
             f"REGRESSION GATE: {spec.key_field} values differ — "
             f"baseline {sorted(baseline)}, fresh {sorted(fresh)}"
         )
-        return 1
+        return "failed"
 
     failures = []
     skipped = []
@@ -524,7 +549,7 @@ def main(argv=None) -> int:
                 "REGRESSION GATE: --min-speedup only applies to "
                 "--kind fleet, --kind kernel or --kind fleet-processes"
             )
-            return 1
+            return "failed"
 
     for skip in skipped:
         print(f"::warning title=perf gate skipped a check::{skip}")
@@ -532,15 +557,15 @@ def main(argv=None) -> int:
         print("\nREGRESSION GATE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
-        return 1
+        return "failed"
     if skipped:
         print(
             f"\nSKIPPED: {len(skipped)} check(s) could not run on this host; "
             "the gate neither passed nor failed them"
         )
-        return 0
+        return "skipped"
     print(f"\nregression gate passed (tolerance {args.tolerance:.0%})")
-    return 0
+    return "passed"
 
 
 if __name__ == "__main__":

@@ -137,17 +137,23 @@ class GroupLayout:
         gathered[valid] = flat_values[rows[valid]]
         return gathered
 
-    def scatter_mask(self, group_indices: np.ndarray) -> np.ndarray:
-        """Boolean mask over original indices covering the given groups.
+    def member_indices(self, group_indices: np.ndarray) -> np.ndarray:
+        """Original weight indices of all members of the given groups.
 
-        Used by the recovery step: all weights whose group is flagged are
-        zeroed, and the mask already excludes padding slots.
+        Used by the recovery step: every weight whose group is flagged is
+        zeroed (or reloaded).  Padding slots are excluded and a group listed
+        twice contributes its members once.  The cost is proportional to
+        ``len(group_indices) * group_size``, not to the layer size.
         """
-        group_indices = np.atleast_1d(np.asarray(group_indices, dtype=np.int64))
-        mask = np.zeros(self.num_weights, dtype=bool)
-        for group_index in group_indices:
-            mask[self.members_of(int(group_index))] = True
-        return mask
+        group_indices = np.unique(np.asarray(group_indices, dtype=np.int64))
+        if group_indices.size and not (
+            0 <= group_indices[0] and group_indices[-1] < self.num_groups
+        ):
+            raise ProtectionError(
+                f"group indices out of range ({self.num_groups} groups)"
+            )
+        members = self._groups[group_indices].reshape(-1)
+        return members[members != PAD_INDEX]
 
     def slot_shifts(self) -> Optional[np.ndarray]:
         """Per-slot rotations of the rotated-arange gather structure, if any.

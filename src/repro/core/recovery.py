@@ -80,17 +80,17 @@ def recover_model(
             raise ProtectionError(f"Flagged layer {layer_name!r} missing from model")
         layer = layer_map[layer_name]
         entry = store.layer(layer_name)
-        mask = entry.layout.scatter_mask(flagged)
+        members = entry.layout.member_indices(flagged)
         flat = layer.qweight.reshape(-1)
-        affected = int(mask.sum())
+        affected = int(members.size)
         if policy is RecoveryPolicy.ZERO:
-            flat[mask] = 0
+            flat[members] = 0
             recovery.zeroed_weights += affected
         elif policy is RecoveryPolicy.RELOAD:
             golden = golden_weights.get(layer_name)
             if golden is None:
                 raise ProtectionError(f"Golden weights missing for layer {layer_name!r}")
-            flat[mask] = golden.reshape(-1)[mask]
+            flat[members] = golden.reshape(-1)[members]
             recovery.reloaded_weights += affected
         recovery.groups_recovered += int(flagged.size)
         recovery.per_layer[layer_name] = affected

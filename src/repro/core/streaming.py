@@ -147,9 +147,9 @@ class StreamingVerifier:
         repaired = np.asarray(qweight_flat).copy()
         if policy is RecoveryPolicy.ZERO and event.flagged_groups.size:
             entry = self.store.layer(layer_name)
-            mask = entry.layout.scatter_mask(event.flagged_groups)
-            repaired[mask] = 0
-            event.zeroed_weights = int(mask.sum())
+            members = entry.layout.member_indices(event.flagged_groups)
+            repaired[members] = 0
+            event.zeroed_weights = int(members.size)
         return repaired, event
 
     # -- whole stream -----------------------------------------------------------

@@ -51,6 +51,11 @@ class Conv2d(Module):
         return self.weight.data
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Convolve ``(N, C_in, H, W)`` inputs to ``(N, C_out, out_h, out_w)``.
+
+        The output's memory is channel-major (see
+        :func:`repro.tensor.functional.conv2d_forward`).
+        """
         weight = self.effective_weight()
         bias = self.bias.data if self.bias is not None else None
         output, self._cache = F.conv2d_forward(

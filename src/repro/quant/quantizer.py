@@ -54,11 +54,16 @@ def quantize_symmetric(weights: np.ndarray) -> Tuple[np.ndarray, QuantParams]:
 
 
 def dequantize(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Map int8 values back to floats using the stored scale."""
+    """Map int8 values back to floats using the stored scale.
+
+    One pass: the multiply casts to :data:`FLOAT_DTYPE` as it goes, which is
+    bit-identical to ``values.astype(FLOAT_DTYPE) * params.scale`` without
+    the intermediate float copy.
+    """
     values = np.asarray(values)
     if values.dtype != np.int8:
         raise QuantizationError(f"dequantize expects int8 values, got dtype {values.dtype}")
-    return values.astype(FLOAT_DTYPE) * params.scale
+    return np.multiply(values, params.scale, dtype=FLOAT_DTYPE)
 
 
 def quantization_error(weights: np.ndarray) -> float:

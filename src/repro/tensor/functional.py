@@ -38,6 +38,13 @@ def conv2d_forward(
         ``(C_out, C_in, kernel_h, kernel_w)``.
     bias:
         Optional ``(C_out,)``.
+
+    Returns ``(output, cache)`` with ``output`` of shape
+    ``(N, C_out, out_h, out_w)``.  Its memory is channel-major: it is the
+    ``(1, 0, 2, 3)`` transposed view of a contiguous ``(C_out, N, out_h,
+    out_w)`` array, which is what the next conv's :func:`im2col` reads in
+    long runs.  Element-wise layers (batch norm, ReLU, residual adds)
+    keep that order.
     """
     if inputs.ndim != 4 or weight.ndim != 4:
         raise ShapeError(
@@ -55,10 +62,10 @@ def conv2d_forward(
 
     columns = im2col(inputs, (kernel_h, kernel_w), stride, padding)
     weight_matrix = weight.reshape(out_channels, -1)
-    output = columns @ weight_matrix.T
+    output = weight_matrix @ columns.T
     if bias is not None:
-        output += bias
-    output = output.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+        output += bias[:, None]
+    output = output.reshape(out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
     cache = (columns, weight.shape, inputs.shape, stride, padding, bias is not None)
     return output, cache
 

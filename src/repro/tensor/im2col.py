@@ -6,8 +6,12 @@ Layout conventions (NCHW throughout the library):
 * im2col output: ``(batch * out_h * out_w, channels * kernel_h * kernel_w)``
 
 The column matrix rows are ordered batch-major, then output row, then
-output column, which matches the reshape used by
-:func:`repro.tensor.functional.conv2d_forward`.
+output column; its columns are ordered channel, then kernel row, then
+kernel column.  In memory it is the *transposed view* of a contiguous
+channel-major ``(channels * kernel_h * kernel_w, batch * out_h * out_w)``
+buffer: the copy that builds it runs along whole output rows instead of
+single kernel rows, and :func:`repro.tensor.functional.conv2d_forward`
+multiplies that buffer directly (``weight_matrix @ columns.T``).
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ def im2col(
 
     Returns
     -------
-    ndarray of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+    ndarray of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``: the
+    transposed view of a contiguous channel-major buffer (see the module
+    docstring).
     """
     _check_image(images)
     batch, channels, height, width = images.shape
@@ -62,33 +68,22 @@ def im2col(
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
 
+    # Channel-major (C, N, H + 2p, W + 2p) source.  A channel-major input
+    # (the transposed view a previous conv returns) is read in long runs.
+    planes = images.transpose(1, 0, 2, 3)
     if padding > 0:
-        images = np.pad(
-            images,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
+        padded = np.zeros(
+            (channels, batch, height + 2 * padding, width + 2 * padding), dtype=images.dtype
         )
+        padded[:, :, padding:padding + height, padding:padding + width] = planes
+        planes = padded
 
-    # Strided sliding-window view: (N, C, out_h, out_w, kernel_h, kernel_w)
-    stride_n, stride_c, stride_h, stride_w = images.strides
-    windows = np.lib.stride_tricks.as_strided(
-        images,
-        shape=(batch, channels, out_h, out_w, kernel_h, kernel_w),
-        strides=(
-            stride_n,
-            stride_c,
-            stride_h * stride,
-            stride_w * stride,
-            stride_h,
-            stride_w,
-        ),
-        writeable=False,
-    )
-    # -> (N, out_h, out_w, C, kernel_h, kernel_w) -> flatten
-    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w
-    )
-    return np.ascontiguousarray(columns)
+    # (C, N, out_h, out_w, kernel_h, kernel_w) -> contiguous
+    # (C, kernel_h, kernel_w, N, out_h, out_w): the innermost run is an output row.
+    windows = np.lib.stride_tricks.sliding_window_view(planes, (kernel_h, kernel_w), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    columns = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
+    return columns.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w).T
 
 
 def col2im(

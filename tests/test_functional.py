@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
+from repro.models.resnet_cifar import resnet20
+from repro.quant.layers import quantize_model
+from repro.quant.quantizer import QuantParams, dequantize
 from repro.tensor import functional as F
 
 
@@ -56,6 +62,129 @@ class TestConv2d:
         np.testing.assert_allclose(grad_input, numerical_gradient(loss, inputs), atol=1e-6)
         np.testing.assert_allclose(grad_weight, numerical_gradient(loss, weight), atol=1e-6)
         np.testing.assert_allclose(grad_bias, numerical_gradient(loss, bias), atol=1e-6)
+
+
+def reference_conv2d(inputs, weight, bias=None, stride=1, padding=0):
+    """Direct float64 convolution: an einsum over the padded input's windows."""
+    padded = np.pad(
+        np.asarray(inputs, dtype=np.float64),
+        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+    )
+    kernel_h, kernel_w = weight.shape[2:]
+    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    output = np.einsum("nchwij,ocij->nohw", windows, np.asarray(weight, dtype=np.float64))
+    if bias is not None:
+        output = output + np.asarray(bias, dtype=np.float64)[None, :, None, None]
+    return output
+
+
+def channel_major(images):
+    """``images`` with the memory order a conv output has: a transposed view
+    of a contiguous ``(C, N, H, W)`` array."""
+    return np.ascontiguousarray(images.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.sampled_from([1, 3, 7]))
+    padding = draw(st.sampled_from([0, 1, 3]))
+    smallest = max(1, kernel - 2 * padding)
+    return {
+        "batch": draw(st.sampled_from([1, 3, 8])),
+        "kernel": kernel,
+        "stride": draw(st.sampled_from([1, 2])),
+        "padding": padding,
+        "height": draw(st.integers(smallest, smallest + 6)),
+        "width": draw(st.integers(smallest, smallest + 6)),
+        "in_channels": draw(st.integers(1, 4)),
+        "out_channels": draw(st.integers(1, 5)),
+        "with_bias": draw(st.booleans()),
+        "channel_major": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class TestConv2dAgainstReference:
+    """``conv2d_forward`` / ``conv2d_backward`` against a direct float64 reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(conv_cases())
+    def test_forward_matches_float64_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        inputs = rng.normal(
+            size=(case["batch"], case["in_channels"], case["height"], case["width"])
+        ).astype(np.float32)
+        if case["channel_major"]:
+            inputs = channel_major(inputs)
+        kernel = case["kernel"]
+        weight = rng.normal(
+            size=(case["out_channels"], case["in_channels"], kernel, kernel)
+        ).astype(np.float32)
+        bias = rng.normal(size=case["out_channels"]).astype(np.float32) if case["with_bias"] else None
+
+        output, _ = F.conv2d_forward(inputs, weight, bias, case["stride"], case["padding"])
+        expected = reference_conv2d(inputs, weight, bias, case["stride"], case["padding"])
+        assert output.dtype == np.float32
+        assert output.shape == expected.shape
+        np.testing.assert_allclose(output, expected, rtol=1e-4, atol=1e-4)
+
+    def test_output_memory_is_channel_major(self, rng):
+        inputs = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)
+        weight = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        output, _ = F.conv2d_forward(inputs, weight, None, stride=1, padding=1)
+        assert output.transpose(1, 0, 2, 3).flags.c_contiguous
+
+    def test_gradients_match_numerical_on_channel_major_input(self, rng):
+        # Perturb the contiguous (C, N, H, W) base; the conv reads its view.
+        base = rng.normal(size=(2, 3, 5, 5))
+        inputs = base.transpose(1, 0, 2, 3)
+        weight = rng.normal(size=(3, 2, 3, 3))
+        bias = rng.normal(size=(3,))
+        cotangent = rng.normal(size=(3, 3, 3, 3))
+
+        def loss():
+            out, _ = F.conv2d_forward(inputs, weight, bias, stride=2, padding=1)
+            return float((out * cotangent).sum())
+
+        output, cache = F.conv2d_forward(inputs, weight, bias, stride=2, padding=1)
+        assert output.shape == cotangent.shape
+        grad_input, grad_weight, grad_bias = F.conv2d_backward(cotangent, weight, cache)
+        np.testing.assert_allclose(
+            grad_input, numerical_gradient(loss, base).transpose(1, 0, 2, 3), atol=1e-6
+        )
+        np.testing.assert_allclose(grad_weight, numerical_gradient(loss, weight), atol=1e-6)
+        np.testing.assert_allclose(grad_bias, numerical_gradient(loss, bias), atol=1e-6)
+
+    def test_resnet20_logits_match_float64_reference(self, monkeypatch):
+        model = resnet20(seed=3)
+        quantize_model(model)
+        model.eval()
+        inputs = np.random.default_rng(0).normal(size=(8, 3, 32, 32)).astype(np.float32)
+        logits = model(inputs)
+
+        # Same model, float64 activations, every conv replaced by the reference.
+        monkeypatch.setattr(
+            F, "conv2d_forward", lambda *args, **kwargs: (reference_conv2d(*args, **kwargs), None)
+        )
+        expected = model(inputs.astype(np.float64))
+        assert logits.dtype == np.float32 and expected.dtype == np.float64
+        np.testing.assert_allclose(logits, expected, rtol=1e-5)
+        np.testing.assert_array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+
+
+class TestDequantize:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-128, 127), min_size=1, max_size=64),
+        st.floats(min_value=1e-8, max_value=1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_bit_identical_to_cast_then_scale(self, values, scale):
+        values = np.array(values + [-128, 127, 0], dtype=np.int8)
+        restored = dequantize(values, QuantParams(scale=scale))
+        expected = values.astype(np.float32) * scale
+        assert restored.dtype == expected.dtype == np.float32
+        np.testing.assert_array_equal(restored.view(np.uint32), expected.view(np.uint32))
 
 
 class TestLinear:

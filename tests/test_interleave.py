@@ -148,23 +148,25 @@ class TestGatherScatter:
         with pytest.raises(ProtectionError):
             layout.gather(np.ones(9))
 
-    def test_scatter_mask_covers_exactly_the_flagged_groups(self):
+    def test_member_indices_cover_exactly_the_flagged_groups(self):
         layout = GroupLayout(num_weights=64, group_size=8, use_interleave=True)
-        mask = layout.scatter_mask(np.array([2, 5]))
+        members = layout.member_indices(np.array([2, 5]))
+        mask = np.zeros(64, dtype=bool)
+        mask[members] = True
         expected = np.zeros(64, dtype=bool)
         expected[layout.members_of(2)] = True
         expected[layout.members_of(5)] = True
         np.testing.assert_array_equal(mask, expected)
-        assert mask.sum() == 16
+        assert members.size == 16
 
-    def test_scatter_mask_accepts_scalar(self):
+    def test_member_indices_accepts_scalar(self):
         layout = GroupLayout(num_weights=32, group_size=8, use_interleave=False)
-        mask = layout.scatter_mask(np.int64(1))
-        assert mask.sum() == 8
+        members = layout.member_indices(np.int64(1))
+        assert members.size == 8
 
-    def test_scatter_mask_empty(self):
+    def test_member_indices_empty(self):
         layout = GroupLayout(num_weights=32, group_size=8, use_interleave=False)
-        assert layout.scatter_mask(np.empty(0, dtype=np.int64)).sum() == 0
+        assert layout.member_indices(np.empty(0, dtype=np.int64)).size == 0
 
     def test_out_of_range_queries_raise(self):
         layout = GroupLayout(num_weights=32, group_size=8, use_interleave=False)
@@ -174,6 +176,10 @@ class TestGatherScatter:
             layout.group_of(-1)
         with pytest.raises(ProtectionError):
             layout.members_of(4)
+        with pytest.raises(ProtectionError):
+            layout.member_indices(np.array([0, 4]))
+        with pytest.raises(ProtectionError):
+            layout.member_indices(np.array([-1]))
 
 
 class TestPropertyBased:

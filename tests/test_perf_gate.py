@@ -3,7 +3,9 @@
 The ``fleet-processes`` gate cannot compare process-scaling ratios, nor
 hold its absolute floor, on a host with fewer CPUs than processes.  Such a
 skip must never read as a pass: every skipped check prints a GitHub
-``::warning::`` annotation and the run ends on a ``SKIPPED`` line.
+``::warning::`` annotation and the run ends on a ``SKIPPED`` line.  For the
+same reason ``--promote`` copies a fresh artifact over its baseline only
+after a plain pass, never after a failure or a skip.
 """
 
 from __future__ import annotations
@@ -94,3 +96,51 @@ def test_a_failure_still_fails_when_other_checks_were_skipped(gate, tmp_path, ca
     assert status == 1
     assert any(line.startswith("::warning") for line in lines)
     assert any("REGRESSION GATE FAILED" in line for line in lines)
+
+
+def _promote(gate, tmp_path, capsys, fresh):
+    baseline_path = tmp_path / "baseline.json"
+    fresh_path = tmp_path / "fresh.json"
+    baseline_text = json.dumps(_rows(8, (1.0, 1.8, 3.0)))
+    baseline_path.write_text(baseline_text)
+    fresh_path.write_text(json.dumps(fresh))
+    status = gate.main(
+        [
+            "--kind", "fleet-processes",
+            "--baseline", str(baseline_path),
+            "--fresh", str(fresh_path),
+            "--tolerance", "0.5",
+            "--min-speedup", "2.5",
+            "--promote",
+        ]
+    )
+    lines = capsys.readouterr().out.strip().splitlines()
+    return status, lines, baseline_text, baseline_path.read_text(), fresh_path.read_text()
+
+
+def test_promote_copies_fresh_over_baseline_on_a_pass(gate, tmp_path, capsys):
+    status, lines, _, baseline_after, fresh_text = _promote(
+        gate, tmp_path, capsys, _rows(8, (1.0, 1.7, 2.9))
+    )
+    assert status == 0
+    assert baseline_after == fresh_text
+    assert lines[-1].startswith("promoted")
+    assert "baseline.json" in lines[-1]
+
+
+def test_promote_refuses_after_a_failure(gate, tmp_path, capsys):
+    fresh = _rows(8, (1.0, 1.7, 2.9))
+    fresh["rows"][1]["oracle_match"] = False
+    status, lines, baseline_before, baseline_after, _ = _promote(gate, tmp_path, capsys, fresh)
+    assert status == 1
+    assert baseline_after == baseline_before
+    assert any("REGRESSION GATE FAILED" in line for line in lines)
+    assert lines[-1].startswith("not promoted")
+
+
+def test_promote_refuses_a_skipped_outcome(gate, tmp_path, capsys):
+    status, lines, baseline_before, baseline_after, _ = _promote(gate, tmp_path, capsys, _rows(1))
+    assert status == 1
+    assert baseline_after == baseline_before
+    assert any(line.startswith("SKIPPED") for line in lines)
+    assert lines[-1].startswith("not promoted")
