@@ -55,12 +55,18 @@ def emit(
     ``deterministic=True`` is for artifacts that must be byte-identical
     across reruns (the campaign JSONs): rows should already be projected
     onto machine-independent fields, and serialization is fixed too.
+    Every other artifact carries a ``metadata.host`` stamp
+    (:func:`~repro.experiments.reporting.host_stamp`) naming the host it
+    was measured on.
     """
     text = reporting.render_table(rows, columns=columns, title=title)
     print("\n" + text)
     if filename:
         reporting.save_results(
-            rows, RESULTS_DIR / filename, deterministic=deterministic
+            rows,
+            RESULTS_DIR / filename,
+            metadata=None if deterministic else {"host": reporting.host_stamp()},
+            deterministic=deterministic,
         )
 
 

@@ -1122,11 +1122,14 @@ class VerificationEngine:
                     # everything the attack touched before re-signing.
                     sweep = managed.protector.scan_fused(managed.model)
                     recovery = managed.protector.recover(
-                        managed.model, sweep, policy=policy
+                        managed.model, sweep, policy=policy, layer_map=managed.layer_map
                     )
                 else:
                     recovery = managed.protector.recover(
-                        managed.model, scan.report, policy=policy
+                        managed.model,
+                        scan.report,
+                        policy=policy,
+                        layer_map=managed.layer_map,
                     )
                 self._emit(
                     FleetEventType.RECOVERY,
@@ -1156,7 +1159,7 @@ class VerificationEngine:
         else:
             if policy is not RecoveryPolicy.NONE:
                 recovery = managed.protector.recover(
-                    managed.model, scan.report, policy=policy
+                    managed.model, scan.report, policy=policy, layer_map=managed.layer_map
                 )
             if (
                 managed.state is not ProtectionState.PROTECTED

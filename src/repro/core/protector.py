@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -58,6 +58,11 @@ class ModelProtector:
     def store(self) -> SignatureStore:
         self._require_protected()
         return self._store
+
+    @property
+    def golden_weights(self) -> Optional[Dict[str, np.ndarray]]:
+        """The clean int8 snapshot ``RELOAD`` restores from, if one was kept."""
+        return self._golden_weights
 
     def protect(self, model: Module, keep_golden_weights: bool = False) -> SignatureStore:
         """Compute and store golden signatures from the clean model.
@@ -136,11 +141,22 @@ class ModelProtector:
         model: Module,
         report: DetectionReport,
         policy: RecoveryPolicy = RecoveryPolicy.ZERO,
+        layer_map: Optional[Mapping[str, Module]] = None,
     ) -> RecoveryReport:
-        """Recovery only (given an existing detection report)."""
+        """Recovery only (given an existing detection report).
+
+        ``layer_map`` is the caller's cached ``{name: layer}`` map of
+        ``model``, which spares the module-tree walk (see
+        :func:`~repro.core.recovery.recover_model`).
+        """
         self._require_protected()
         return recover_model(
-            model, report, self._store, policy=policy, golden_weights=self._golden_weights
+            model,
+            report,
+            self._store,
+            policy=policy,
+            golden_weights=self._golden_weights,
+            layer_map=layer_map,
         )
 
     def scan_and_recover(

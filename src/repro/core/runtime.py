@@ -1,40 +1,59 @@
 """Protected inference runtime.
 
 The paper embeds signature checking in the layer-by-layer weight streaming
-of the inference computation (that is what the gem5 experiment times).  In
-this reproduction the compute substrate is a NumPy framework rather than a
-cache simulator, so the runtime wrapper models the same behaviour at the
-granularity it has: before (or interleaved with) each batch's forward pass
-it verifies all protected layers, optionally recovers, and records what
-happened.  The cycle-accurate cost of doing this inside the weight
-streaming loop is modelled separately by :mod:`repro.memsim.timing`.
+of the inference computation (that is what the gem5 experiment times):
+each layer is verified, and its flagged groups zeroed, before the compute
+uses its weights.  The full-check mode here does the same at the layer
+granularity the NumPy substrate has.  A helper thread, one per runtime,
+verifies the layers in store order with the scan kernel while the forward
+runs, and dequantizes each clean layer's weights right after verifying
+them.  Each quantized layer's first weight read in the forward waits on
+its own layer's verdict, recovers that layer's flagged groups on the
+request thread, and then computes with the verified weights.  NumPy's
+kernel and dequantize calls release the GIL, so the check runs on a
+second core and the forward waits only when it overtakes the verifier.
+The cycle-accurate cost of checking inside the weight streaming loop is
+modelled separately by :mod:`repro.memsim.timing`.
 
-Budgeted checking self-calibrates: in budgeted mode the default cost model
-is a :class:`~repro.core.cost.MeasuredScanCostModel` seeded with the
-analytic price, every check's wall-clock is folded back into it, and —
-unless an explicit ``check_every`` overrides it — the check cadence is
-re-derived from the calibrated price after each check, so the amortized
-per-batch overhead tracks ``budget_s`` on the *actual* host rather than on
-the calibrated Cortex-M platform.
+The amortized and budgeted modes check one scheduler slice before the
+forward instead.  Budgeted checking self-calibrates: in budgeted mode the
+default cost model is a :class:`~repro.core.cost.MeasuredScanCostModel`
+seeded with the analytic price, every check's wall-clock is folded back
+into it, and — unless an explicit ``check_every`` overrides it — the check
+cadence is re-derived from the calibrated price after each check, so the
+amortized per-batch overhead tracks ``budget_s`` on the *actual* host
+rather than on the calibrated Cortex-M platform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import queue
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import RadarConfig
 from repro.core.cost import MeasuredScanCostModel, ScanCostModel
+from repro.core.detector import DetectionReport
 from repro.core.protector import ModelProtector
-from repro.core.recovery import RecoveryPolicy
+from repro.core.recovery import (
+    RecoveryPolicy,
+    RecoveryReport,
+    recover_groups,
+    require_golden_weights,
+)
 from repro.core.scheduler import ScanPolicy, ScanScheduler
+from repro.core.signature import FusedSignatures, ScanScratch, SignatureStore
 from repro.errors import ProtectionError
 from repro.nn.module import Module
 from repro.quant.layers import quantized_layers
+from repro.quant.quantizer import dequantize
 
 
 @dataclass
@@ -60,8 +79,14 @@ class RuntimeLog:
     detections: int = 0
     flagged_groups: int = 0
     recovered_weights: int = 0
-    #: Wall-clock seconds spent inside detection + recovery checks.
+    #: Seconds of checking work: detection plus recovery.  In full-check
+    #: mode this is the helper thread's busy time (kernel and the prefetch
+    #: dequantize, off the request thread) plus gate-time recovery.
     check_seconds: float = 0.0
+    #: Seconds the forward blocked waiting for layer verdicts: the check's
+    #: added inference time (the paper's Table IV overhead).  Always 0
+    #: outside full-check mode, whose checks run before the forward.
+    check_wait_seconds: float = 0.0
     events: List[str] = field(default_factory=list)
 
 
@@ -71,7 +96,10 @@ class ProtectedInference:
     Three checking modes are supported:
 
     * **full** (``num_shards=None``, the default): every check verifies the
-      whole model, as in the paper's gem5 experiment;
+      whole model layer by layer beside the forward, as in the paper's
+      gem5 experiment: a helper thread verifies each layer ahead of the
+      forward, and each layer's first weight read waits for its verdict
+      and recovers its flagged groups (see the module docstring);
     * **amortized** (``num_shards=N``): each check verifies one slice of the
       model's signature groups via a :class:`~repro.core.scheduler.ScanScheduler`,
       bounding per-batch latency while the whole model is still verified
@@ -161,9 +189,17 @@ class ProtectedInference:
         # inline check path (scheduler slices and fused full scans alike)
         # then gathers straight from the buffers attacks and recovery
         # mutate, with no per-check weight copies.
-        self.protector.store.fused().adopt(dict(quantized_layers(model)))
+        #: ``{name: quantized layer}`` of the wrapped model: the layers the
+        #: streamed check gates and recovery writes, without a tree walk.
+        self._layers: Dict[str, Module] = dict(quantized_layers(model))
+        self.protector.store.fused().adopt(self._layers)
         self.log = RuntimeLog()
         self._since_last_check = 0
+        # The helper thread's job queue, created on the first full check.
+        self._jobs: Optional[queue.SimpleQueue] = None
+        # Kernel workspace for the layer verified on the request thread (the
+        # fused view's own scratch belongs to the helper thread).
+        self._scratch = ScanScratch()
 
     def _derived_cadence(self) -> int:
         """Batches per check so amortized checking stays within ``budget_s``."""
@@ -183,29 +219,73 @@ class ProtectedInference:
             self.check_every = cadence
 
     def _check(self) -> Tuple[bool, int, int]:
-        """One detection + recovery round (full or amortized)."""
+        """One amortized detection + recovery round, before the forward."""
         started = time.perf_counter()
-        if self.scheduler is None:
-            # scan_fused gathers straight from the adopted plane (same
-            # report as the per-layer scan, none of its weight copies).
-            detection = self.protector.scan_fused(self.model)
-            recovery = self.protector.recover(self.model, detection, policy=self.policy)
-            elapsed = time.perf_counter() - started
+        # In auto-cadence mode each check may spend what the skipped
+        # batches saved up; the scheduler observes the measured wall-clock
+        # into the cost model itself (apply_scan).
+        pass_budget = self.check_every * self.budget_s if self.auto_cadence else None
+        detection = self.scheduler.step(self.model, budget_s=pass_budget).report
+        recovery = self.protector.recover(
+            self.model, detection, policy=self.policy, layer_map=self._layers
+        )
+        return self._record_check(time.perf_counter() - started, detection, recovery)
+
+    def _streamed_forward(
+        self, images: np.ndarray
+    ) -> Tuple[np.ndarray, Tuple[bool, int, int]]:
+        """The forward with the full check streamed beside it, layer by layer."""
+        require_golden_weights(self.policy, self.protector.golden_weights)
+        store = self.protector.store
+        fused = store.fused()
+        stream = _LayerStream(
+            fused,
+            fused.prepared_plane(self._layers),
+            [self._layers[name] for name in fused.layer_names],
+            store,
+            RecoveryReport(policy=self.policy),
+            self.protector.golden_weights,
+        )
+        # The first layer is verified here: the forward reads it at once, so
+        # waiting for the helper thread to wake would only add latency.
+        stream.verify(0, self._scratch)
+        self._verifier_jobs().put(stream)
+        for position, layer in enumerate(stream.layers):
+            layer.weight_source = functools.partial(stream.weight, position)
+        try:
+            self.model.eval()
+            logits = self.model(images)
+        finally:
+            for layer in stream.layers:
+                layer.weight_source = None
+            detection, recovery = stream.finish()
+            self.log.check_wait_seconds += stream.wait_s
             observe = getattr(self.cost_model, "observe", None)
             if observe is not None:
-                observe(self.protector.store.total_groups(), elapsed)
-        else:
-            # In auto-cadence mode each check may spend what the skipped
-            # batches saved up; the scheduler observes the measured
-            # wall-clock into the cost model itself (apply_scan).
-            pass_budget = (
-                self.check_every * self.budget_s
-                if self.auto_cadence
-                else None
+                observe(fused.total_groups, stream.kernel_s + stream.recovery_s)
+            verdict = self._record_check(
+                stream.busy_s + stream.recovery_s, detection, recovery
             )
-            detection = self.scheduler.step(self.model, budget_s=pass_budget).report
-            recovery = self.protector.recover(self.model, detection, policy=self.policy)
-            elapsed = time.perf_counter() - started
+        return logits, verdict
+
+    def _verifier_jobs(self) -> queue.SimpleQueue:
+        """The helper thread's job queue, starting the thread on first use.
+
+        The thread holds no reference to this runtime, and a finalizer
+        sends it the stop sentinel when the runtime is collected.
+        """
+        if self._jobs is None:
+            jobs: queue.SimpleQueue = queue.SimpleQueue()
+            threading.Thread(
+                target=_run_jobs, args=(jobs,), name="radar-verifier", daemon=True
+            ).start()
+            weakref.finalize(self, jobs.put, None)
+            self._jobs = jobs
+        return self._jobs
+
+    def _record_check(
+        self, elapsed: float, detection: DetectionReport, recovery: RecoveryReport
+    ) -> Tuple[bool, int, int]:
         self.log.checks += 1
         self.log.check_seconds += elapsed
         if self.auto_cadence:
@@ -216,21 +296,26 @@ class ProtectedInference:
 
     def forward(self, images: np.ndarray) -> InferenceOutcome:
         """Run one protected inference batch."""
-        attack_detected = False
-        flagged = 0
-        recovered = 0
+        verdict = (False, 0, 0)
         self._since_last_check += 1
-        if self._since_last_check >= self.check_every:
+        if self._since_last_check < self.check_every:
+            self.model.eval()
+            logits = self.model(images)
+        else:
             self._since_last_check = 0
-            attack_detected, flagged, recovered = self._check()
-            if attack_detected:
-                self.log.detections += 1
-                self.log.events.append(
-                    f"batch {self.log.batches}: {flagged} flagged groups, "
-                    f"{recovered} weights recovered"
-                )
-        self.model.eval()
-        logits = self.model(images)
+            if self.scheduler is None:
+                logits, verdict = self._streamed_forward(images)
+            else:
+                verdict = self._check()
+                self.model.eval()
+                logits = self.model(images)
+        attack_detected, flagged, recovered = verdict
+        if attack_detected:
+            self.log.detections += 1
+            self.log.events.append(
+                f"batch {self.log.batches}: {flagged} flagged groups, "
+                f"{recovered} weights recovered"
+            )
         self.log.batches += 1
         self.log.flagged_groups += flagged
         self.log.recovered_weights += recovered
@@ -301,3 +386,146 @@ class ProtectedInference:
         engine serves the per-batch check cost.
         """
         return bool(self.protector.store.fused().structured)
+
+
+def _run_jobs(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: run each submitted call's check until ``None`` arrives."""
+    while True:
+        job = jobs.get()
+        if job is None:
+            return
+        job.run()
+        del job  # hold no call's weights while idle
+
+
+class _LayerStream:
+    """One call's layer-streamed check, shared by the helper and request threads.
+
+    :meth:`run` (helper thread) verifies the fused view's layers in store
+    order with the scan kernel and dequantizes each clean layer right after
+    its verdict.  :meth:`weight` (request thread, a layer's
+    ``weight_source``) waits for that layer's verdict, recovers its flagged
+    groups, and hands the forward its weights.  :meth:`finish` settles the
+    layers the forward never read.  The helper never writes weights, and
+    recovery writes only layers whose verdict is in.
+    """
+
+    def __init__(
+        self,
+        fused: FusedSignatures,
+        plane: np.ndarray,
+        layers: List[Module],
+        store: SignatureStore,
+        recovery: RecoveryReport,
+        golden_weights: Optional[Dict[str, np.ndarray]],
+    ) -> None:
+        self.fused = fused
+        self.plane = plane
+        #: The protected layers, in store order.
+        self.layers = layers
+        self.store = store
+        self.recovery = recovery
+        self.golden_weights = golden_weights
+        count = len(layers)
+        #: Per layer: flagged local group indices, and the weights
+        #: dequantized after a clean verdict until the forward takes them.
+        self.flagged: List[np.ndarray] = [_NO_GROUPS] * count
+        self.prefetched: List[Optional[np.ndarray]] = [None] * count
+        self.settled = [False] * count
+        #: Layers with a verdict (a prefix of store order), under ``_progress``.
+        self.verified = 0
+        self.error: Optional[BaseException] = None
+        self._progress = threading.Condition()
+        #: Seconds in the kernel, in verification overall (kernel plus
+        #: prefetch dequantize), in gate-time recovery, and blocked on verdicts.
+        self.kernel_s = 0.0
+        self.busy_s = 0.0
+        self.recovery_s = 0.0
+        self.wait_s = 0.0
+
+    def verify(self, position: int, scratch: Optional[ScanScratch] = None) -> None:
+        """Verify layer ``position`` (the next in store order) and publish its verdict.
+
+        A clean layer's weights are dequantized here, right after its
+        verdict, so the forward does not have to.
+        """
+        layer = self.layers[position]
+        start, end = self.fused.row_range(self.fused.layer_names[position])
+        began = time.perf_counter()
+        rows = self.fused.verify_rows(
+            self.plane, np.arange(start, end, dtype=np.int64), scratch
+        )
+        scanned = time.perf_counter()
+        if rows.size:
+            self.flagged[position] = rows - start
+        else:
+            self.prefetched[position] = dequantize(layer.qweight, layer.quant_params)
+        self.kernel_s += scanned - began
+        self.busy_s += time.perf_counter() - began
+        with self._progress:
+            self.verified = position + 1
+            self._progress.notify_all()
+
+    def run(self) -> None:
+        """Helper thread: verify the remaining layers, never raising."""
+        try:
+            for position in range(self.verified, len(self.layers)):
+                self.verify(position)
+        except BaseException as error:  # re-raised on the request thread
+            self.error = error
+        finally:
+            with self._progress:
+                self.verified = len(self.layers)
+                self._progress.notify_all()
+
+    def weight(self, position: int) -> np.ndarray:
+        """Request thread: the verified weights of layer ``position``."""
+        if not self.settled[position]:
+            self._settle(position)
+        weight, self.prefetched[position] = self.prefetched[position], None
+        if weight is None:
+            layer = self.layers[position]
+            weight = dequantize(layer.qweight, layer.quant_params)
+        return weight
+
+    def finish(self) -> Tuple[DetectionReport, RecoveryReport]:
+        """Request thread: join the helper, drop unread weights, settle the rest."""
+        self._wait(lambda: self.verified == len(self.layers))
+        self.prefetched = [None] * len(self.layers)
+        for position, settled in enumerate(self.settled):
+            if not settled:
+                self._settle(position)
+        self.recovery.elapsed_s = self.recovery_s
+        detection = DetectionReport(
+            flagged_groups=dict(zip(self.fused.layer_names, self.flagged))
+        )
+        return detection, self.recovery
+
+    def _settle(self, position: int) -> None:
+        if self.verified <= position:
+            self._wait(lambda: self.verified > position)
+        if self.error is not None:
+            raise self.error
+        flagged = self.flagged[position]
+        if flagged.size:
+            began = time.perf_counter()
+            name = self.fused.layer_names[position]
+            recover_groups(
+                self.recovery,
+                name,
+                self.layers[position],
+                self.store,
+                flagged,
+                self.golden_weights,
+            )
+            self.recovery_s += time.perf_counter() - began
+        self.settled[position] = True
+
+    def _wait(self, ready: Callable[[], bool]) -> None:
+        began = time.perf_counter()
+        with self._progress:
+            self._progress.wait_for(ready)
+        self.wait_s += time.perf_counter() - began
+
+
+_NO_GROUPS = np.empty(0, dtype=np.int64)

@@ -893,7 +893,7 @@ class FusedSignatures:
         self._all_rows: Optional[np.ndarray] = None
         # Adoption state: the layer objects whose qweight buffers are views
         # of the plane, and those views themselves (identity-checked per
-        # scan; see _prepare_plane).
+        # scan; see prepared_plane).
         self._adopted = False
         self._plane_layers: List[Optional[Module]] = [None] * len(entries)
         self._plane_sources: List[Optional[np.ndarray]] = [None] * len(entries)
@@ -1160,8 +1160,8 @@ class FusedSignatures:
         last = bisect.bisect_right(starts, int(rows.max()), 1, inner) - 1
         return range(first, last + 1)
 
-    def _prepare_plane(
-        self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
+    def prepared_plane(
+        self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """The plane the kernel should gather from, refreshed as needed.
 
@@ -1398,7 +1398,7 @@ class FusedSignatures:
         model object every tick.  Only the *adopted* model is memoized: its
         layers are already pinned by the plane registry, so the memo adds
         no lifetime (transient foreign models stay collectable), and buffer
-        staleness is still caught per scan — :meth:`_prepare_plane`
+        staleness is still caught per scan — :meth:`prepared_plane`
         compares every layer's ``qweight`` against the registry.  A model
         whose layer *attributes* are rebound to brand-new layer objects
         must be re-adopted, the same contract the fleet engine's
@@ -1425,17 +1425,29 @@ class FusedSignatures:
         single-model path of :class:`~repro.core.runtime.ProtectedInference`
         and :meth:`~repro.core.scheduler.ScanScheduler.step`.
         """
-        layer_map = self._layer_map(model)
-        plane = self._prepare_plane(layer_map, rows)
+        plane = self.prepared_plane(self._layer_map(model), rows)
+        return self.verify_rows(plane, self._all_rows if rows is None else rows)
+
+    def verify_rows(
+        self, plane: np.ndarray, rows: np.ndarray, scratch: Optional[ScanScratch] = None
+    ) -> np.ndarray:
+        """The kernel under :meth:`mismatched_rows`, on an already prepared plane.
+
+        No module walk and no plane refresh: it only reads ``plane`` and
+        ``scratch`` (this view's own by default), so a thread may call it
+        while another runs the model (the streamed check of
+        :class:`~repro.core.runtime.ProtectedInference`).  Concurrent
+        callers must each pass their own scratch.
+        """
         return stacked_mismatched_rows(
             [plane],
             [self._kernel_indices],
             [self._kernel_signs],
             [self.golden],
-            [self._all_rows if rows is None else rows],
+            [rows],
             self.config.group_size,
             self.config.signature_bits,
-            self._scratch,
+            self._scratch if scratch is None else scratch,
             True,
             [self._structure],
         )[0]
@@ -1767,7 +1779,7 @@ class StackedVerifier:
         config = views[0].config
         return stacked_mismatched_rows(
             [
-                view._prepare_plane(layer_map, rows)
+                view.prepared_plane(layer_map, rows)
                 for view, layer_map, rows in zip(views, self.layer_maps, rows_list)
             ],
             # Read per call: share/unshare rebind a view's kernel arrays.

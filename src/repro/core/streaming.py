@@ -3,9 +3,10 @@
 The paper embeds the signature check in the inference weight-streaming loop:
 every chunk of weights fetched from DRAM is checked (and, if flagged,
 neutralized) *before* the compute engine consumes it, so a run-time attack
-never influences an output.  :class:`ProtectedInference` models that at the
-whole-model granularity the NumPy substrate offers; this module provides the
-finer-grained view for users who drive the :class:`~repro.memsim.dram.DramModule`
+never influences an output.  :class:`ProtectedInference` does that per layer
+on the model it wraps: a helper thread verifies each layer ahead of the
+forward, and each layer's first weight read waits for its own verdict.  This
+module serves users who drive the :class:`~repro.memsim.dram.DramModule`
 directly — it consumes raw int8 weight streams (one layer at a time, exactly
 what a DMA engine would deliver) without ever needing the ``Module`` object.
 """

@@ -8,8 +8,12 @@ the benchmark output can be pasted directly into EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 
 def _format_value(value) -> str:
@@ -58,6 +62,35 @@ def compare_with_paper(measured: float, paper: float, label: str) -> Dict:
         "measured": measured,
         "ratio": measured / paper if paper else float("nan"),
     }
+
+
+def host_stamp() -> Dict[str, object]:
+    """Where a timing artifact was measured: CPUs, CPU model, numpy, python.
+
+    Timings only compare between like hosts, so every non-deterministic
+    artifact records the host it ran on.
+    """
+    try:
+        available_cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        available_cpus = os.cpu_count() or 1
+    return {
+        "available_cpus": available_cpus,
+        "cpu_model": _cpu_model(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
 
 
 def save_results(

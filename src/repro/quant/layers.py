@@ -9,7 +9,7 @@ layers: the effective weight used for compute is ``int8 * scale``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,9 @@ class _QuantizedWeightMixin:
     def _init_quant_state(self) -> None:
         self.qweight: Optional[np.ndarray] = None
         self.quant_params: Optional[QuantParams] = None
+        #: Per-call override of where :meth:`effective_weight` gets its
+        #: weights; ``None`` outside a streamed protected forward.
+        self.weight_source: Optional[Callable[[], np.ndarray]] = None
 
     # -- quantization lifecycle --------------------------------------------
     @property
@@ -55,9 +58,19 @@ class _QuantizedWeightMixin:
         self.qweight = qweight.copy()
 
     def effective_weight(self) -> np.ndarray:
-        """Dequantized weight used by forward/backward once quantized."""
+        """Dequantized weight used by forward/backward once quantized.
+
+        While a :class:`~repro.core.runtime.ProtectedInference` forward runs
+        its streamed check, ``weight_source`` is that call's gate for this
+        layer: it blocks until the layer's verdict is in, recovers the
+        layer's flagged groups, and returns the weights dequantized after
+        verification (or from the recovered int8 weights) — so no weight is
+        computed with before its layer is verified.
+        """
         if self.qweight is None:
             return self.weight.data
+        if self.weight_source is not None:
+            return self.weight_source()
         return dequantize(self.qweight, self.quant_params)
 
     def weight_gradient_int(self) -> np.ndarray:

@@ -144,3 +144,21 @@ def test_promote_refuses_a_skipped_outcome(gate, tmp_path, capsys):
     assert baseline_after == baseline_before
     assert any(line.startswith("SKIPPED") for line in lines)
     assert lines[-1].startswith("not promoted")
+
+
+def test_fresh_artifact_carries_the_host_stamp(gate, tmp_path, monkeypatch):
+    """A timing artifact names its host; a deterministic one stays bare."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_EXPERIMENT_ROUNDS", "3")
+    conftest = SCRIPT.parents[1] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("bench_conftest", conftest)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.emit("timed", [{"mode": "a", "ms": 1.25}], filename="timed.json")
+    bench.emit("campaign", [{"mode": "a"}], filename="campaign.json", deterministic=True)
+    host = json.loads((tmp_path / "timed.json").read_text())["metadata"]["host"]
+    assert host["available_cpus"] >= 1
+    assert host["cpu_model"] and host["numpy"] and host["python"]
+    assert "metadata" not in json.loads((tmp_path / "campaign.json").read_text())
+    # The gate reads only the rows.
+    assert gate.load_rows(tmp_path / "timed.json", "mode") == {"a": {"mode": "a", "ms": 1.25}}
