@@ -13,9 +13,8 @@ shard slice, and on a ResNet-18 ``G = 512`` full check (the paper's
 headline configuration) — and asserts the acceptance bar: the kernel is
 at least 4× the oracle on a structured full scan and 5× on the sliced
 scan.  Timing takes
-the best of ``ATTEMPTS`` full study reruns per mode (the same defensive
-posture ``fleet_processes`` uses): one noisy block on a loaded CI host
-should not fail the floor.  ``results/scan_kernel.json`` is the committed
+the best of ``ATTEMPTS`` full study reruns per mode: one noisy block on a
+loaded CI host should not fail the floor.  ``results/scan_kernel.json`` is the committed
 baseline the CI perf gate (``scripts/check_perf_regression.py --kind
 kernel``) compares fresh runs against.
 """

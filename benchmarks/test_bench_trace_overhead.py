@@ -90,26 +90,23 @@ def test_tracing_overhead_stays_inside_budget():
     engine = _build_engine()
     baseline_samples = []
     differences = []
-    try:
-        for _ in range(3):  # warm-up: first ticks pay allocator setup
-            engine.tick(recovery_policy=RecoveryPolicy.NONE)
-        # One traced warm-up tick counts the spans a steady-state tick emits.
-        engine.tracer = tracer
+    for _ in range(3):  # warm-up: first ticks pay allocator setup
         engine.tick(recovery_policy=RecoveryPolicy.NONE)
-        spans_per_tick = len(recorder)
-        for _ in range(MEASURE_ROUNDS):
-            engine.tracer = NULL_TRACER
-            started = time.perf_counter()
-            engine.tick(recovery_policy=RecoveryPolicy.NONE)
-            null_tick_s = time.perf_counter() - started
-            engine.tracer = tracer
-            started = time.perf_counter()
-            engine.tick(recovery_policy=RecoveryPolicy.NONE)
-            traced_tick_s = time.perf_counter() - started
-            baseline_samples.append(null_tick_s)
-            differences.append(traced_tick_s - null_tick_s)
-    finally:
-        engine.close()
+    # One traced warm-up tick counts the spans a steady-state tick emits.
+    engine.tracer = tracer
+    engine.tick(recovery_policy=RecoveryPolicy.NONE)
+    spans_per_tick = len(recorder)
+    for _ in range(MEASURE_ROUNDS):
+        engine.tracer = NULL_TRACER
+        started = time.perf_counter()
+        engine.tick(recovery_policy=RecoveryPolicy.NONE)
+        null_tick_s = time.perf_counter() - started
+        engine.tracer = tracer
+        started = time.perf_counter()
+        engine.tick(recovery_policy=RecoveryPolicy.NONE)
+        traced_tick_s = time.perf_counter() - started
+        baseline_samples.append(null_tick_s)
+        differences.append(traced_tick_s - null_tick_s)
     baseline_samples.sort()
     differences.sort()
     baseline_tick_s = baseline_samples[MEASURE_ROUNDS // 2]

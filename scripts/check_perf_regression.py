@@ -9,7 +9,7 @@ before the gate trips.  Structural fields (group counts, lag bounds) must
 match exactly — a silent change there means the benchmark is no longer
 measuring the same thing.
 
-Three benchmark kinds are understood (``--kind``):
+Five benchmark kinds are understood (``--kind``):
 
 * ``scan-scheduler`` (default) — ``results/scan_scheduler.json`` from
   ``benchmarks/test_bench_scan_scheduler.py``: rows keyed by ``num_shards``,
@@ -32,26 +32,10 @@ Three benchmark kinds are understood (``--kind``):
   gather owe only the pre-structure 2x bar.  ``structured`` is also a
   structural field — the baseline losing its structure claim is itself the
   regression.
-* ``fleet-processes`` — ``results/fleet_processes.json`` from
-  ``benchmarks/test_bench_fleet_processes.py``: rows keyed by
-  ``processes``, ratio metric ``speedup_vs_single`` (process-pooled
-  shared-memory scanning vs the inline single-process tick).  Speedup is
-  only physical when the host exposes the parallelism, so rows whose
-  recorded ``available_cpus`` is below their process count skip the ratio
-  comparison, and ``--min-speedup`` (the >= 2.5x at 4 processes acceptance
-  floor) is enforced on the best multi-process row that *did* have enough
-  CPUs — a 1-core container reports the skip instead of failing.  A skip
-  is never silent: each one prints a GitHub ``::warning::`` annotation and
-  the run ends on a ``SKIPPED`` summary line instead of the pass line.  Two
-  validity checks always apply: every row must report ``oracle_match``
-  (bit-exact flagged rows vs the sequential in-process oracle) and zero
-  ``weight_bytes_copied_per_tick`` (scans gather from the shm-backed
-  plane; weights never cross the result queue).
 * ``campaign`` — ``results/campaign_sla.json`` from
-  ``benchmarks/test_bench_campaign_sla.py``, ``results/campaign_matrix.json``
-  from ``benchmarks/test_bench_campaign_matrix.py`` **and**
-  ``results/fleet_chaos.json`` from
-  ``benchmarks/test_bench_fleet_chaos.py``: rows keyed by ``case``.
+  ``benchmarks/test_bench_campaign_sla.py`` **and**
+  ``results/campaign_matrix.json`` from
+  ``benchmarks/test_bench_campaign_matrix.py``: rows keyed by ``case``.
   Milliseconds vary across hosts (committed campaign artifacts strip them
   entirely so reruns are byte-identical), so this gate is a *validity*
   gate rather than a ratio gate: every case must report a **finite** p99
@@ -59,11 +43,7 @@ Three benchmark kinds are understood (``--kind``):
   case set must match the committed baseline — a case silently
   disappearing or going undetected is the regression.  Rows that declare
   a ``p99_bound_ticks`` (the matrix cells of unbudgeted defenses) must
-  additionally stay **at or under** that bound.  Chaos rows (those that
-  declare ``faults_planned``) additionally owe fault transparency: every
-  planned fault injected, verdicts bit-identical to the sequential
-  oracle (``oracle_match``) and a self-healed pool (``pool_recovered``)
-  with zero missed injections under chaos.  When the rows carry the
+  additionally stay **at or under** that bound.  When the rows carry the
   matrix's ``adversary``/``defense`` axes, the gate also pins the
   adaptive-threat margins themselves: per cadence, the rotation tracker
   must beat the blind random attacker against the fixed rotation (mean
@@ -80,15 +60,12 @@ Three benchmark kinds are understood (``--kind``):
   structural field — quietly raising it in the benchmark without
   touching the committed baseline is caught.
 
-Exit status: 0 when no regression (the last line says ``passed``, or
-``SKIPPED`` when some check could not run here), 1 on regression or
-malformed input.
+Exit status: 0 when no regression (the last line says ``passed``), 1 on
+regression or malformed input.
 
-``--promote`` makes updating a baseline an explicit step: after a plain
-pass it copies ``--fresh`` over ``--baseline`` and prints what it wrote.
-It refuses (baseline untouched, exit 1) when the gate failed or ended on
-``SKIPPED`` — a baseline must only ever come from a run that every check
-actually judged.
+``--promote`` makes updating a baseline an explicit step: after a pass it
+copies ``--fresh`` over ``--baseline`` and prints what it wrote.  It
+refuses (baseline untouched, exit 1) when the gate failed.
 """
 
 from __future__ import annotations
@@ -128,11 +105,6 @@ GATES: Dict[str, GateSpec] = {
         ratio_metrics=("speedup",),
         structural_fields=("groups", "rows_per_pass", "num_shards", "structured"),
     ),
-    "fleet-processes": GateSpec(
-        key_field="processes",
-        ratio_metrics=("speedup_vs_single",),
-        structural_fields=("num_models", "groups_per_tick"),
-    ),
     "trace-overhead": GateSpec(
         key_field="mode",
         ratio_metrics=(),
@@ -162,7 +134,7 @@ CAMPAIGN_OPTIONAL_FINITE_METRICS = ("p99_detection_ms",)
 
 #: Matrix-axis fields that must additionally match structurally when the
 #: campaign rows carry them (the matrix artifact does, the scenario
-#: artifact does not; the chaos artifact carries the seed/scale fields).
+#: artifact does not).
 CAMPAIGN_MATRIX_STRUCTURAL = (
     "adversary",
     "defense",
@@ -171,8 +143,6 @@ CAMPAIGN_MATRIX_STRUCTURAL = (
     "passes",
     "seed",
     "ticks",
-    "processes",
-    "faults_planned",
 )
 
 #: Rows at or above this fleet size count toward ``--min-speedup``.
@@ -210,33 +180,6 @@ def check_campaign_row(key: str, fresh_row: dict, failures: list) -> None:
         failures.append(
             f"case={key}: {missed} injected attack(s) were never detected"
         )
-    # Chaos-campaign rows (``results/fleet_chaos.json``) additionally claim
-    # fault transparency: every planned fault injected (the supervision
-    # path was actually exercised, not silently skipped), verdicts
-    # bit-identical to the inline oracle, and the pool self-healed.
-    if "faults_planned" in fresh_row:
-        planned = fresh_row.get("faults_planned")
-        injected = fresh_row.get("faults_injected")
-        if not isinstance(planned, int) or planned < 1:
-            failures.append(
-                f"case={key}: chaos scenario planned {planned!r} faults "
-                "(a chaos case must inject at least one)"
-            )
-        elif injected != planned:
-            failures.append(
-                f"case={key}: only {injected!r} of {planned} planned faults "
-                "fired (the fault plan no longer covers the run's tasks)"
-            )
-        if not fresh_row.get("oracle_match"):
-            failures.append(
-                f"case={key}: verdicts diverged from the sequential oracle "
-                "under fault injection"
-            )
-        if not fresh_row.get("pool_recovered"):
-            failures.append(
-                f"case={key}: the scan pool did not self-heal "
-                "(engine finished degraded or poolless)"
-            )
     bound = fresh_row.get("p99_bound_ticks")
     p99 = fresh_row.get("p99_detection_ticks")
     if (
@@ -260,7 +203,7 @@ def check_matrix_margins(fresh: dict, failures: list) -> None:
     """Cross-cell adaptive-threat margins (matrix artifacts only).
 
     Pins the PR's two headline claims per cadence that has the cells:
-    the rotation tracker *degrades* the fixed rotation (strictly worse
+    the rotation tracker *defeats* the fixed rotation (strictly worse
     mean latency than a schedule-blind random attacker, p99 saturating
     the worst-case bound), and the jittered planner *restores* slack
     (tracker p99 strictly inside the jittered bound, a strictly smaller
@@ -283,7 +226,7 @@ def check_matrix_margins(fresh: dict, failures: list) -> None:
             random_mean = random_fixed["mean_detection_ticks"]
             if not tracker_mean > random_mean:
                 failures.append(
-                    f"cadence={cadence}: rotation tracker no longer degrades the "
+                    f"cadence={cadence}: rotation tracker no longer defeats the "
                     f"fixed rotation (tracker mean {tracker_mean} ticks vs random "
                     f"{random_mean} ticks) — the adaptive exploit went stale"
                 )
@@ -336,30 +279,31 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None,
-        help="absolute speedup floor: fleet = best >= 4-model row must clear "
-        "it; kernel = every row (full AND slice) must clear it, with "
-        "unstructured rows owing only the pre-structure 2x bar",
+        help="absolute speedup floor, --kind fleet and kernel only: fleet = "
+        "the best >= 4-model row must clear it; kernel = every row (full "
+        "AND slice) must clear it, with unstructured rows owing only the "
+        "pre-structure 2x bar",
     )
     parser.add_argument(
         "--promote", action="store_true",
-        help="on a plain pass, copy --fresh over --baseline; refused "
-        "(exit 1) on a failure or a SKIPPED outcome",
+        help="on a pass, copy --fresh over --baseline; refused (exit 1) "
+        "on a failure",
     )
     args = parser.parse_args(argv)
 
-    outcome = run_gate(args)
+    passed = run_gate(args)
     if not args.promote:
-        return 0 if outcome in ("passed", "skipped") else 1
-    if outcome != "passed":
-        print(f"not promoted: the gate {outcome}; {args.baseline} is unchanged")
+        return 0 if passed else 1
+    if not passed:
+        print(f"not promoted: the gate failed; {args.baseline} is unchanged")
         return 1
     shutil.copyfile(args.fresh, args.baseline)
     print(f"promoted {args.fresh} -> {args.baseline}")
     return 0
 
 
-def run_gate(args) -> str:
-    """Run the gate and print its report; returns ``passed``, ``skipped`` or ``failed``."""
+def run_gate(args) -> bool:
+    """Run the gate and print its report; returns whether it passed."""
     spec = GATES[args.kind]
     baseline = load_rows(args.baseline, spec.key_field)
     fresh = load_rows(args.fresh, spec.key_field)
@@ -368,10 +312,9 @@ def run_gate(args) -> str:
             f"REGRESSION GATE: {spec.key_field} values differ — "
             f"baseline {sorted(baseline)}, fresh {sorted(fresh)}"
         )
-        return "failed"
+        return False
 
     failures = []
-    skipped = []
     for key, base_row in sorted(baseline.items()):
         fresh_row = fresh[key]
         for metric in spec.structural_fields:
@@ -380,27 +323,7 @@ def run_gate(args) -> str:
                     f"{spec.key_field}={key}: {metric} changed "
                     f"{base_row[metric]} -> {fresh_row[metric]}"
                 )
-        ratio_metrics = spec.ratio_metrics
-        if args.kind == "fleet-processes":
-            if not fresh_row.get("oracle_match", False):
-                failures.append(
-                    f"{spec.key_field}={key}: scan results diverged from the "
-                    "sequential in-process oracle"
-                )
-            copied = fresh_row.get("weight_bytes_copied_per_tick", 0)
-            if copied:
-                failures.append(
-                    f"{spec.key_field}={key}: {copied} weight bytes copied per "
-                    "steady-state tick (the plane must stay shm-backed)"
-                )
-            cpus = fresh_row.get("available_cpus", 0)
-            if isinstance(key, int) and key > 1 and cpus < key:
-                skipped.append(
-                    f"{spec.key_field}={key}: host exposes only {cpus} CPU(s); "
-                    "speedup ratio not comparable, skipped"
-                )
-                ratio_metrics = ()
-        for metric in ratio_metrics:
+        for metric in spec.ratio_metrics:
             floor = base_row[metric] * (1.0 - args.tolerance)
             if fresh_row[metric] < floor:
                 failures.append(
@@ -438,12 +361,12 @@ def run_gate(args) -> str:
                     )
             check_campaign_row(key, fresh_row, failures)
             continue
-        if ratio_metrics:
+        if spec.ratio_metrics:
             print(
                 f"{spec.key_field}={key}: "
                 + ", ".join(
                     f"{metric} {fresh_row[metric]:.2f}x (baseline {base_row[metric]:.2f}x)"
-                    for metric in ratio_metrics
+                    for metric in spec.ratio_metrics
                 )
             )
 
@@ -478,48 +401,6 @@ def run_gate(args) -> str:
                         f"{best_row['speedup']:.2f}x "
                         f"({spec.key_field}={best_key}) >= {args.min_speedup:.2f}x"
                     )
-        elif args.kind == "fleet-processes":
-            # Process-scaling floor: the best multi-process row measured on a
-            # host with enough CPUs for its process count must clear it.  A
-            # host without that parallelism cannot hold the floor either way,
-            # so it reports the skip (CI runners have the cores; dev
-            # containers often do not).
-            multi = {
-                key: row
-                for key, row in fresh.items()
-                if isinstance(key, int) and key > 1
-            }
-            eligible = {
-                key: row
-                for key, row in multi.items()
-                if row.get("available_cpus", 0) >= key
-            }
-            if not multi:
-                failures.append(
-                    f"no multi-process rows to hold the {args.min_speedup:.2f}x floor"
-                )
-            elif not eligible:
-                cpus = max(row.get("available_cpus", 0) for row in multi.values())
-                skipped.append(
-                    f"acceptance floor skipped: host exposes only {cpus} CPU(s), "
-                    "no row had the parallelism its process count needs"
-                )
-            else:
-                best_key, best_row = max(
-                    eligible.items(), key=lambda item: item[1]["speedup_vs_single"]
-                )
-                if best_row["speedup_vs_single"] < args.min_speedup:
-                    failures.append(
-                        f"best process-pool speedup {best_row['speedup_vs_single']:.2f}x "
-                        f"({spec.key_field}={best_key}) is below the "
-                        f"{args.min_speedup:.2f}x acceptance floor"
-                    )
-                else:
-                    print(
-                        f"acceptance floor: best process-pool speedup "
-                        f"{best_row['speedup_vs_single']:.2f}x "
-                        f"({spec.key_field}={best_key}) >= {args.min_speedup:.2f}x"
-                    )
         elif args.kind == "kernel":
             # Kernel floor: every mode (full scan AND scheduler slice) must
             # clear it — the acceptance bar is not mode-averaged.  The full
@@ -547,25 +428,17 @@ def run_gate(args) -> str:
         else:
             print(
                 "REGRESSION GATE: --min-speedup only applies to "
-                "--kind fleet, --kind kernel or --kind fleet-processes"
+                "--kind fleet or --kind kernel"
             )
-            return "failed"
+            return False
 
-    for skip in skipped:
-        print(f"::warning title=perf gate skipped a check::{skip}")
     if failures:
         print("\nREGRESSION GATE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
-        return "failed"
-    if skipped:
-        print(
-            f"\nSKIPPED: {len(skipped)} check(s) could not run on this host; "
-            "the gate neither passed nor failed them"
-        )
-        return "skipped"
+        return False
     print(f"\nregression gate passed (tolerance {args.tolerance:.0%})")
-    return "passed"
+    return True
 
 
 if __name__ == "__main__":

@@ -1,23 +1,22 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the observability HTTP surface.
 
-Launches ``repro-radar serve-demo`` as a real subprocess with the process
-scan pool, seeded chaos, an ephemeral ``--http-port`` and a trace
-directory, then — while the demo lingers — exercises the surface the way
-a scraper would:
+Launches ``repro-radar serve-demo`` as a real subprocess (an attacked,
+budgeted fleet whose ticks run inline) with an ephemeral ``--http-port``
+and a trace directory, then — while the demo lingers — exercises the
+surface the way a scraper would:
 
-1. poll ``/healthz`` until it answers 200 with ``status: ok|degraded``;
+1. poll ``/healthz`` until it answers 200 with ``status: ok``;
 2. fetch ``/metrics`` and parse it with the repo's *strict* Prometheus
    text-format 0.0.4 parser (:func:`repro.telemetry.exposition.parse_prometheus`);
 3. assert the metric families the dashboards key on are present:
-   detection latency, budget utilization, tick duration and every
-   ``fleet_*_total`` supervision counter;
-4. cross-check ``/fault-stats`` (the engine's own JSON counters) against
-   the ``fleet_*_total`` values on ``/metrics`` — the two surfaces must
-   tell one story;
-5. fetch ``/trace`` and verify every span's parent resolves (no orphans);
-6. wait for the demo to exit cleanly and confirm the JSONL trace export
-   landed on disk.
+   detection latency, budget utilization, tick duration, the tick
+   counter and the lifecycle event counter;
+4. fetch ``/trace``, verify every span's parent resolves (no orphans) and
+   that the tick stages ``engine.tick``, ``tick.plan`` and
+   ``scan.kernel`` are all recorded;
+5. wait for the demo to exit cleanly and run the same checks strictly on
+   the JSONL trace export it wrote.
 
 Exit status 0 on success; any failure prints the reason and exits 1.
 Used by the ``observability-smoke`` CI job; runs locally the same way:
@@ -41,7 +40,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.telemetry.exposition import find_sample, parse_prometheus  # noqa: E402
+from repro.telemetry.exposition import parse_prometheus  # noqa: E402
 
 #: Metric families that must be present and parseable on /metrics.
 REQUIRED_FAMILIES = (
@@ -50,19 +49,10 @@ REQUIRED_FAMILIES = (
     "tick_duration_s",
     "ticks_total",
     "fleet_events_total",
-    "fleet_worker_restarts_total",
-    "fleet_task_retries_total",
-    "fleet_faults_injected_total",
 )
 
-#: /fault-stats keys cross-checked against their fleet_*_total counters.
-CROSS_CHECKED_STATS = (
-    "worker_restarts",
-    "task_retries",
-    "tasks_quarantined",
-    "faults_injected",
-    "worker_errors",
-)
+#: Span names every trace of an engine tick must contain.
+REQUIRED_SPANS = ("engine.tick", "tick.plan", "scan.kernel")
 
 LINGER_S = 20.0
 
@@ -91,6 +81,13 @@ def poll(url: str, deadline_s: float, what: str) -> str:
     fail(f"{what} never became ready: {last_error}")
 
 
+def require_spans(spans: list, source: str) -> None:
+    names = {span.get("name") for span in spans}
+    missing = [name for name in REQUIRED_SPANS if name not in names]
+    if missing:
+        fail(f"{source} has no {missing} spans (names: {sorted(names)})")
+
+
 def main() -> int:
     trace_dir = Path(tempfile.mkdtemp(prefix="repro-http-smoke-"))
     command = [
@@ -100,10 +97,6 @@ def main() -> int:
         "serve-demo",
         "--models",
         "3",
-        "--processes",
-        "2",
-        "--chaos-seed",
-        "20",
         "--passes",
         "24",
         "--budget-ms",
@@ -112,8 +105,6 @@ def main() -> int:
         "0",
         "--trace-dir",
         str(trace_dir),
-        "--report-every",
-        "12",
         "--linger-s",
         f"{LINGER_S:g}",
     ]
@@ -151,8 +142,8 @@ def main() -> int:
         poll(f"{url}/healthz", deadline, "/healthz")
         print("healthz: ok")
 
-        # The fleet_* counters appear after the first tick's fault-stats
-        # mirror; poll until the full family set is scrapeable.
+        # Detection latency appears once the attack is caught; poll until
+        # the full family set is scrapeable.
         parsed = None
         missing = list(REQUIRED_FAMILIES)
         while time.monotonic() < deadline:
@@ -179,23 +170,6 @@ def main() -> int:
             f"metrics: strict parse ok, {len(parsed['families'])} families, "
             f"all {len(REQUIRED_FAMILIES)} required present"
         )
-
-        status, stats_body = fetch(f"{url}/fault-stats")
-        if status != 200:
-            fail(f"/fault-stats answered HTTP {status}")
-        stats = json.loads(stats_body)
-        for key in CROSS_CHECKED_STATS:
-            engine_value = float(stats.get(key, 0))
-            value = find_sample(parsed, f"fleet_{key}_total")
-            if value is None:
-                fail(f"/metrics has no sample for fleet_{key}_total")
-            # The scrape may be one tick behind the live JSON counters.
-            if value > engine_value:
-                fail(
-                    f"fleet_{key}_total={value} on /metrics exceeds "
-                    f"the engine's own {key}={engine_value}"
-                )
-        print(f"fault-stats: consistent with /metrics ({dict(stats)})")
 
         status, trace_body = fetch(f"{url}/trace")
         if status != 200:
@@ -226,12 +200,10 @@ def main() -> int:
                 f"/trace has {len(orphans)} orphaned span(s) in complete "
                 f"traces: {sorted({span['name'] for span in orphans})}"
             )
-        sites = {span.get("site") for span in spans}
-        if not any(site and site.startswith("process-") for site in sites):
-            fail(f"no worker-side spans in the trace (sites: {sorted(sites)})")
+        require_spans(spans, "/trace")
         print(
             f"trace: {len(spans)} spans ({len(complete)} complete ticks), "
-            f"no orphans, sites {sorted(sites)}"
+            "no orphans"
         )
 
         remainder = process.communicate(timeout=LINGER_S + 60.0)[0]
@@ -242,8 +214,12 @@ def main() -> int:
         export = trace_dir / "trace.jsonl"
         if not export.exists() or not export.read_text().strip():
             fail(f"trace export missing or empty: {export}")
-        # Strict orphan check on the finished export: every worker scan,
-        # retry and quarantine span must chain back to its tick span.
+        require_spans(
+            [json.loads(line) for line in export.read_text().splitlines() if line],
+            str(export),
+        )
+        # Strict orphan check on the finished export: every stage span must
+        # chain back to its tick span.
         analysis = subprocess.run(
             [
                 sys.executable,

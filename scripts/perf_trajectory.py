@@ -3,7 +3,7 @@
 
 Each perf-optimization PR leaves a committed baseline artifact under
 ``results/`` with one or more ``*speedup*`` ratio columns (scan scheduler,
-fleet engine, process pool, scan kernel, narrow accumulation).  This
+fleet engine, scan kernel, narrow accumulation).  This
 script concatenates them into one table so a CI log — or a human skimming
 it — sees the whole performance envelope at a glance, without opening
 five JSON files.
@@ -25,7 +25,6 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 KEY_FIELDS = (
     "mode",
     "num_models",
-    "processes",
     "num_shards",
     "model",
     "structured",

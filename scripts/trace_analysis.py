@@ -6,11 +6,11 @@ Reads the span stream ``serve-demo --trace-dir`` (or
 
 * a per-stage latency table — count, total, mean and nearest-rank
   p50/p95/p99 per span name (``engine.tick``, ``tick.plan``,
-  ``scan.task``, ``worker.scan``, ...);
+  ``tick.assemble``, ``scan.kernel``, ...);
 * a critical-path breakdown — each stage's share of total ``engine.tick``
   wall-clock, so "where does a tick go?" has a one-table answer;
 * an orphan check — every span's ``parent_id`` must resolve within its
-  trace (the cross-process propagation invariant).  ``--strict`` turns
+  trace (every stage chains back to its tick).  ``--strict`` turns
   orphans into exit code 1.
 
 The percentile formula is *identical* to
@@ -35,14 +35,10 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 #: Stages that are children of one tick and sum (roughly) to its duration.
-#: ``worker.scan`` is excluded: it overlaps ``scan.task`` (the coordinator
-#: span that contains the worker's execution), so counting both would
-#: double-bill the process path.
 TICK_STAGES = (
     "tick.plan",
     "tick.assemble",
     "scan.kernel",
-    "scan.task",
     "tick.verdict",
     "lifecycle.transition",
 )

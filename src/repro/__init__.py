@@ -13,7 +13,7 @@ and Chakrabarti.  The package provides:
   amortized scan scheduler and multi-model protection service;
 * ``repro.telemetry`` — fleet SLA metrics (detection-latency percentiles),
   durable persistence of calibrated state across restarts, span tracing
-  across the process pool, Prometheus text exposition and the read-only
+  of the engine tick, Prometheus text exposition and the read-only
   observability HTTP surface;
 * ``repro.baselines`` — CRC / Hamming / parity comparison codes;
 * ``repro.memsim`` — DRAM, rowhammer and timing simulation;

@@ -242,7 +242,7 @@ class RotationTracker(AdaptiveAdversary):
     detection latency equals the worst-case bound on every salvo.  Against
     :class:`~repro.core.planner.JitteredPlanner` the prediction carries no
     information — the targeted shard's next scan is uniform over the next
-    epoch — and the tracker degrades to the random attacker's expectation.
+    epoch — and the tracker falls back to the random attacker's expectation.
     """
 
     kind = "rotation"

@@ -1,7 +1,7 @@
 """Random bit-flip attack (the weak baseline the paper dismisses).
 
 The paper argues that random flips are "too weak to be considered as an
-attack": 100 random flips degrade accuracy by less than 1 %.  The class is
+attack": 100 random flips cost less than 1 % accuracy.  The class is
 still useful for two purposes in this reproduction:
 
 * reproducing that claim (sanity benchmark);

@@ -23,9 +23,11 @@ Three subcommands drive the run-time protection machinery directly:
 * ``serve-demo`` — a self-contained fleet-engine demo: several small models
   served together, one attacked mid-rotation, detected, repaired *and
   re-signed* automatically by the engine's
-  detect → recover → reprotect lifecycle.  ``--workers`` sizes the engine's
-  batch worker pool and ``--events`` prints the engine's event stream
-  (detection / recovery / reprotect / budget_exhausted).
+  detect → recover → reprotect lifecycle.  ``--events`` prints the
+  engine's event stream (detection / recovery / reprotect /
+  budget_exhausted), ``--http-port`` serves ``/metrics``, ``/healthz``
+  and ``/trace`` while it runs, and ``--trace-dir`` exports the tick
+  spans as JSONL.
 
 All three accept ``--budget-ms``: instead of fixing the shard structure, the
 slice each pass verifies is sized from a latency budget by the analytic scan
@@ -102,39 +104,6 @@ def _announce_restore(engine, restore: Optional[Dict]) -> None:
         print(f"  partial restore: {note}")
     for name in restore["skipped"]:
         print(f"  persisted model {name!r} is not registered; skipped")
-
-
-def _resolve_parallelism(args: argparse.Namespace) -> Optional[Dict[str, int]]:
-    """Validated ``{"workers": W, "processes": P}`` for engine commands.
-
-    Returns ``None`` (caller exits 2) when ``--workers`` and ``--processes``
-    are both raised — the engine refuses that combination too, but the CLI
-    catches it before any model is loaded.  When ``--processes`` is raised
-    on a platform without ``multiprocessing.shared_memory``, degrades to
-    the same count of worker *threads* with a warning instead of failing.
-    """
-    workers = getattr(args, "workers", 1)
-    processes = getattr(args, "processes", 1)
-    if workers > 1 and processes > 1:
-        print(
-            "error: --workers and --processes are mutually exclusive; pick "
-            "thread-pooled scanning (--workers N) or process-pooled "
-            "scanning over shared-memory planes (--processes N)",
-            file=sys.stderr,
-        )
-        return None
-    if processes > 1:
-        from repro.core import shared_memory_available
-
-        if not shared_memory_available():
-            print(
-                "warning: multiprocessing.shared_memory is unavailable on "
-                f"this platform; degrading --processes {processes} to "
-                f"{processes} worker threads",
-                file=sys.stderr,
-            )
-            workers, processes = processes, 1
-    return {"workers": workers, "processes": processes}
 
 
 def _default_group_sizes(setup: str) -> Sequence[int]:
@@ -426,9 +395,6 @@ def _cmd_scan_all(args: argparse.Namespace) -> int:
     from repro.experiments.common import ExperimentContext
     from repro.models.zoo import ModelZoo, available_setups
 
-    parallelism = _resolve_parallelism(args)
-    if parallelism is None:
-        return 2
     zoo = ModelZoo()
     setups = [args.setup] + [
         setup
@@ -440,7 +406,6 @@ def _cmd_scan_all(args: argparse.Namespace) -> int:
         policy=ScanPolicy(args.scan_policy),
         shards_per_pass=args.shards_per_pass,
         budget_s=args.budget_ms / 1e3 if args.budget_ms is not None else None,
-        **parallelism,
     )
     contexts = {}
     for setup in setups:
@@ -521,7 +486,6 @@ def _cmd_scan_all(args: argparse.Namespace) -> int:
                 f"attack on {args.setup} injected before pass {args.inject_at_pass + 1}, "
                 f"detected, recovered and re-signed at pass {detected_at}"
             )
-    engine.close()
     return 0
 
 
@@ -618,39 +582,10 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     from repro.models.small import MLP
     from repro.quant.layers import quantize_model
 
-    parallelism = _resolve_parallelism(args)
-    if parallelism is None:
-        return 2
     config = RadarConfig(
         group_size=args.group_size if args.group_size is not None else 16,
         signature_bits=args.signature_bits,
     )
-    fault_plan = None
-    if args.chaos_seed is not None:
-        if parallelism.get("processes", 1) > 1:
-            from repro.core import FaultPlan
-
-            # One scan task per process per tick (the engine splits each
-            # tick's batch across the pool), so this covers the full run.
-            fault_plan = FaultPlan.seeded(
-                args.chaos_seed,
-                num_tasks=args.passes * parallelism["processes"],
-                kill_rate=0.15,
-                delay_rate=0.15,
-                drop_rate=0.1,
-                max_delay_s=0.01,
-            )
-            print(
-                f"chaos: seeded fault plan ({len(fault_plan)} injections over "
-                f"{args.passes * parallelism['processes']} scan tasks, "
-                f"seed={args.chaos_seed})"
-            )
-        else:
-            print(
-                "warning: --chaos-seed only injects faults into the process "
-                "scan pool; ignored without --processes > 1",
-                file=sys.stderr,
-            )
     engine = VerificationEngine(
         config,
         num_shards=args.num_shards,
@@ -659,8 +594,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         budget_s=args.budget_ms / 1e3 if args.budget_ms is not None else None,
         recovery_policy=RecoveryPolicy.RELOAD,
         auto_reprotect=True,
-        fault_plan=fault_plan,
-        **parallelism,
     )
     for index in range(args.models):
         model = MLP(
@@ -687,10 +620,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         from repro.telemetry.trace import FlightRecorder, SpanTracer
 
         args.trace_dir.mkdir(parents=True, exist_ok=True)
-        # auto_dump_dir makes the engine's DEGRADED transition dump the
-        # flight recorder unprompted — the trace that explains the
-        # degradation is on disk before anyone asks for it.
-        recorder = FlightRecorder(auto_dump_dir=args.trace_dir)
+        recorder = FlightRecorder()
         engine.tracer = SpanTracer(recorder=recorder)
     server = None
     if args.http_port is not None:
@@ -708,16 +638,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         from repro.telemetry.store import StateStore
 
         state_store = StateStore(args.state_dir)
-        # Reap shared-memory segments leaked by a previous coordinator that
-        # died without unlinking them, then register this run's segments so
-        # the *next* restart can do the same for us.
-        reaped = state_store.reap_orphan_segments()
-        if reaped:
-            print(
-                f"reaped {len(reaped)} orphaned shared-memory segment(s) "
-                "left by a dead coordinator"
-            )
-        engine.segment_registry = state_store.segment_registry()
         _announce_restore(engine, state_store.restore_engine(engine))
         if state_store.restore_telemetry(telemetry):
             # Histogram windows merge (persisted samples first), so the
@@ -754,23 +674,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             if outcome.budget_s is not None:
                 row["budget_share_ms"] = round(outcome.budget_s * 1e3, 6)
             rows.append(row)
-        if (
-            args.report_every is not None
-            and (pass_index + 1) % args.report_every == 0
-        ):
-            fault = telemetry.fault_report()
-            live = ", ".join(
-                f"{key}={value}" for key, value in sorted(fault.items()) if value
-            )
-            print(f"[pass {pass_index + 1}] fault report: {live or 'clean'}")
-            worker_rows = telemetry.worker_report()
-            if worker_rows:
-                print(
-                    reporting.render_table(
-                        worker_rows,
-                        title=f"Worker load after pass {pass_index + 1}",
-                    )
-                )
     _emit(rows, f"Serving timeline ({args.models} models, {args.num_shards} shards)", args.output)
     if args.events:
         event_rows = [
@@ -795,23 +698,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             f"(exposure window: {detected_at - args.attack_at_pass - 1} passes; "
             "re-signed by the engine)"
         )
-    if parallelism.get("processes", 1) > 1:
-        stats = engine.fault_stats()
-        interesting = {
-            key: value
-            for key, value in stats.items()
-            if key != "degraded" and value
-        }
-        if interesting or fault_plan is not None:
-            summary = ", ".join(
-                f"{key}={value}" for key, value in sorted(interesting.items())
-            )
-            print(f"scan pool resilience: {summary or 'no faults observed'}")
-        if stats.get("degraded"):
-            print(
-                "scan pool finished DEGRADED (in-process scanning); it will "
-                "re-probe the pool after a healthy window"
-            )
     if state_store is not None:
         print(f"engine state persisted to {state_store.save_engine(engine)}")
         print(f"telemetry metrics persisted to {state_store.save_telemetry(telemetry)}")
@@ -840,7 +726,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             f"trace exported: {len(recorder)} span(s) -> {trace_path} "
             f"(analyze with scripts/trace_analysis.py)"
         )
-    engine.close()
     return 0
 
 
@@ -1094,17 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument(
         "--all", action="store_true",
         help="scan every cached model-zoo setup (plus --setup) as one fleet "
-        "through the verification engine",
-    )
-    scan_parser.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="with --all: worker threads for the engine's batched passes "
-        "(mutually exclusive with --processes)",
-    )
-    scan_parser.add_argument(
-        "--processes", type=_positive_int, default=1,
-        help="with --all: scan worker processes attached read-only to "
-        "shared-memory weight planes (mutually exclusive with --workers)",
+        "through the verification engine (each tick runs inline)",
     )
     scan_parser.set_defaults(handler=_cmd_scan)
 
@@ -1134,17 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         "by exposure and flagged history",
     )
     serve_parser.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="worker threads for the engine's batched verification passes "
-        "(mutually exclusive with --processes)",
-    )
-    serve_parser.add_argument(
-        "--processes", type=_positive_int, default=1,
-        help="scan worker processes attached read-only to shared-memory "
-        "weight planes (mutually exclusive with --workers; falls back to "
-        "threads where shared memory is unavailable)",
-    )
-    serve_parser.add_argument(
         "--events", action="store_true",
         help="print the engine's event stream (detection / recovery / "
         "reprotect / budget_exhausted) after the timeline",
@@ -1152,31 +1016,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--state-dir", type=Path, default=None,
         help="persist and resume the engine's learned state (calibrated "
-        "cost models, planner flip rates, scheduler counters) across runs; "
-        "also reaps shared-memory segments orphaned by a dead coordinator",
-    )
-    serve_parser.add_argument(
-        "--chaos-seed", type=int, default=None,
-        help="seed a deterministic fault plan against the process scan pool "
-        "(worker kills, delays, dropped results); requires --processes > 1. "
-        "Verdicts stay bit-identical; the pool self-heals",
+        "cost models, planner flip rates, scheduler counters) across runs",
     )
     serve_parser.add_argument(
         "--http-port", type=int, default=None,
         help="serve the observability surface (/metrics Prometheus text, "
-        "/healthz, /fault-stats, /trace) on 127.0.0.1; 0 picks an "
+        "/healthz, /trace) on 127.0.0.1; 0 picks an "
         "ephemeral port and prints it",
     )
     serve_parser.add_argument(
         "--trace-dir", type=Path, default=None,
         help="enable span tracing of every engine tick; the full trace is "
-        "exported as JSONL here at the end of the run, and dumped "
-        "automatically if the scan pool degrades",
-    )
-    serve_parser.add_argument(
-        "--report-every", type=_positive_int, default=None,
-        help="print the live fault report and per-worker load table every "
-        "N passes",
+        "exported as JSONL here at the end of the run",
     )
     serve_parser.add_argument(
         "--linger-s", type=_positive_float, default=None,

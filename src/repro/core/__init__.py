@@ -64,28 +64,15 @@ from repro.core.interleave import GroupLayout
 from repro.core.masking import SecretKey
 from repro.core.checksum import compute_group_sums, signature_from_sums
 from repro.core.signature import (
-    AttachedModelPlane,
     FusedSignatures,
     LayerSignatures,
     ScanScratch,
-    SharedPlaneSpec,
-    SharedSegmentSpec,
     SignatureStore,
     batched_mismatched_rows,
-    shared_memory_available,
     split_by_padding_waste,
     stacked_mismatched_rows,
 )
 from repro.core.detector import DetectionReport, RadarDetector, count_detected_flips
-from repro.core.procpool import (
-    FaultInjection,
-    FaultKind,
-    FaultPlan,
-    ProcessScanPool,
-    ScanTask,
-    ScanTaskItem,
-    ScanTaskResult,
-)
 from repro.core.recovery import RecoveryPolicy, RecoveryReport, recover_model
 from repro.core.scheduler import (
     ScanPassResult,
@@ -97,7 +84,6 @@ from repro.core.scheduler import (
 from repro.core.protector import ModelProtector, ProtectionSummary
 from repro.core.runtime import InferenceOutcome, ProtectedInference
 from repro.core.fleet import (
-    FLEET_SCOPE,
     EngineTickOutcome,
     EventBus,
     FleetEvent,
@@ -134,17 +120,6 @@ __all__ = [
     "batched_mismatched_rows",
     "stacked_mismatched_rows",
     "split_by_padding_waste",
-    "shared_memory_available",
-    "SharedSegmentSpec",
-    "SharedPlaneSpec",
-    "AttachedModelPlane",
-    "ProcessScanPool",
-    "ScanTask",
-    "ScanTaskItem",
-    "ScanTaskResult",
-    "FaultKind",
-    "FaultInjection",
-    "FaultPlan",
     "RadarDetector",
     "DetectionReport",
     "count_detected_flips",
@@ -167,7 +142,6 @@ __all__ = [
     "ProtectionState",
     "FleetEvent",
     "FleetEventType",
-    "FLEET_SCOPE",
     "EventBus",
     "EngineTickOutcome",
     "StreamingVerifier",

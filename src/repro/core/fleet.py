@@ -26,24 +26,13 @@ work queue of scan slices drawn from all registered models:
   workspaces come from engine-owned per-bucket
   :class:`~repro.core.signature.ScanScratch` buffers reused across ticks —
   the steady-state tick moves no weight bytes beyond the gather itself.
-* **Worker pool** — independent kernel buckets (fleets mixing group sizes
-  or signature widths produce several) can run on a small thread pool
-  (``workers > 1``); the stacked NumPy kernels release the GIL, and all
-  scheduler bookkeeping (and each bucket's scratch) stays confined to one
-  batch, so no engine state is shared across threads.
-* **Process pool** — thread-pooled scanning is still GIL-bound between the
-  kernels, so ``processes > 1`` instead publishes every model's plane (plus
-  gather-index, sign and golden matrices) into
-  ``multiprocessing.shared_memory`` segments
-  (:meth:`~repro.core.signature.FusedSignatures.share`) and runs the
-  bucketed stacked passes in worker processes
-  (:class:`~repro.core.procpool.ProcessScanPool`).  Workers attach
-  read-only and ship back only mismatched-row indices; the coordinator
-  keeps lifecycle, recovery, re-sign, telemetry and every plane mutation.
-  A re-sign republishes the model's segments under a bumped generation
-  counter and unlinks the old ones, so stale workers re-attach by (new)
-  name on their next task.  ``workers`` and ``processes`` are mutually
-  exclusive.
+* **Inline execution** — every tick runs its buckets one after another on
+  the calling thread.  Thread and process pools over the buckets were
+  measured on a 2-CPU host and never showed a win worth their code (see
+  ``docs/architecture.md``), so the engine starts no threads and no
+  processes; the one place a second core pays in this repo is
+  :class:`~repro.core.runtime.ProtectedInference`'s verifier thread,
+  which overlaps verification with the forward.
 * **Lifecycle state machine** — each model carries a
   :class:`ProtectionState`::
 
@@ -71,10 +60,8 @@ engine, preserving the PR 1–2 API (detect-only ``step``, caller-driven
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -84,23 +71,15 @@ import numpy as np
 from repro.core.config import RadarConfig
 from repro.core.cost import AnalyticScanCostModel, ScanCostModel
 from repro.core.detector import DetectionReport
-from repro.core.procpool import (
-    FaultPlan,
-    ProcessScanPool,
-    ScanTask,
-    ScanTaskItem,
-)
 from repro.core.protector import ModelProtector
 from repro.core.recovery import RecoveryPolicy, RecoveryReport
 from repro.core.scheduler import ScanPassResult, ScanPolicy, ScanScheduler
 from repro.core.signature import (
     ScanScratch,
-    SharedPlaneSpec,
     StackedVerifier,
     # Not called by the engine; bound here because the benchmark's traced
     # run wraps this module's name (radarbench/spans.py).
     batched_mismatched_rows,  # noqa: F401
-    shared_memory_available,
     split_by_padding_waste,
 )
 from repro.errors import ProtectionError
@@ -125,17 +104,6 @@ class FleetEventType(str, Enum):
     RECOVERY = "recovery"
     REPROTECT = "reprotect"
     BUDGET_EXHAUSTED = "budget_exhausted"
-    #: The process pool failed repeatedly; scans fell back to the
-    #: in-process path (emitted with the fleet-scope pseudo-model).
-    DEGRADED = "degraded"
-    #: A healthy degraded window elapsed; process scanning resumed.
-    RESTORED = "restored"
-
-
-#: Pseudo-model name fleet-scope events (DEGRADED/RESTORED) are emitted
-#: under — they describe the engine, not any one managed model.  Reports
-#: that enumerate models should filter it out.
-FLEET_SCOPE = "fleet"
 
 
 @dataclass(frozen=True)
@@ -151,9 +119,9 @@ class FleetEvent:
 class EventBus:
     """Bounded-history publish/subscribe bus for :class:`FleetEvent`.
 
-    Subscribers are called synchronously from the engine's control thread
-    (never from worker threads), in subscription order; exceptions propagate
-    to the ``tick`` caller.  ``subscribe`` returns an unsubscribe callable.
+    Subscribers are called synchronously from the thread running the tick,
+    in subscription order; exceptions propagate to the ``tick`` caller.
+    ``subscribe`` returns an unsubscribe callable.
     """
 
     def __init__(self, history: int = 256) -> None:
@@ -220,14 +188,6 @@ class ManagedModel:
     #: re-walk the module tree every tick (layer objects are stable; their
     #: ``qweight`` buffers are mutated in place by attacks and recovery).
     layer_map: Dict[str, Module] = field(default_factory=dict)
-    #: Shared-memory publication of this model's kernel arrays (process
-    #: mode only; ``None`` until first published).  The spec always points
-    #: at the *current* generation's segments.
-    plane_spec: Optional[SharedPlaneSpec] = None
-    #: Monotonic publish counter — bumped on every (re)publish, so workers
-    #: detect a re-signed plane and re-attach (see
-    #: :class:`~repro.core.signature.SharedPlaneSpec`).
-    plane_generation: int = 0
     #: ``(scheduler, price, floor)`` memo for :meth:`min_feasible_budget_s` —
     #: the floor only changes when the scheduler is rebuilt or a measured
     #: cost model recalibrates, but feasibility is re-checked on every
@@ -293,10 +253,6 @@ class EngineTickOutcome:
     #: ratio ``scan.groups_checked / batch_width`` is the stacking fill —
     #: what telemetry tracks as bucketed-stacking efficiency.
     batch_width: int = 0
-    #: Which execution lane ran this model's kernel pass: a thread name
-    #: (``MainThread`` / pool thread) or ``process-N`` in process mode.
-    #: ``None`` when the slice was empty and no kernel ran.
-    worker: Optional[str] = None
 
     @property
     def attack_detected(self) -> bool:
@@ -324,15 +280,13 @@ class _PlannedSlice:
     measured_s: float = 0.0
     batch_size: int = 1
     batch_width: int = 0
-    worker: Optional[str] = None
 
 
 def _homogeneous(batch: List[_PlannedSlice]) -> bool:
     """Whether a stacked batch may take the kernel's broadcast branch.
 
-    The one place homogeneity is decided, for the inline and the process
-    path alike: every model shares one structure key (identical index and
-    sign matrices) and plans the same row ranges.
+    Every model shares one structure key (identical index and sign
+    matrices) and plans the same row ranges.
     """
     first, rest = batch[0], batch[1:]
     if not rest:
@@ -362,21 +316,9 @@ class VerificationEngine:
                                         # batched cross-model slice, recover
                                         # and re-sign whatever was flagged
 
-    ``workers > 1`` runs independent batch groups on a thread pool (useful
-    for heterogeneous fleets whose models cannot share a stacked pass);
-    bookkeeping and event delivery always stay on the calling thread.
-
-    ``processes > 1`` instead publishes each model's kernel arrays into
-    shared memory and scans disjoint kernel-key buckets in worker
-    processes (:class:`~repro.core.procpool.ProcessScanPool`), sidestepping
-    the GIL entirely.  Workers are read-only; every plane mutation
-    (recovery, re-sign) stays on the coordinator, which republishes the
-    affected model's segments under a bumped generation counter so stale
-    workers re-attach.  ``workers`` and ``processes`` are mutually
-    exclusive, and process mode requires ``multiprocessing.shared_memory``
-    (check :func:`~repro.core.signature.shared_memory_available` and fall
-    back to threads when it is missing).  Engines that published planes or
-    started pools should be closed (or used as a context manager).
+    A tick runs inline on the calling thread: its kernel buckets one after
+    another, then bookkeeping and event delivery.  The engine holds no
+    threads, processes or other resources, so it needs no closing.
     """
 
     def __init__(
@@ -386,17 +328,10 @@ class VerificationEngine:
         policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
         shards_per_pass: int = 1,
         budget_s: Optional[float] = None,
-        workers: int = 1,
-        processes: int = 1,
         recovery_policy: RecoveryPolicy = RecoveryPolicy.ZERO,
         auto_reprotect: bool = True,
         event_history: int = 256,
         max_padding_waste: Optional[float] = 0.5,
-        fault_plan: Optional[FaultPlan] = None,
-        degrade_after: int = 2,
-        restore_after_ticks: int = 8,
-        pool_options: Optional[Dict] = None,
-        segment_registry: Optional[object] = None,
     ) -> None:
         if num_shards < 1:
             raise ProtectionError(f"num_shards must be >= 1, got {num_shards}")
@@ -409,38 +344,15 @@ class VerificationEngine:
             )
         if budget_s is not None and not budget_s > 0:
             raise ProtectionError(f"budget_s must be positive, got {budget_s}")
-        if workers < 1:
-            raise ProtectionError(f"workers must be >= 1, got {workers}")
-        if processes < 1:
-            raise ProtectionError(f"processes must be >= 1, got {processes}")
-        if workers > 1 and processes > 1:
-            raise ProtectionError(
-                "workers and processes are mutually exclusive: pick "
-                "thread-pooled scanning (workers > 1) or process-pooled "
-                "scanning (processes > 1), not both"
-            )
-        if processes > 1 and not shared_memory_available():
-            raise ProtectionError(
-                "processes > 1 requires multiprocessing.shared_memory, which "
-                "is unavailable on this platform; use workers (threads) instead"
-            )
         if max_padding_waste is not None and not 0 <= max_padding_waste < 1:
             raise ProtectionError(
                 f"max_padding_waste must be in [0, 1) or None, got {max_padding_waste}"
-            )
-        if degrade_after < 1:
-            raise ProtectionError(f"degrade_after must be >= 1, got {degrade_after}")
-        if restore_after_ticks < 1:
-            raise ProtectionError(
-                f"restore_after_ticks must be >= 1, got {restore_after_ticks}"
             )
         self.default_config = default_config or RadarConfig()
         self.num_shards = num_shards
         self.policy = ScanPolicy(policy)
         self.shards_per_pass = shards_per_pass
         self.budget_s = budget_s
-        self.workers = workers
-        self.processes = processes
         self.recovery_policy = RecoveryPolicy(recovery_policy)
         self.auto_reprotect = auto_reprotect
         #: Width-disparity guard for bucketed padded stacking: kernel
@@ -458,46 +370,17 @@ class VerificationEngine:
         #: verdict → lifecycle).  The null tracer makes every span call a
         #: constant-time no-op; ``serve-demo --trace-dir`` swaps in a
         #: :class:`~repro.telemetry.trace.SpanTracer` with a flight
-        #: recorder.  Worker-lane spans parent back to the tick span via
-        #: the :class:`~repro.core.procpool.ScanTask` trace envelope.
+        #: recorder.
         self.tracer = NULL_TRACER
         #: Wall-clock of the last completed tick (``perf_counter`` diff),
         #: measured just before telemetry observes the tick so the
         #: ``tick_duration_s`` histogram and the ``engine.tick`` span
         #: report the *same* sample.
         self.last_tick_duration_s: Optional[float] = None
-        #: Deterministic chaos schedule shipped to every scan worker (see
-        #: :class:`~repro.core.procpool.FaultPlan`); ``None`` in production.
-        self.fault_plan = fault_plan
-        #: Consecutive pool failures before the engine flips to DEGRADED
-        #: in-process scanning, and healthy degraded ticks before it
-        #: re-probes the pool (emitting RESTORED).
-        self.degrade_after = int(degrade_after)
-        self.restore_after_ticks = int(restore_after_ticks)
-        #: Extra :class:`~repro.core.procpool.ProcessScanPool` constructor
-        #: keywords (timeouts, retry bounds) — chaos tests tighten these.
-        self.pool_options = dict(pool_options) if pool_options else {}
-        #: Optional :class:`~repro.telemetry.store.SegmentRegistry`-shaped
-        #: ledger; published segment names are recorded through it so a
-        #: restart can reap what a crashed coordinator left behind.
-        self.segment_registry = segment_registry
         self._models: Dict[str, ManagedModel] = {}
         self._tick_index = 0
         self._tick_span_ctx = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._proc_pool: Optional[ProcessScanPool] = None
-        # Degradation state machine: consecutive pool failures trip it,
-        # a healthy window of inline ticks restores it.  Totals survive
-        # pool teardown (stats from closed pools are absorbed here).
-        self._degraded = False
-        self._pool_failures_consecutive = 0
-        self._pool_failures_total = 0
-        self._degraded_ticks_total = 0
-        self._ticks_degraded_current = 0
-        self._absorbed_pool_stats: Dict[str, int] = {}
-        # Per-bucket kernel workspaces, reused across ticks.  A bucket is
-        # one batch per tick and batches never share a ScanScratch, so the
-        # worker pool can run buckets concurrently without contention.
+        # Per-bucket kernel workspaces, reused across ticks.
         self._scratch: Dict[Tuple, ScanScratch] = {}
         # Precompiled stacked passes per (kernel key, sub-bucket): rebuilt
         # whenever the bucket's membership changes (checked by fused-view
@@ -567,12 +450,6 @@ class VerificationEngine:
             raise ProtectionError(f"Model {name!r} is not registered")
         managed = self._models.pop(name)
         self._models_version += 1
-        if managed.scheduler.fused.shared_spec is not None:
-            # Keep the model usable after it leaves the engine: copy the
-            # kernel arrays back to process-private memory and rebind any
-            # adopted layers before the segments are unlinked.
-            managed.scheduler.fused.unshare()
-            managed.plane_spec = None
         return managed
 
     def get(self, name: str) -> ManagedModel:
@@ -610,12 +487,6 @@ class VerificationEngine:
         return managed
 
     def _resign(self, managed: ManagedModel) -> None:
-        # If the plane was published to shared memory, the re-sign must
-        # *republish*: hold onto the old fused view so its segments can be
-        # released only after the successor has copied the plane out and
-        # taken over the adopted layers.
-        previous = managed.scheduler.fused
-        shared_before = previous.shared_spec is not None
         managed.protector.protect(
             managed.model, keep_golden_weights=managed.keep_golden_weights
         )
@@ -629,20 +500,6 @@ class VerificationEngine:
             **managed.scheduler_options,
         )
         managed.refresh_layer_map()
-        if shared_before:
-            # Generation bump + fresh segment names: in-flight workers still
-            # hold valid (unlinked) mappings of the old generation, and the
-            # next task they receive carries the new spec, so they re-attach
-            # by the new names.  Publish first (the new fused alias-adopted
-            # the old shared plane, so the copy source must stay alive),
-            # then drop the old view's segments.
-            managed.plane_generation += 1
-            managed.plane_spec = managed.scheduler.fused.share(
-                managed.name,
-                managed.plane_generation,
-                registrar=self.segment_registry,
-            )
-            previous.release_shared()
 
     # -- budget allocation --------------------------------------------------------
     def allocate_budget(self, budget_s: float) -> Dict[str, float]:
@@ -725,9 +582,9 @@ class VerificationEngine:
             "engine.tick",
             attrs={"tick": self._tick_index, "models": len(self._models)},
         )
-        # Kernel batches and lifecycle transitions run in helpers (some on
-        # pool threads) that have no natural parameter path for the span
-        # context; one tick runs at a time, so an attribute is safe.
+        # Kernel batches and lifecycle transitions run in helpers that have
+        # no natural parameter path for the span context; one tick runs at
+        # a time, so an attribute is safe.
         self._tick_span_ctx = tick_span.context
         plan_span = tracer.span("tick.plan", parent=tick_span.context)
         plans = self._plan_tick(budget_s)
@@ -789,9 +646,8 @@ class VerificationEngine:
         stacked pass is cache-blocked over slot-major tiles and each model's
         contiguous slice gathers through its plane's rotated-arange
         structure when one was detected at fuse time (see
-        :func:`~repro.core.signature._stacked_sums`) — per-model metadata
-        rides the :class:`FusedSignatures` views here and the published
-        :class:`SharedPlaneSpec` on the process path.
+        :func:`~repro.core.signature._stacked_sums`).  Buckets run one
+        after another on the calling thread.
         """
         assemble_span = self.tracer.span("tick.assemble", parent=parent)
         batches: Dict[Tuple, List[_PlannedSlice]] = {}
@@ -806,9 +662,8 @@ class VerificationEngine:
         for key, batch in batches.items():
             # Width-disparity guard: padding every slice to the bucket max is
             # wasteful when one model's row count dwarfs the rest, so such a
-            # bucket is sub-split into separately stacked passes.  Each
-            # sub-bucket keeps its own scratch (sub-buckets of one key may run
-            # concurrently on the worker pool).
+            # bucket is sub-split into separately stacked passes, each with
+            # its own scratch.
             if self.max_padding_waste is not None and len(batch) > 1:
                 parts = split_by_padding_waste(
                     [planned.rows.size for planned in batch],
@@ -823,183 +678,8 @@ class VerificationEngine:
                 groups.append((sub_batch, scratch, verifier))
         assemble_span.set_attr("buckets", len(groups))
         assemble_span.finish()
-        if self.processes > 1 and groups:
-            self._execute_processes(groups, parent=parent)
-        elif self.workers > 1 and len(groups) > 1:
-            started = time.perf_counter()
-            pool = self._ensure_pool()
-            list(pool.map(lambda item: self._run_batch(*item), groups))
-            elapsed = time.perf_counter() - started
-            # Concurrent batches overlap, so their individual spans
-            # double-count shared wall-clock; apportion the *aggregate*
-            # elapsed time instead.  A model's share of a padded stacked
-            # pass is its batch's full width (not its own row count), so
-            # weight by batch width — the same equal-share-within-a-batch
-            # rule _run_batch applies on the single-threaded path.
-            total_work = sum(
-                max(planned.rows.size for planned in batch) * len(batch)
-                for batch, _, _ in groups
-            )
-            for batch, _, _ in groups:
-                width = max(planned.rows.size for planned in batch)
-                for planned in batch:
-                    planned.measured_s = elapsed * width / max(total_work, 1)
-        else:
-            for batch, scratch, verifier in groups:
-                self._run_batch(batch, scratch, verifier)
-
-    def _execute_processes(
-        self,
-        groups: List[Tuple[List[_PlannedSlice], ScanScratch, StackedVerifier]],
-        parent=None,
-    ) -> None:
-        """Run the planned groups on the process pool, degrading on failure.
-
-        Buckets are the natural work unit, but a fleet of identical models
-        coalesces into *one* bucket — so oversized batches are halved until
-        there is at least one task per worker (sub-batches of a bucket stay
-        kernel-compatible by construction).  Workers see only plain data:
-        shared-segment specs plus contiguous row ranges.
-
-        The pool absorbs individual faults internally (respawn, retry,
-        quarantine); a :class:`ProtectionError` out of :meth:`run` means
-        the pool as a whole failed this tick.  The tick still completes —
-        the full groups run through the in-process path — and after
-        ``degrade_after`` consecutive failures the engine enters DEGRADED
-        mode: the pool is torn down and every process-mode tick runs
-        inline until ``restore_after_ticks`` healthy ticks have passed,
-        at which point a RESTORED event fires and the next tick re-probes
-        a fresh pool.
-        """
-        if self._degraded:
-            self._ticks_degraded_current += 1
-            if self._ticks_degraded_current < self.restore_after_ticks:
-                self._degraded_ticks_total += 1
-                self._run_groups_inline(groups)
-                return
-            # Healthy window served out: restore and re-probe the pool
-            # with this very tick.
-            self._degraded = False
-            self._emit(
-                FleetEventType.RESTORED,
-                FLEET_SCOPE,
-                {"degraded_ticks": self._ticks_degraded_current},
-            )
-            self._ticks_degraded_current = 0
-        batches = self._split_for_processes([batch for batch, _, _ in groups])
-        tasks: List[ScanTask] = []
-        for task_id, batch in enumerate(batches):
-            items: List[ScanTaskItem] = []
-            for planned in batch:
-                spec = self._ensure_shared(planned.managed)
-                descriptor = planned.managed.scheduler.slice_descriptor(
-                    planned.shard_indices
-                )
-                items.append(
-                    ScanTaskItem(planned.managed.name, spec, descriptor.row_ranges)
-                )
-            tasks.append(ScanTask(task_id, tuple(items), _homogeneous(batch)))
-        started = time.perf_counter()
-        # Untraced runs keep the plain run(tasks) signature so pool stand-ins
-        # (tests, alternative pools) owe nothing to the tracing surface.
-        trace_kwargs = (
-            {"tracer": self.tracer, "parent": parent}
-            if self.tracer.enabled
-            else {}
-        )
-        try:
-            results = self._ensure_proc_pool().run(tasks, **trace_kwargs)
-        except ProtectionError as error:
-            self._note_pool_failure(error)
-            self._run_groups_inline(groups)
-            return
-        self._pool_failures_consecutive = 0
-        elapsed = time.perf_counter() - started
-        # Same aggregate-apportioning rule as the thread path: concurrent
-        # tasks overlap, so bill each model its batch-width share of the
-        # total wall-clock rather than a double-counted per-task span.
-        total_work = sum(
-            max(planned.rows.size for planned in batch) * len(batch)
-            for batch in batches
-        )
-        for task_id, batch in enumerate(batches):
-            result = results[task_id]
-            width = max(planned.rows.size for planned in batch)
-            worker = (
-                f"process-{result.worker}"
-                if result.worker >= 0
-                else "coordinator-quarantine"
-            )
-            for planned, flagged_rows in zip(batch, result.flagged):
-                planned.flagged_rows = flagged_rows
-                planned.measured_s = elapsed * width / max(total_work, 1)
-                planned.batch_size = len(batch)
-                planned.batch_width = width
-                planned.worker = worker
-
-    def _run_groups_inline(
-        self,
-        groups: List[Tuple[List[_PlannedSlice], ScanScratch, StackedVerifier]],
-    ) -> None:
-        """The in-process fallback: identical verdicts, no pool."""
         for batch, scratch, verifier in groups:
             self._run_batch(batch, scratch, verifier)
-
-    def _note_pool_failure(self, error: ProtectionError) -> None:
-        self._pool_failures_total += 1
-        self._pool_failures_consecutive += 1
-        # A failed pool may hold wedged workers; tear it down either way
-        # (stats are absorbed) — a fresh pool is lazily built on the next
-        # process-mode tick unless we just degraded.
-        self._discard_proc_pool()
-        if (
-            not self._degraded
-            and self._pool_failures_consecutive >= self.degrade_after
-        ):
-            self._degraded = True
-            self._ticks_degraded_current = 0
-            self._emit(
-                FleetEventType.DEGRADED,
-                FLEET_SCOPE,
-                {
-                    "consecutive_failures": self._pool_failures_consecutive,
-                    "error": str(error),
-                },
-            )
-            # Black-box dump: capture the flight that tripped the breaker
-            # while the evidence is still in the recorder (no-op unless a
-            # tracer with an auto-dump directory is attached).
-            self.tracer.auto_dump("degraded")
-        if self._degraded:
-            self._degraded_ticks_total += 1
-
-    def _split_for_processes(
-        self, batches: List[List[_PlannedSlice]]
-    ) -> List[List[_PlannedSlice]]:
-        """Halve the largest batch until task count >= processes (or stuck)."""
-        batches = [list(batch) for batch in batches]
-        while len(batches) < self.processes:
-            index = max(range(len(batches)), key=lambda i: len(batches[i]))
-            largest = batches[index]
-            if len(largest) < 2:
-                break
-            middle = len(largest) // 2
-            batches[index : index + 1] = [largest[:middle], largest[middle:]]
-        return batches
-
-    def _ensure_shared(self, managed: ManagedModel) -> SharedPlaneSpec:
-        """Lazily publish (and cache) a model's shared-memory plane spec."""
-        fused = managed.scheduler.fused
-        spec = fused.shared_spec
-        if spec is None:
-            managed.plane_generation += 1
-            spec = fused.share(
-                managed.name,
-                managed.plane_generation,
-                registrar=self.segment_registry,
-            )
-        managed.plane_spec = spec
-        return spec
 
     def _bucket_verifier(
         self, cache_key: Tuple, batch: List[_PlannedSlice]
@@ -1053,14 +733,11 @@ class VerificationEngine:
         elapsed = time.perf_counter() - started
         share = elapsed / len(batch)
         width = max(planned.rows.size for planned in batch)
-        worker = threading.current_thread().name
         span.set_attr("batch", len(batch))
         span.set_attr("width", int(width))
-        span.set_attr("worker", worker)
         span.finish(duration_s=elapsed)
         for planned, flagged_rows in zip(batch, flagged):
             planned.flagged_rows = flagged_rows
-            planned.worker = worker
             # Every model's column in the padded stack is gathered and
             # reduced at the full bucket width, so each model really costs
             # an equal share of the pass — billing by own row count would
@@ -1184,7 +861,6 @@ class VerificationEngine:
             budget_s=planned.share,
             batch_size=planned.batch_size,
             batch_width=planned.batch_width,
-            worker=planned.worker,
         )
 
     # -- fleet queries ------------------------------------------------------------
@@ -1211,88 +887,6 @@ class VerificationEngine:
         return rows
 
     # -- plumbing -----------------------------------------------------------------
-    def close(self) -> None:
-        """Tear down both pools and every published shared-memory plane.
-
-        Idempotent, and the engine stays usable: pools are lazily recreated
-        on the next pooled tick, and process mode republishes planes (at a
-        bumped generation) on the next process tick.  Models keep their
-        weights — :meth:`FusedSignatures.unshare` copies each published
-        plane back to process-private memory and rebinds the adopted layers
-        before unlinking the segments.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._discard_proc_pool()
-        for managed in self._models.values():
-            if managed.scheduler.fused.shared_spec is not None:
-                managed.scheduler.fused.unshare()
-                managed.plane_spec = None
-
-    def __enter__(self) -> "VerificationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-fleet"
-            )
-        return self._pool
-
-    def _ensure_proc_pool(self) -> ProcessScanPool:
-        if self._proc_pool is None:
-            self._proc_pool = ProcessScanPool(
-                self.processes, fault_plan=self.fault_plan, **self.pool_options
-            )
-        return self._proc_pool
-
-    def _discard_proc_pool(self) -> None:
-        """Close the pool, folding its supervision counters into the
-        engine's running totals first (pools come and go; the fault
-        history should not)."""
-        if self._proc_pool is None:
-            return
-        for key, value in self._proc_pool.fault_stats().items():
-            self._absorbed_pool_stats[key] = (
-                self._absorbed_pool_stats.get(key, 0) + value
-            )
-        self._proc_pool.close()
-        self._proc_pool = None
-
-    # -- fault accounting ---------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """Whether process scanning is currently degraded to in-process."""
-        return self._degraded
-
-    def fault_stats(self) -> Dict[str, object]:
-        """Lifetime supervision counters across every pool this engine ran.
-
-        Pool-level counters (``worker_restarts``, ``task_retries``,
-        ``tasks_quarantined``, ``stale_results_dropped``,
-        ``malformed_results``, ``worker_errors``, ``faults_injected``)
-        accumulate across pool instances; the engine adds its own
-        ``pool_failures`` / ``degraded_ticks`` totals and the live
-        ``degraded`` flag.  :meth:`FleetTelemetry.observe_tick` mirrors
-        these into metrics by delta.
-        """
-        stats: Dict[str, object] = dict(self._absorbed_pool_stats)
-        if self._proc_pool is not None:
-            for key, value in self._proc_pool.fault_stats().items():
-                stats[key] = int(stats.get(key, 0)) + value
-        stats.setdefault("worker_restarts", 0)
-        stats.setdefault("task_retries", 0)
-        stats.setdefault("tasks_quarantined", 0)
-        stats.setdefault("faults_injected", 0)
-        stats["pool_failures"] = self._pool_failures_total
-        stats["degraded_ticks"] = self._degraded_ticks_total
-        stats["degraded"] = self._degraded
-        return stats
-
     def _emit(self, event_type: FleetEventType, model: str, detail: Dict) -> None:
         self.bus.emit(
             FleetEvent(

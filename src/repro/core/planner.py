@@ -100,8 +100,8 @@ class VerificationPlanner(ABC):
         """All shard indices, most scan-worthy first.  Must not mutate state.
 
         The returned indices are built-in ``int``s — plans flow into
-        serializable slice descriptors (pickled to scan worker processes,
-        persisted as JSON), so no NumPy scalars may leak out of a planner.
+        plain-data slice descriptors (persisted as JSON), so no NumPy
+        scalars may leak out of a planner.
         """
 
     def committed(

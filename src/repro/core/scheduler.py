@@ -132,14 +132,13 @@ class ScanPassResult:
 class SliceDescriptor(NamedTuple):
     """A planned slice as plain data: shard indices plus their row ranges.
 
-    The serializable form of :meth:`ScanScheduler.slice_rows` — what the
-    fleet engine ships to scan worker processes instead of materialized row
-    arrays.  Shards are contiguous ``arange`` blocks by construction
-    (``np.array_split`` of ``arange``), so a slice is exactly one
-    ``(start, stop)`` range per planned shard, in plan order; expanding the
-    ranges back (:meth:`rows`) reproduces ``slice_rows`` bit for bit.
-    Everything here is built-in ints, so the descriptor pickles tiny and
-    round-trips through JSON unchanged.
+    The compact form of :meth:`ScanScheduler.slice_rows` — what the fleet
+    engine compares to decide whether a bucket's slices coincide.  Shards
+    are contiguous ``arange`` blocks by construction (``np.array_split`` of
+    ``arange``), so a slice is exactly one ``(start, stop)`` range per
+    planned shard, in plan order; expanding the ranges back (:meth:`rows`)
+    reproduces ``slice_rows`` bit for bit.  Everything here is built-in
+    ints, so the descriptor round-trips through JSON unchanged.
     """
 
     shard_indices: Tuple[int, ...]

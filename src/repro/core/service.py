@@ -92,9 +92,7 @@ class ProtectionService:
         service.register("lane-b", model_b)
         outcomes = service.step_and_recover()           # splits the 2 ms
 
-    ``workers`` is forwarded to the underlying engine's batch-group thread
-    pool (only fleets mixing group sizes or signature widths produce more
-    than one kernel bucket per tick), and ``max_padding_waste`` to its
+    ``max_padding_waste`` is forwarded to the underlying engine's
     width-disparity guard for bucketed padded stacking (``None`` disables
     sub-splitting).  For SLA telemetry, attach a
     :class:`~repro.telemetry.monitor.FleetTelemetry` to ``service.engine``.
@@ -107,7 +105,6 @@ class ProtectionService:
         policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
         shards_per_pass: int = 1,
         budget_s: Optional[float] = None,
-        workers: int = 1,
         max_padding_waste: Optional[float] = 0.5,
     ) -> None:
         #: The fleet engine doing the actual work.  Exposed so callers can
@@ -119,7 +116,6 @@ class ProtectionService:
             policy=policy,
             shards_per_pass=shards_per_pass,
             budget_s=budget_s,
-            workers=workers,
             max_padding_waste=max_padding_waste,
             recovery_policy=RecoveryPolicy.ZERO,
             # The façade preserves PR 1–2 semantics: recovery happens on

@@ -19,16 +19,13 @@ plane itself (:class:`PlaneStructure`); any other row set is one int8
 gather plus one int16 ``einsum``.  Neither path has a per-group Python
 loop or a materialized product matrix, and (for engine-adopted models)
 neither copies a weight.  Every verification path — one model, an engine
-bucket (:class:`StackedVerifier`), a worker process — is a thin caller of
-that one kernel.
+bucket (:class:`StackedVerifier`) — is a thin caller of that one kernel.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -42,11 +39,6 @@ from typing import (
 )
 
 import numpy as np
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - e.g. WASM / stripped builds
-    shared_memory = None  # type: ignore[assignment]
 
 from repro.core.checksum import compute_signatures, signature_shift_mask
 from repro.core.config import RadarConfig
@@ -315,23 +307,6 @@ def _stacked_tile_width(num_models: int, group_size: int, width: int) -> int:
     return int(tile) if tile < width else int(width)
 
 
-class PlaneStructureSpec(NamedTuple):
-    """Plain-data rotated-arange structure of one published plane.
-
-    The picklable half of :class:`PlaneStructure`, carried inside a
-    :class:`SharedPlaneSpec` so worker processes run the band path without
-    re-deriving (or trusting) anything: per-layer global row bounds, plane
-    offsets, and the per-slot rotation shifts (``None`` for layers the
-    fuse-time detector demoted to the general gather).  The sign bands
-    themselves are not shipped: each attachment cuts them once from the
-    published sign matrix.
-    """
-
-    row_starts: Tuple[int, ...]
-    weight_offsets: Tuple[int, ...]
-    shifts: Tuple[Optional[Tuple[int, ...]], ...]
-
-
 class _Band(NamedTuple):
     """One wrap band of a structured layer (see :class:`PlaneStructure`)."""
 
@@ -360,8 +335,7 @@ class PlaneStructure:
     Built at fuse time by :class:`FusedSignatures` after *numerically
     verifying* each layer's analytic
     :meth:`~repro.core.interleave.GroupLayout.slot_shifts` hint against the
-    layer's actual index matrix (see :func:`_verified_slot_shifts`), and
-    shipped to scan workers as a :class:`PlaneStructureSpec`.
+    layer's actual index matrix (see :func:`_verified_slot_shifts`).
 
     :meth:`band_sums` computes the masked sums of a contiguous global-row
     range without gathering.  On a structured layer of ``N`` groups with
@@ -407,20 +381,6 @@ class PlaneStructure:
     def fully_structured(self) -> bool:
         """Whether every layer has a verified rotated-arange structure."""
         return self.structured_layers == self.num_layers
-
-    def spec(self) -> PlaneStructureSpec:
-        """Plain-tuple form for shared-memory publication (picklable)."""
-        return PlaneStructureSpec(
-            row_starts=tuple(self.row_starts),
-            weight_offsets=tuple(self.weight_offsets),
-            shifts=tuple(
-                None if layer is None else tuple(layer) for layer in self.shifts
-            ),
-        )
-
-    @classmethod
-    def from_spec(cls, spec: PlaneStructureSpec) -> "PlaneStructure":
-        return cls(spec.row_starts, spec.weight_offsets, spec.shifts)
 
     def _banded_layer(
         self, position: int, signs: np.ndarray
@@ -631,154 +591,6 @@ def _checked_start(rows: np.ndarray, size: int, total: int) -> Optional[int]:
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.setflags(write=False)
 
-#: Memoized result of :func:`shared_memory_available` (None = not probed yet).
-_SHM_AVAILABLE: Optional[bool] = None
-
-#: Monotonic counter folded into segment names so repeated publishes (and
-#: generation bumps) of one process never collide.
-_SEGMENT_COUNTER = itertools.count()
-
-
-def shared_memory_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` actually works here.
-
-    Probes by creating (and immediately destroying) a one-byte segment the
-    first time it is called: importability alone is not enough — sandboxed
-    platforms may expose the module but refuse ``shm_open``.
-    """
-    global _SHM_AVAILABLE
-    if _SHM_AVAILABLE is None:
-        if shared_memory is None:
-            _SHM_AVAILABLE = False
-        else:
-            try:
-                probe = shared_memory.SharedMemory(create=True, size=1)
-            except (OSError, ValueError):  # pragma: no cover - platform-specific
-                _SHM_AVAILABLE = False
-            else:
-                probe.close()
-                try:
-                    probe.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-                _SHM_AVAILABLE = True
-    return _SHM_AVAILABLE
-
-
-def _segment_name(suffix: str) -> str:
-    """A collision-free shm segment name, short enough for every platform.
-
-    macOS caps POSIX shm names at 31 characters, so the name packs the pid
-    and a process-wide counter in hex rather than anything descriptive.
-    """
-    return f"radar{os.getpid():x}x{next(_SEGMENT_COUNTER):x}{suffix}"
-
-
-class SharedSegmentSpec(NamedTuple):
-    """Plain-data handle to one shm segment: everything attach needs."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-class SharedPlaneSpec(NamedTuple):
-    """Picklable descriptor of one model's published scan-kernel arrays.
-
-    This is what the coordinator ships to worker processes: segment names
-    (which embed nothing model-specific — the ``model``/``generation``
-    fields carry identity), array geometry, and the two kernel parameters
-    (``group_size``, ``signature_bits``) a worker needs to rebuild the
-    accumulator dtype and binarization without importing any model code.
-    The ``generation`` counter implements the republish protocol: a re-sign
-    bumps it, workers compare it against their cached attachment and
-    re-attach by (new) segment name when stale.
-
-    ``structure`` carries the fuse-time rotated-arange detection verdict
-    (:class:`PlaneStructureSpec`) so workers run the band path on exactly
-    the layers the coordinator proved structured, without re-deriving — or
-    being able to disagree with — the classification.
-    """
-
-    model: str
-    generation: int
-    group_size: int
-    signature_bits: int
-    total_groups: int
-    total_weights: int
-    plane: SharedSegmentSpec
-    indices: SharedSegmentSpec
-    signs: SharedSegmentSpec
-    golden: SharedSegmentSpec
-    structure: Optional[PlaneStructureSpec] = None
-
-
-class AttachedModelPlane:
-    """A worker-side, read-only attachment to one published model plane.
-
-    Maps the four segments named by a :class:`SharedPlaneSpec` and exposes
-    them as non-writeable NumPy arrays.  Workers never write the plane —
-    mutation (attack injection, recovery, re-adoption) is coordinator
-    business, and marking the views read-only turns an accidental write
-    into a loud ``ValueError`` instead of silent cross-process corruption.
-
-    Resource-tracker note: Python 3.11's ``SharedMemory`` registers
-    *attachments* with the resource tracker as if they were owned segments
-    (``track=False`` arrives only in 3.13).  Pool workers are children of
-    the coordinator and share its tracker process (both fork and spawn
-    inherit the tracker fd), where registration is a set — the attach-side
-    register is an idempotent re-add of the coordinator's own entry, and
-    the coordinator's ``unlink`` clears it exactly once.  Attachments must
-    therefore *not* unregister themselves: doing so would steal the
-    coordinator's registration and make its later unlink warn.  This class
-    is correspondingly only safe to use from processes sharing the
-    publisher's resource tracker (the pool's workers, or the publishing
-    process itself).
-    """
-
-    def __init__(self, spec: SharedPlaneSpec) -> None:
-        if shared_memory is None:  # pragma: no cover - import-gated platforms
-            raise ProtectionError("multiprocessing.shared_memory is unavailable")
-        self.spec = spec
-        self._segments: List["shared_memory.SharedMemory"] = []
-        #: Rebuilt once per attachment (not per scan): the structure cuts
-        #: its sign bands from this attachment's sign matrix on first use,
-        #: and every later task over the plane reuses them.
-        self.structure = (
-            None if spec.structure is None else PlaneStructure.from_spec(spec.structure)
-        )
-        try:
-            self.plane = self._attach(spec.plane)
-            self.indices = self._attach(spec.indices)
-            self.signs = self._attach(spec.signs)
-            self.golden = self._attach(spec.golden)
-        except BaseException:
-            self.close()
-            raise
-
-    def _attach(self, segment_spec: SharedSegmentSpec) -> np.ndarray:
-        segment = shared_memory.SharedMemory(name=segment_spec.name)
-        self._segments.append(segment)
-        array: np.ndarray = np.ndarray(
-            segment_spec.shape, dtype=np.dtype(segment_spec.dtype), buffer=segment.buf
-        )
-        array.flags.writeable = False
-        return array
-
-    @property
-    def generation(self) -> int:
-        return self.spec.generation
-
-    def close(self) -> None:
-        """Drop the array views and unmap the segments (never unlinks)."""
-        self.plane = self.indices = self.signs = self.golden = None
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except (BufferError, ValueError):  # pragma: no cover - stray view
-                pass
-
 
 class FusedSignatures:
     """Zero-copy scan kernel: vectorized recomputation across all layers.
@@ -905,19 +717,6 @@ class FusedSignatures:
         # on the steady-state scan path.
         self._cached_layer_model: Optional[Module] = None
         self._cached_layer_map: Optional[Dict[str, Module]] = None
-        # Shared-memory publication state (see share/unshare): the live
-        # SharedMemory handles keyed like the spec fields, and the plain-data
-        # spec workers attach from.
-        self._shared_segments: Optional[Dict[str, object]] = None
-        self._shared_spec: Optional[SharedPlaneSpec] = None
-        # Optional crash-hygiene ledger (duck-typed: record/discard) the
-        # publish/destroy paths notify, so a restarted coordinator can
-        # reap segments a killed predecessor never unlinked.
-        self._segment_registrar = None
-        #: Weight bytes copied into a plane (adoption, stale re-adoption,
-        #: un-adopted per-pass refresh).  The zero-copy acceptance evidence:
-        #: in adopted steady state this counter does not move across scans.
-        self.plane_copy_bytes = 0
 
     def _ensure_kernel(self) -> None:
         """Build the global kernel arrays on first kernel use (idempotent).
@@ -1091,9 +890,7 @@ class FusedSignatures:
                 or qweight.size != self._num_weights[position]
             ):
                 return None
-            # Walk to the owning ndarray.  Stop as soon as the next base is
-            # not an ndarray: a shm-backed plane's base is the segment's
-            # memoryview, and the plane array itself is the owner we want.
+            # Walk to the owning ndarray.
             base = qweight
             while isinstance(base.base, np.ndarray):
                 base = base.base
@@ -1134,7 +931,6 @@ class FusedSignatures:
         start, end = self._weight_offsets[position], self._weight_offsets[position + 1]
         segment = self._plane[start:end]
         segment[:] = flat
-        self.plane_copy_bytes += int(flat.size)
         layer.qweight = segment.reshape(layer.qweight.shape)
         self._plane_layers[position] = layer
         self._plane_sources[position] = layer.qweight
@@ -1212,182 +1008,7 @@ class FusedSignatures:
             flat = self._layer_flat(layer_map, position)
             start = self._weight_offsets[position]
             plane[start : start + flat.size] = flat
-            self.plane_copy_bytes += int(flat.size)
         return plane
-
-    # -- shared-memory publication ---------------------------------------------
-    @property
-    def shared_spec(self) -> Optional[SharedPlaneSpec]:
-        """The spec workers attach from, or ``None`` while unpublished."""
-        return self._shared_spec
-
-    def share(
-        self, model: str, generation: int, registrar=None
-    ) -> SharedPlaneSpec:
-        """Publish the kernel arrays into ``multiprocessing.shared_memory``.
-
-        Allocates one named segment per kernel array (weight plane, gather
-        indices, sign mask, golden signatures), copies the current contents
-        in, and rebinds this view — including every adopted layer's
-        ``qweight`` — onto the segment-backed arrays.  From then on the
-        coordinator's in-place mutations (attack injection, recovery) land
-        directly in shared memory and are visible to attached workers with
-        no further copies; scans stay zero-copy exactly as before, just on
-        a different backing allocation.
-
-        ``generation`` is recorded in the returned spec; the caller owns
-        the counter and bumps it when a re-sign republishes (segment names
-        are fresh each publish, so a stale worker attaching by old name
-        fails fast rather than reading a re-signed plane).
-        """
-        if not shared_memory_available():
-            raise ProtectionError(
-                "multiprocessing.shared_memory is unavailable on this platform"
-            )
-        if self._shared_segments is not None:
-            return self._shared_spec
-        self._ensure_kernel()
-        arrays = {
-            "plane": self._plane,
-            "indices": self._kernel_indices,
-            "signs": self._kernel_signs,
-            "golden": self.golden,
-        }
-        segments: Dict[str, object] = {}
-        shared_arrays: Dict[str, np.ndarray] = {}
-        specs: Dict[str, SharedSegmentSpec] = {}
-        try:
-            for key, array in arrays.items():
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(1, array.nbytes), name=_segment_name(key[0])
-                )
-                segments[key] = segment
-                shared = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-                shared[...] = array
-                shared_arrays[key] = shared
-                specs[key] = SharedSegmentSpec(
-                    name=segment.name, shape=tuple(array.shape), dtype=array.dtype.str
-                )
-        except (OSError, ValueError) as error:
-            for key in list(shared_arrays):
-                del shared_arrays[key]
-            for segment in segments.values():
-                try:
-                    segment.close()
-                    segment.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-            raise ProtectionError(
-                f"could not publish shared-memory plane: {error}"
-            ) from error
-        self._plane = shared_arrays["plane"]
-        self._kernel_indices = shared_arrays["indices"]
-        self._kernel_signs = shared_arrays["signs"]
-        self.golden = shared_arrays["golden"]
-        if self._adopted:
-            self._rebind_layers()
-        self._shared_segments = segments
-        self._shared_spec = SharedPlaneSpec(
-            model=model,
-            generation=int(generation),
-            group_size=int(self.config.group_size),
-            signature_bits=int(self.config.signature_bits),
-            total_groups=self.total_groups,
-            total_weights=self.total_weights,
-            plane=specs["plane"],
-            indices=specs["indices"],
-            signs=specs["signs"],
-            golden=specs["golden"],
-            structure=self._structure.spec(),
-        )
-        # Record the published names *after* the segments exist: a crash
-        # between publish and record leaks at most this one generation,
-        # which the OS-level registry reap on the next restart cannot see —
-        # whereas recording first could reap live segments.
-        self._segment_registrar = registrar
-        if registrar is not None:
-            registrar.record(
-                model,
-                int(generation),
-                [spec.name for spec in specs.values()],
-            )
-        return self._shared_spec
-
-    def _rebind_layers(self) -> None:
-        """Point every adopted layer's ``qweight`` at the current plane."""
-        for position, layer in enumerate(self._plane_layers):
-            if layer is None:
-                continue
-            start = self._weight_offsets[position]
-            end = self._weight_offsets[position + 1]
-            segment = self._plane[start:end]
-            layer.qweight = segment.reshape(layer.qweight.shape)
-            self._plane_sources[position] = layer.qweight
-
-    def unshare(self) -> None:
-        """Move the kernel arrays back to private memory, destroy the segments.
-
-        The graceful-teardown path (engine ``close``): plane contents are
-        preserved — adopted layers are rebound onto a fresh heap plane so
-        the model stays fully usable — and only then are the segments
-        unmapped and unlinked.  Idempotent.
-        """
-        if self._shared_segments is None:
-            return
-        self._plane = np.array(self._plane)
-        self._kernel_indices = np.array(self._kernel_indices)
-        self._kernel_signs = np.array(self._kernel_signs)
-        self.golden = np.array(self.golden)
-        if self._adopted:
-            self._rebind_layers()
-        self._destroy_segments()
-
-    def release_shared(self) -> None:
-        """Destroy the segments without preserving the plane (discard path).
-
-        For a view being replaced after a re-sign: the successor view has
-        already re-homed the layers' weights onto its own plane, so this
-        view just drops its segment-backed arrays (golden is copied out —
-        reports may still reference it) and unlinks.  The kernel arrays
-        rebuild lazily if the view is ever scanned again.
-        """
-        if self._shared_segments is None:
-            return
-        self.golden = np.array(self.golden)
-        self._plane = None
-        self._kernel_indices = None
-        self._kernel_signs = None
-        self._adopted = False
-        self._plane_layers = [None] * len(self.layer_names)
-        self._plane_sources = [None] * len(self.layer_names)
-        self._foreign_plane = None
-        self._cached_layer_model = None
-        self._cached_layer_map = None
-        self._destroy_segments()
-
-    def _destroy_segments(self) -> None:
-        segments, self._shared_segments = self._shared_segments, None
-        spec, self._shared_spec = self._shared_spec, None
-        registrar, self._segment_registrar = self._segment_registrar, None
-        if registrar is not None and spec is not None:
-            # Graceful teardown owns its segments; drop the ledger entry so
-            # a later reap never races a name the OS already recycled.  The
-            # generation guard matters on re-sign: the successor records its
-            # fresh names under the same model *before* this old view is
-            # destroyed, and that entry must survive.
-            registrar.discard(spec.model, generation=spec.generation)
-        for segment in segments.values():
-            # Unlink before close: unlinking works with live mappings, and
-            # doing it first guarantees the name is gone even if a stray
-            # external view makes close() raise.
-            try:
-                segment.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-            try:
-                segment.close()
-            except (BufferError, ValueError):  # pragma: no cover - stray view
-                pass
 
     # -- verification ----------------------------------------------------------
     def _layer_map(self, model: Module) -> Dict[str, Module]:
@@ -1782,7 +1403,6 @@ class StackedVerifier:
                 view.prepared_plane(layer_map, rows)
                 for view, layer_map, rows in zip(views, self.layer_maps, rows_list)
             ],
-            # Read per call: share/unshare rebind a view's kernel arrays.
             [view._kernel_indices for view in views],
             [view._kernel_signs for view in views],
             self._goldens,
@@ -1810,15 +1430,14 @@ def stacked_mismatched_rows(
     """The scan kernel: flagged global rows of a stack of models.
 
     Every verification path ends here — the single-model view
-    (:meth:`FusedSignatures.mismatched_rows`, a stack of one), the
-    engine's buckets (:class:`StackedVerifier`) and the worker processes,
-    which hold no ``Module`` objects and no :class:`FusedSignatures`, just
-    each model's weight plane, slot-major gather-index and sign matrices
-    and golden signatures (published :class:`SharedPlaneSpec` segments).
-    Model *i*'s rows ``rows_list[i]`` are summed under the sign mask in
-    int16 (:data:`KERNEL_ACCUMULATOR`, :func:`_stacked_sums`), binarized
-    and compared with ``goldens[i]``; the result lists the mismatching
-    rows in slice order.
+    (:meth:`FusedSignatures.mismatched_rows`, a stack of one) and the
+    engine's buckets (:class:`StackedVerifier`).  It takes no ``Module``
+    objects and no :class:`FusedSignatures`, just each model's weight
+    plane, slot-major gather-index and sign matrices and golden
+    signatures.  Model *i*'s rows ``rows_list[i]`` are summed under the
+    sign mask in int16 (:data:`KERNEL_ACCUMULATOR`, :func:`_stacked_sums`),
+    binarized and compared with ``goldens[i]``; the result lists the
+    mismatching rows in slice order.
 
     ``homogeneous=True`` is a caller-supplied promise that every model
     shares one structure key *and* one row slice (the engine knows; the

@@ -336,7 +336,6 @@ def _build_fleet(
     num_models: int,
     num_shards: int,
     budget_s: Optional[float],
-    workers: int,
     seed: int,
     input_dim: int,
     policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
@@ -353,7 +352,6 @@ def _build_fleet(
         policy=policy,
         shards_per_pass=shards_per_pass,
         budget_s=budget_s,
-        workers=workers,
         recovery_policy=RecoveryPolicy.RELOAD,
         auto_reprotect=True,
     )
@@ -409,7 +407,6 @@ def _drive(
     finally:
         if unsubscribe is not None:
             unsubscribe()
-        engine.close()
 
 
 def _sla_rows(
@@ -452,7 +449,6 @@ def run_scenario(
     num_models: int = 3,
     num_shards: int = 4,
     budget_s: Optional[float] = None,
-    workers: int = 1,
     extra_passes: int = 2,
     seed: int = 0,
 ) -> Tuple[List[Dict], FleetTelemetry]:
@@ -471,7 +467,6 @@ def run_scenario(
         num_models,
         num_shards,
         budget_s,
-        workers,
         seed,
         images[0].size,
     )
@@ -508,7 +503,6 @@ def run_cell(
     images: np.ndarray,
     labels: np.ndarray,
     num_models: int = 2,
-    workers: int = 1,
     extra_passes: int = 2,
     seed: int = 0,
 ) -> List[Dict]:
@@ -530,7 +524,6 @@ def run_cell(
         num_models,
         defense.num_shards,
         budget_s,
-        workers,
         seed,
         images[0].size,
         policy=defense.policy,
@@ -584,7 +577,6 @@ def run_campaign(
     num_models: int = 3,
     num_shards: int = 4,
     budget_s: Optional[float] = None,
-    workers: int = 1,
     extra_passes: int = 2,
     seed: int = 0,
 ) -> List[Dict]:
@@ -610,7 +602,6 @@ def run_campaign(
             num_models=num_models,
             num_shards=num_shards,
             budget_s=budget_s,
-            workers=workers,
             extra_passes=extra_passes,
             seed=seed,
         )
@@ -621,7 +612,6 @@ def run_campaign(
 def run_matrix(
     cells: Optional[Sequence[MatrixCell]] = None,
     num_models: int = 2,
-    workers: int = 1,
     extra_passes: int = 2,
     seed: int = 0,
 ) -> List[Dict]:
@@ -650,7 +640,6 @@ def run_matrix(
                 train.images,
                 train.labels,
                 num_models=num_models,
-                workers=workers,
                 extra_passes=extra_passes,
                 seed=seed,
             )

@@ -20,19 +20,14 @@ and ``scripts/check_perf_regression.py --kind fleet`` gates CI on it.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.config import RadarConfig
 from repro.core.fleet import VerificationEngine
 from repro.core.recovery import RecoveryPolicy
-from repro.core.scheduler import ScanPolicy
-from repro.core.signature import shared_memory_available
 from repro.models.small import MLP
-from repro.quant.layers import quantize_model, quantized_layers
+from repro.quant.layers import quantize_model
 
 # The 16- and 32-model rows exist because the zero-copy kernel sped the
 # *sequential* baseline up too (every ScanScheduler.step now runs the
@@ -40,9 +35,6 @@ from repro.quant.layers import quantize_model, quantized_layers
 # larger fleet shows best.  The CI floor (--min-speedup 2.0) is held by the
 # best >= 4-model row.
 DEFAULT_MODEL_COUNTS = (2, 4, 8, 16, 32)
-#: Process counts of the multi-process scaling sweep; 1 is the inline
-#: (no-pool, no-shm) baseline every speedup is measured against.
-DEFAULT_PROCESS_COUNTS = (1, 2, 4)
 TIMING_REPEATS = 5
 
 
@@ -53,18 +45,9 @@ def _build_engine(
     hidden_dims: Tuple[int, ...],
     input_dim: int,
     seed: int,
-    policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
-    processes: int = 1,
-    **engine_kwargs,
 ) -> VerificationEngine:
     """A fleet of structurally identical quantized MLPs (distinct weights)."""
-    engine = VerificationEngine(
-        config,
-        num_shards=num_shards,
-        policy=policy,
-        processes=processes,
-        **engine_kwargs,
-    )
+    engine = VerificationEngine(config, num_shards=num_shards)
     for index in range(num_models):
         model = MLP(
             input_dim=input_dim,
@@ -176,328 +159,6 @@ def fleet_throughput(
                 "sequential_groups_per_s": groups_sequential / sequential_s,
                 "batched_groups_per_s": groups_batched / batched_s,
                 "speedup": sequential_s / batched_s,
-            }
-        )
-    return rows
-
-
-def _total_plane_copy_bytes(engine: VerificationEngine) -> int:
-    return sum(
-        engine.get(name).scheduler.fused.plane_copy_bytes
-        for name in engine.names()
-    )
-
-
-def _oracle_matches(engine: VerificationEngine, victim: str) -> bool:
-    """Bit-exactness check against the sequential per-model oracle.
-
-    Flips one MSB in ``victim``, takes the reference verdict with the
-    per-layer checksum oracle (``protector.scan``, the path every kernel
-    change is validated against), then runs one engine tick (detection
-    only) and compares the flagged groups per layer.
-    """
-    managed = engine.get(victim)
-    _, layer = quantized_layers(managed.model)[0]
-    flat = layer.qweight.reshape(-1)
-    flat[3] = np.int8(int(flat[3]) ^ -128)
-    reference = managed.protector.scan(managed.model)
-    outcome = engine.tick(recovery_policy=RecoveryPolicy.NONE)[victim]
-    observed = outcome.scan.report.flagged_groups
-    expected = reference.flagged_groups
-    if set(observed) != set(expected):
-        return False
-    if not all(
-        np.array_equal(observed[name], expected[name]) for name in expected
-    ):
-        return False
-    flat[3] = np.int8(int(flat[3]) ^ -128)  # restore the weight
-    return True
-
-
-def fleet_process_scaling(
-    process_counts: Sequence[int] = DEFAULT_PROCESS_COUNTS,
-    num_models: int = 16,
-    ticks: int = 10,
-    repeats: int = 3,
-    group_size: int = 16,
-    hidden_dims: Tuple[int, ...] = (256, 128),
-    input_dim: int = 512,
-    seed: int = 0,
-) -> List[Dict]:
-    """Rows of the multi-process scaling sweep (→ ``results/fleet_processes.json``).
-
-    The same 16-model fleet runs full-scan ticks (``ScanPolicy.FULL``, so
-    kernel compute dominates coordination) at each process count;
-    ``processes=1`` is the inline single-process baseline and every row's
-    ``speedup_vs_single`` is measured against it.  Each row also records:
-
-    * ``available_cpus`` — the host parallelism actually available to this
-      run; speedup floors are only meaningful when it covers the process
-      count, so the CI gate reads it before enforcing one (a 1-core
-      container cannot show a 4-process speedup no matter how good the
-      engine is);
-    * ``weight_bytes_copied_per_tick`` — growth of the fleet's
-      :attr:`~repro.core.signature.FusedSignatures.plane_copy_bytes`
-      counters per steady-state tick; 0 means scans gather straight from
-      the (shm-backed) planes with no per-scan weight copies;
-    * ``oracle_match`` — whether an injected MSB flip is flagged
-      bit-identically to the per-layer ``protector.scan`` oracle.
-    """
-    try:
-        available_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        available_cpus = os.cpu_count() or 1
-    config = RadarConfig(group_size=group_size)
-    rows: List[Dict] = []
-    single_s: Optional[float] = None
-    for processes in process_counts:
-        engine = _build_engine(
-            num_models,
-            config,
-            1,
-            hidden_dims,
-            input_dim,
-            seed,
-            policy=ScanPolicy.FULL,
-            processes=processes,
-        )
-        try:
-            tick = lambda: sum(
-                outcome.scan.groups_checked
-                for outcome in engine.tick(
-                    recovery_policy=RecoveryPolicy.NONE
-                ).values()
-            )
-            tick()  # publish planes / start the pool before measuring copies
-            copies_before = _total_plane_copy_bytes(engine)
-            ticks_measured = ticks * repeats + 1  # _time_ticks' warm-up call
-            best_s, groups = _time_ticks(tick, ticks, repeats)
-            copied_per_tick = (
-                _total_plane_copy_bytes(engine) - copies_before
-            ) / ticks_measured
-            oracle_match = _oracle_matches(engine, "model-0")
-        finally:
-            engine.close()
-        if processes == 1:
-            single_s = best_s
-        rows.append(
-            {
-                "processes": int(processes),
-                "num_models": int(num_models),
-                "groups_per_tick": int(groups),
-                "ms_per_tick": best_s * 1e3,
-                "groups_per_s": groups / best_s,
-                "speedup_vs_single": (
-                    single_s / best_s if single_s is not None else 1.0
-                ),
-                "available_cpus": int(available_cpus),
-                "shared_memory": bool(processes > 1 and shared_memory_available()),
-                "weight_bytes_copied_per_tick": float(copied_per_tick),
-                "oracle_match": bool(oracle_match),
-            }
-        )
-    return rows
-
-
-#: The chaos scenarios of :func:`fleet_chaos_campaign`: each is a named
-#: set of fault rates for :meth:`~repro.core.procpool.FaultPlan.seeded`.
-#: The poison scenario's ``poison_kills=3`` exceeds the pool's default
-#: ``max_task_retries=2``, so every poison task must reach coordinator
-#: quarantine to resolve — the hardest supervision path.
-DEFAULT_CHAOS_SCENARIOS: Tuple[Tuple[str, Dict[str, float]], ...] = (
-    ("kill-storm", {"kill_rate": 0.35}),
-    ("slow-lane", {"delay_rate": 0.5, "max_delay_s": 0.005}),
-    ("lossy-wire", {"drop_rate": 0.3, "malform_rate": 0.15}),
-    ("poison-task", {"poison_rate": 0.15, "poison_kills": 3}),
-    (
-        "mixed",
-        {
-            "kill_rate": 0.15,
-            "delay_rate": 0.2,
-            "drop_rate": 0.1,
-            "malform_rate": 0.1,
-            "max_delay_s": 0.005,
-        },
-    ),
-)
-
-#: Pool tuning for chaos runs: short leases and backoffs so dropped
-#: results redispatch quickly, with a per-task deadline comfortably above
-#: any injected delay.
-CHAOS_POOL_OPTIONS: Dict[str, float] = {
-    "timeout_s": 10.0,
-    "lease_timeout_s": 0.5,
-    "retry_backoff_s": 0.01,
-}
-
-
-def _flip_msb(engine: VerificationEngine, victim: str, flat_index: int) -> None:
-    """Flip one MSB in ``victim``'s first quantized layer, in place."""
-    managed = engine.get(victim)
-    _, layer = quantized_layers(managed.model)[0]
-    flat = layer.qweight.reshape(-1)
-    flat[flat_index] = np.int8(int(flat[flat_index]) ^ -128)
-
-
-def _flagged_by_model(outcomes) -> Dict[str, Dict[str, np.ndarray]]:
-    return {
-        name: dict(outcome.scan.report.flagged_groups)
-        for name, outcome in outcomes.items()
-    }
-
-
-def _verdicts_equal(
-    chaos: Dict[str, Dict[str, np.ndarray]],
-    oracle: Dict[str, Dict[str, np.ndarray]],
-) -> bool:
-    if set(chaos) != set(oracle):
-        return False
-    for model, expected in oracle.items():
-        observed = chaos[model]
-        if set(observed) != set(expected):
-            return False
-        if not all(
-            np.array_equal(observed[name], expected[name]) for name in expected
-        ):
-            return False
-    return True
-
-
-def fleet_chaos_campaign(
-    scenarios: Sequence[Tuple[str, Dict[str, float]]] = DEFAULT_CHAOS_SCENARIOS,
-    num_models: int = 4,
-    processes: int = 2,
-    ticks: int = 8,
-    attack_tick: int = 3,
-    group_size: int = 16,
-    hidden_dims: Tuple[int, ...] = (64, 32),
-    input_dim: int = 128,
-    seed: int = 0,
-) -> List[Dict]:
-    """Rows of the chaos campaign (→ ``results/fleet_chaos.json``).
-
-    The fault-tolerance acceptance artifact: each scenario runs the *same*
-    attack timeline through two mirrored fleets — a chaos engine whose
-    process pool executes under a seeded
-    :class:`~repro.core.procpool.FaultPlan` (worker kills, delays, dropped
-    and malformed results, poison tasks) and an inline single-process
-    oracle — and compares every tick's flagged groups bit-for-bit.  Fleet
-    ticks coalesce the homogeneous fleet into one batch that the engine
-    splits into exactly ``processes`` scan tasks, so a plan sized
-    ``ticks * processes`` covers the run precisely and the gate can assert
-    ``faults_injected == faults_planned`` (every planned fault actually
-    exercised the supervision path, none were silently skipped).
-
-    Row semantics beyond the standard campaign fields:
-
-    * ``oracle_match`` — all ticks' verdicts bit-identical to the oracle;
-    * ``pool_recovered`` — the pool self-healed (engine not DEGRADED and
-      the final tick still ran through worker processes);
-    * ``faults_planned`` / ``faults_injected`` — plan coverage (equal when
-      every planned fault fired at dispatch);
-    * ``worker_restarts`` / ``task_retries`` / ``tasks_quarantined`` —
-      the supervision work the faults forced, all deterministic functions
-      of the seeded plan.
-
-    ``scripts/check_perf_regression.py --kind campaign`` gates these rows:
-    zero missed detections, full injection coverage, oracle match and pool
-    recovery are hard failures.
-    """
-    from repro.core.procpool import FaultPlan
-
-    config = RadarConfig(group_size=group_size)
-    num_shards = 4
-    rows: List[Dict] = []
-    for index, (name, rates) in enumerate(scenarios):
-        plan = FaultPlan.seeded(
-            seed + 17 * index, num_tasks=ticks * processes, **rates
-        )
-        chaos = _build_engine(
-            num_models,
-            config,
-            num_shards,
-            hidden_dims,
-            input_dim,
-            seed,
-            policy=ScanPolicy.FULL,
-            processes=processes,
-            recovery_policy=RecoveryPolicy.ZERO,
-            auto_reprotect=True,
-            fault_plan=plan,
-            pool_options=dict(CHAOS_POOL_OPTIONS),
-        )
-        oracle = _build_engine(
-            num_models,
-            config,
-            num_shards,
-            hidden_dims,
-            input_dim,
-            seed,
-            policy=ScanPolicy.FULL,
-            processes=1,
-            recovery_policy=RecoveryPolicy.ZERO,
-            auto_reprotect=True,
-        )
-        victim = "model-0"
-        verdicts_match = True
-        detected_tick: Optional[int] = None
-        try:
-            for tick_index in range(ticks):
-                if tick_index == attack_tick:
-                    # Identical MSB flips into both mirrored victims.
-                    _flip_msb(chaos, victim, 3)
-                    _flip_msb(oracle, victim, 3)
-                chaos_outcomes = chaos.tick()
-                oracle_outcomes = oracle.tick()
-                if not _verdicts_equal(
-                    _flagged_by_model(chaos_outcomes),
-                    _flagged_by_model(oracle_outcomes),
-                ):
-                    verdicts_match = False
-                if (
-                    detected_tick is None
-                    and chaos_outcomes[victim].attack_detected
-                ):
-                    detected_tick = tick_index
-            stats = chaos.fault_stats()
-            pool_recovered = bool(
-                not chaos.degraded and chaos._proc_pool is not None
-            )
-        finally:
-            chaos.close()
-            oracle.close()
-        detections = int(detected_tick is not None)
-        latency = (
-            float(detected_tick - attack_tick + 1)
-            if detected_tick is not None
-            else float("nan")
-        )
-        rows.append(
-            {
-                "case": f"chaos-{name}:{victim}",
-                "scenario": f"chaos-{name}",
-                "model": victim,
-                "kind": "chaos",
-                "cadence": f"burst@{attack_tick}",
-                "group_size": int(group_size),
-                "signature_bits": int(config.signature_bits),
-                "num_models": int(num_models),
-                "num_shards": int(num_shards),
-                "seed": int(seed + 17 * index),
-                "ticks": int(ticks),
-                "processes": int(processes),
-                "injections": 1,
-                "detections": detections,
-                "missed": 1 - detections,
-                "p99_detection_ticks": latency,
-                "faults_planned": int(len(plan)),
-                "faults_injected": int(stats["faults_injected"]),
-                "worker_restarts": int(stats["worker_restarts"]),
-                "task_retries": int(stats["task_retries"]),
-                "tasks_quarantined": int(stats["tasks_quarantined"]),
-                "degraded_ticks": int(stats["degraded_ticks"]),
-                "oracle_match": bool(verdicts_match),
-                "pool_recovered": pool_recovered,
             }
         )
     return rows

@@ -12,22 +12,20 @@ Five layers, each usable alone:
   scan-budget utilisation and bucketed-stacking efficiency;
 * :mod:`repro.telemetry.trace` — a low-overhead span tracer and bounded
   flight recorder instrumenting the full engine tick (plan → bucket
-  assembly → kernel → verdict → lifecycle), with span context propagated
-  across the process boundary through scan-task envelopes;
+  assembly → kernel → verdict → lifecycle);
 * :mod:`repro.telemetry.exposition` — Prometheus text-format (0.0.4)
   rendering of a :class:`~repro.telemetry.metrics.MetricRegistry`, plus a
   strict parser used by tests and the CI scrape smoke;
 * :mod:`repro.telemetry.httpd` — a stdlib ``http.server`` thread serving
-  ``/metrics``, ``/healthz``, ``/fault-stats`` and ``/trace``;
+  ``/metrics``, ``/healthz`` and ``/trace``;
 * :mod:`repro.telemetry.store` — :class:`~repro.telemetry.store.StateStore`,
   JSON persistence of everything a service *learns* (measured cost-model
   EWMAs, planner flip rates, scheduler rotation counters, lifecycle
   states) so a restart resumes warm instead of re-calibrating.
 
 Exports resolve lazily (PEP 562).  This is load-bearing, not cosmetic:
-:mod:`repro.core.fleet` and :mod:`repro.core.procpool` import
-:mod:`repro.telemetry.trace` for the null tracer and the wire-span helper,
-while :mod:`repro.telemetry.monitor` imports :mod:`repro.core.fleet` — an
+:mod:`repro.core.fleet` imports :mod:`repro.telemetry.trace` for the
+null tracer, while :mod:`repro.telemetry.monitor` imports :mod:`repro.core.fleet` — an
 eager ``__init__`` would close that loop into a circular import the moment
 the core package loads.
 

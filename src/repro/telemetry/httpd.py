@@ -1,4 +1,4 @@
-"""Observability HTTP surface: ``/metrics``, ``/healthz``, ``/fault-stats``.
+"""Observability HTTP surface: ``/metrics``, ``/healthz``, ``/trace``.
 
 A deliberately small stdlib server — the forerunner of the ROADMAP's full
 HTTP control plane (register/scan/reprotect will land there, not here).
@@ -13,12 +13,10 @@ Routes:
 * ``/metrics`` — the attached :class:`~repro.telemetry.metrics.MetricRegistry`
   rendered as Prometheus text format 0.0.4
   (:func:`~repro.telemetry.exposition.render_prometheus`);
-* ``/healthz`` — JSON liveness: engine presence, tick index, model count
-  and the DEGRADED breaker flag.  ``200`` while an engine is attached,
-  ``503`` after :meth:`ObservabilityServer.close` detaches it — so a
-  rolling restart's load balancer sees the drain;
-* ``/fault-stats`` — JSON ``engine.fault_stats()`` verbatim (the
-  supervision counters the chaos harness asserts against);
+* ``/healthz`` — JSON liveness: engine presence, tick index and model
+  count.  ``200`` while an engine is attached, ``503`` after
+  :meth:`ObservabilityServer.close` detaches it — so a rolling restart's
+  load balancer sees the drain;
 * ``/trace`` — the flight recorder's retained spans as JSONL, when a
   recorder is attached.
 
@@ -75,12 +73,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             elif path == "/healthz":
                 self._reply_json(*owner.health())
-            elif path == "/fault-stats":
-                engine = owner.engine
-                if engine is None:
-                    self._reply_json(503, {"error": "no engine attached"})
-                    return
-                self._reply_json(200, dict(engine.fault_stats()))
             elif path == "/trace":
                 recorder = owner.recorder
                 if recorder is None:
@@ -110,7 +102,7 @@ class ObservabilityServer:
     """A background HTTP thread exposing one engine's observability surface.
 
     Everything is optional: a registry-only server exposes ``/metrics``
-    and 503s the engine routes; attaching ``telemetry`` uses its registry
+    and 503s ``/healthz``; attaching ``telemetry`` uses its registry
     unless an explicit one is given.
     """
 
@@ -152,11 +144,9 @@ class ObservabilityServer:
         """(status, payload) for ``/healthz``."""
         engine = self.engine
         if engine is None:
-            return 503, {"status": "no-engine", "degraded": False}
-        degraded = bool(getattr(engine, "degraded", False))
+            return 503, {"status": "no-engine"}
         return 200, {
-            "status": "degraded" if degraded else "ok",
-            "degraded": degraded,
+            "status": "ok",
             "tick": int(getattr(engine, "tick_index", 0)),
             "models": len(engine),
         }

@@ -34,7 +34,6 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.fleet import (
-    FLEET_SCOPE,
     EngineTickOutcome,
     FleetEvent,
     FleetEventType,
@@ -73,10 +72,6 @@ class FleetTelemetry:
         #: ``perf_counter`` stamp of the last unresolved detection, per
         #: model — the start of the detection→reprotect span.
         self._detection_started: Dict[str, float] = {}
-        #: Last-seen engine fault counters; :meth:`observe_tick` mirrors
-        #: their deltas into real counters so the metrics survive engine
-        #: re-attachment and pool teardown alike.
-        self._fault_baseline: Dict[str, int] = {}
 
     # -- wiring -----------------------------------------------------------------
     @property
@@ -97,9 +92,6 @@ class FleetTelemetry:
         self._engine = engine
         self._unsubscribe = engine.bus.subscribe(self._on_event)
         engine.telemetry = self
-        # A fresh engine's counters restart from zero; re-baseline so its
-        # first tick does not replay the previous engine's lifetime totals.
-        self._fault_baseline = {}
         return self
 
     def detach(self) -> None:
@@ -195,52 +187,12 @@ class FleetTelemetry:
                 self.registry.histogram("budget_utilization", model=name).observe(
                     outcome.measured_s / outcome.budget_s
                 )
-            if outcome.worker is not None:
-                # Per-worker tick economics: which execution lane (thread
-                # name or ``process-N``) carried this model's kernel pass,
-                # how long it held it, and how many groups it verified.
-                # ``worker_report`` rolls these into the load-balance view
-                # for the process pool.
-                self.registry.counter(
-                    "worker_groups_total", worker=outcome.worker
-                ).inc(outcome.scan.groups_checked)
-                if outcome.measured_s is not None:
-                    self.registry.histogram(
-                        "worker_scan_s", worker=outcome.worker
-                    ).observe(outcome.measured_s)
             if engine is not None and name in engine:
                 price = getattr(
                     engine.get(name).cost_model, "seconds_per_group", None
                 )
                 if price is not None:
                     self.registry.gauge("seconds_per_group", model=name).set(price)
-        self._observe_fault_stats(engine)
-
-    def _observe_fault_stats(self, engine) -> None:
-        """Mirror the engine's supervision counters into metrics by delta.
-
-        The engine accumulates lifetime totals (across pool instances);
-        counters here advance by the per-tick delta, so persisted metric
-        state keeps its add-on-restore merge semantics.
-        """
-        stats_fn = getattr(engine, "fault_stats", None)
-        if not callable(stats_fn):
-            return
-        stats = dict(stats_fn())
-        degraded = bool(stats.pop("degraded", False))
-        for key, value in stats.items():
-            if not isinstance(value, int):
-                continue
-            delta = value - self._fault_baseline.get(key, 0)
-            # Touch the counter even at delta zero so every fleet_*_total
-            # family is present on /metrics from the first tick — scrapers
-            # (and the CI smoke test) can assert on the family instead of
-            # special-casing "no faults yet".
-            counter = self.registry.counter(f"fleet_{key}_total")
-            if delta > 0:
-                counter.inc(delta)
-            self._fault_baseline[key] = value
-        self.registry.gauge("fleet_degraded").set(1.0 if degraded else 0.0)
 
     # -- defense feedback ---------------------------------------------------------
     def tune_jitter(self) -> Dict[str, float]:
@@ -281,9 +233,7 @@ class FleetTelemetry:
         for name in self.registry.label_values("injections_total", "model"):
             if name not in names:
                 names.append(name)
-        # Fleet-scope events (DEGRADED/RESTORED) ride the bus under a
-        # pseudo-model; an SLA row for it would be all-NaN noise.
-        return [name for name in names if name != FLEET_SCOPE]
+        return names
 
     def sla_report(self) -> List[Dict]:
         """One row per model: detection-latency percentiles and tick economics.
@@ -326,62 +276,6 @@ class FleetTelemetry:
                 "stacking_fill", model=name
             ).summary()["mean"]
             rows.append(row)
-        return rows
-
-    def fault_report(self) -> Dict[str, object]:
-        """Lifetime supervision/fault counters as one flat row.
-
-        Mirrors of :meth:`VerificationEngine.fault_stats` observed so far
-        (counters keep accumulating across engine re-attachments), plus
-        whether the currently attached engine is degraded right now.
-        """
-        row: Dict[str, object] = {}
-        for key in (
-            "worker_restarts",
-            "task_retries",
-            "tasks_quarantined",
-            "stale_results_dropped",
-            "malformed_results",
-            "worker_errors",
-            "faults_injected",
-            "pool_failures",
-            "degraded_ticks",
-        ):
-            counter = self.registry.find_counter(f"fleet_{key}_total")
-            row[key] = counter.value if counter is not None else 0
-        gauge = self.registry.find_gauge("fleet_degraded")
-        row["degraded"] = bool(gauge.value) if gauge is not None else False
-        return row
-
-    def worker_report(self) -> List[Dict]:
-        """One row per execution lane (thread or scan process).
-
-        ``groups_share`` is the lane's fraction of all verified groups — on
-        a well-balanced process pool the shares are near-uniform, which is
-        what the multi-process scaling experiment checks.
-        """
-        workers = self.registry.label_values("worker_groups_total", "worker")
-        totals = {
-            worker: self.registry.counter(
-                "worker_groups_total", worker=worker
-            ).value
-            for worker in workers
-        }
-        fleet_total = sum(totals.values())
-        rows: List[Dict] = []
-        for worker in sorted(totals):
-            scan = self.registry.histogram("worker_scan_s", worker=worker)
-            rows.append(
-                {
-                    "worker": worker,
-                    "groups_total": totals[worker],
-                    "groups_share": (
-                        totals[worker] / fleet_total if fleet_total else 0.0
-                    ),
-                    "mean_scan_ms": scan.summary()["mean"] * 1e3,
-                    "passes": scan.summary()["count"],
-                }
-            )
         return rows
 
     def snapshot(self) -> Dict:

@@ -54,138 +54,6 @@ ENGINE_STATE_FILENAME = "engine_state.json"
 CALIBRATION_FILENAME = "calibration.json"
 RUNTIME_STATE_FILENAME = "runtime_state.json"
 TELEMETRY_FILENAME = "telemetry.json"
-SEGMENTS_FILENAME = "shm_segments.json"
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal-0 probe).
-
-    ``PermissionError`` means the pid exists but belongs to another user —
-    alive for our purposes (never reap under a live owner).
-    """
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - foreign-owner pid
-        return True
-    return True
-
-
-class SegmentRegistry:
-    """Crash-hygiene ledger of published shared-memory segment names.
-
-    POSIX shared memory outlives its creator: a coordinator killed between
-    :meth:`~repro.core.signature.FusedSignatures.share` and its teardown
-    leaks named segments until reboot.  The registry closes that hole with
-    a write-ahead-style ledger under the state directory: every publish
-    records ``{model: {pid, generation, segments}}`` (atomic JSON, same
-    discipline as every other state file) and every graceful destroy
-    removes the entry.  On restart, :meth:`reap` walks the ledger and
-    unlinks every segment whose recording pid is no longer alive — entries
-    owned by a live process (including this one) are left alone, and a
-    name the OS already forgot is simply dropped, so the reap is
-    idempotent and safe to run on every startup.
-
-    The ledger is hygiene, not integrity: reaping affects only leaked
-    *memory*; signatures and planes are always rebuilt from the model (see
-    the module docstring on what is deliberately not persisted).
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path)
-
-    def _load(self) -> Dict[str, Dict]:
-        if not self.path.exists():
-            return {}
-        payload = json.loads(self.path.read_text(encoding="utf-8"))
-        if int(payload.get("version", -1)) != STATE_VERSION:
-            raise ProtectionError(
-                f"segment registry has version {payload.get('version')!r}, "
-                f"expected {STATE_VERSION}"
-            )
-        return dict(payload.get("entries", {}))
-
-    def _save(self, entries: Dict[str, Dict]) -> None:
-        _atomic_write_json(
-            self.path,
-            {"version": STATE_VERSION, "kind": "segments", "entries": entries},
-        )
-
-    def entries(self) -> Dict[str, Dict]:
-        """The current ledger: ``{model: {pid, generation, segments}}``."""
-        return self._load()
-
-    def record(self, model: str, generation: int, segments: List[str]) -> None:
-        """Upsert one model's published segment names (read-modify-write)."""
-        entries = self._load()
-        entries[str(model)] = {
-            "pid": int(os.getpid()),
-            "generation": int(generation),
-            "segments": [str(name) for name in segments],
-        }
-        self._save(entries)
-
-    def discard(self, model: str, generation: Optional[int] = None) -> None:
-        """Drop one model's entry after a graceful destroy.
-
-        With ``generation`` given, only a matching entry is dropped — the
-        re-sign republish protocol records the successor generation before
-        the predecessor's segments are destroyed, and that fresh entry must
-        survive the predecessor's teardown.
-        """
-        entries = self._load()
-        entry = entries.get(str(model))
-        if entry is None:
-            return
-        if generation is not None and int(entry.get("generation", -1)) != int(
-            generation
-        ):
-            return
-        del entries[str(model)]
-        self._save(entries)
-
-    def reap(self) -> List[str]:
-        """Unlink every segment recorded by a no-longer-alive process.
-
-        Returns the names actually unlinked.  Idempotent: names the OS no
-        longer knows are dropped from the ledger without complaint, and
-        entries recorded by live pids (a concurrently running service on
-        the same state dir, or this very process) are untouched.
-        """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - no shm on this platform
-            return []
-        entries = self._load()
-        reaped: List[str] = []
-        survivors: Dict[str, Dict] = {}
-        for model, entry in entries.items():
-            if _pid_alive(int(entry.get("pid", 0))):
-                survivors[model] = entry
-                continue
-            for name in entry.get("segments", []):
-                try:
-                    segment = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    continue  # already gone; just forget the entry
-                except (OSError, ValueError):  # pragma: no cover - odd name
-                    continue
-                try:
-                    segment.unlink()
-                    reaped.append(str(name))
-                except FileNotFoundError:  # pragma: no cover - raced away
-                    pass
-                finally:
-                    try:
-                        segment.close()
-                    except (BufferError, ValueError):  # pragma: no cover
-                        pass
-        if survivors != entries:
-            self._save(survivors)
-        return reaped
 
 
 def pricing_fingerprint(radar_config: RadarConfig) -> Dict[str, object]:
@@ -340,7 +208,6 @@ class StateStore:
     def __init__(self, state_dir: Union[str, os.PathLike]) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._segment_registry: Optional[SegmentRegistry] = None
 
     @property
     def engine_path(self) -> Path:
@@ -357,28 +224,6 @@ class StateStore:
     @property
     def telemetry_path(self) -> Path:
         return self.state_dir / TELEMETRY_FILENAME
-
-    @property
-    def segments_path(self) -> Path:
-        return self.state_dir / SEGMENTS_FILENAME
-
-    # -- shared-memory hygiene -----------------------------------------------------
-    def segment_registry(self) -> SegmentRegistry:
-        """The shared-memory segment ledger backed by this state dir.
-
-        Wire it into an engine (``engine.segment_registry = ...``) so every
-        plane publish/destroy is recorded, and call
-        :meth:`reap_orphan_segments` on startup to collect what a crashed
-        predecessor leaked.
-        """
-        registry = self._segment_registry
-        if registry is None:
-            registry = self._segment_registry = SegmentRegistry(self.segments_path)
-        return registry
-
-    def reap_orphan_segments(self) -> List[str]:
-        """Reap segments recorded by dead coordinators (names unlinked)."""
-        return self.segment_registry().reap()
 
     # -- engine snapshots --------------------------------------------------------
     def save_engine(self, engine: VerificationEngine) -> Path:

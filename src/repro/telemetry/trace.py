@@ -9,8 +9,7 @@ missing dimension without taxing the hot path:
 * :class:`SpanTracer` hands out :class:`Span` objects carrying a trace id,
   a span id and a parent link.  Durations come from ``perf_counter``
   (monotonic — immune to wall-clock steps); each span also stamps an epoch
-  ``start_unix_s`` so spans recorded in *different processes* line up on
-  one timeline.
+  ``start_unix_s`` so an export lines up with other logs on one timeline.
 * Disabled tracing is a null object, not a flag check per call site:
   :data:`NULL_TRACER` returns the singleton :data:`NULL_SPAN` whose every
   method is a no-op, so an uninstrumented tick pays a couple of attribute
@@ -18,18 +17,7 @@ missing dimension without taxing the hot path:
   ``benchmarks/test_bench_trace_overhead.py`` pins this below 2 %).
 * Finished spans land in a :class:`FlightRecorder` — a bounded deque of
   plain dicts.  It dumps JSONL on demand (``scripts/trace_analysis.py``
-  consumes the export) and *automatically* when the engine degrades
-  (:meth:`auto_dump`), so the flight that tripped the breaker is captured
-  with the evidence still in memory.
-
-Cross-process propagation is deliberately primitive: a worker cannot hold
-a live ``Span`` (spans are not picklable and the recorder lives in the
-coordinator), so the task envelope carries ``(trace_id, parent_span_id)``
-and the worker ships back *finished span dicts* built by
-:func:`wire_span` inside its result.  The coordinator ingests them via
-:meth:`SpanTracer.ingest`, which validates shape before recording —
-worker payloads are untrusted by design (the chaos plan deliberately
-malforms them).
+  consumes the export).
 
 This module imports nothing from :mod:`repro.core` so the core may import
 it freely (see the lazy ``repro.telemetry.__init__``).
@@ -44,32 +32,20 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import ProtectionError
 
-#: Finished spans a recorder retains; ~10 spans per process-mode tick
-#: means this window covers hundreds of ticks before rotation.
+#: Finished spans a recorder retains; ~5 spans per engine tick means this
+#: window covers hundreds of ticks before rotation.
 DEFAULT_RECORDER_CAPACITY = 4096
-
-#: The keys every recorded span dict carries (the JSONL schema).
-SPAN_FIELDS = (
-    "name",
-    "trace_id",
-    "span_id",
-    "parent_id",
-    "site",
-    "start_unix_s",
-    "duration_s",
-    "attrs",
-)
 
 _id_counter = itertools.count(1)
 
 #: Epoch anchor: ``start_unix_s`` is derived as anchor + ``perf_counter``
 #: instead of a ``time.time()`` call per span — one fewer syscall on the
-#: hot path.  Cross-process alignment only needs millisecond-ish epoch
-#: agreement, well inside the anchor's drift over a run.
+#: hot path.  Lining exports up with other logs only needs millisecond-ish
+#: epoch agreement, well inside the anchor's drift over a run.
 _EPOCH_ANCHOR = time.time() - time.perf_counter()
 
 
@@ -77,8 +53,7 @@ def new_span_id() -> str:
     """A process-unique span id: pid-prefixed monotonic counter.
 
     Cheap by design (no uuid4 per span on the hot path) and unique across
-    the coordinator and its forked scan workers, which is all a single-host
-    trace needs.
+    the processes of one host, which is all a single-host trace needs.
     """
     return f"{os.getpid():x}-{next(_id_counter):x}"
 
@@ -94,8 +69,8 @@ class Span:
     """One timed operation.  Use as a context manager or finish() manually.
 
     ``duration_s`` is measured with ``perf_counter`` (monotonic);
-    ``start_unix_s`` is an epoch stamp so exports from several processes
-    share a timeline.  ``finish`` is idempotent and records the span into
+    ``start_unix_s`` is an epoch stamp so exports share a timeline with
+    other logs.  ``finish`` is idempotent and records the span into
     the owning tracer's flight recorder exactly once.
     """
 
@@ -104,7 +79,6 @@ class Span:
         "trace_id",
         "span_id",
         "parent_id",
-        "site",
         "start_unix_s",
         "attrs",
         "duration_s",
@@ -119,13 +93,11 @@ class Span:
         trace_id: str,
         parent_id: Optional[str],
         attrs: Optional[Dict],
-        site: str,
     ) -> None:
         self.name = name
         self.trace_id = trace_id
         self.span_id = new_span_id()
         self.parent_id = parent_id
-        self.site = site
         self.attrs = dict(attrs) if attrs else {}
         self.duration_s: Optional[float] = None
         self._started = time.perf_counter()
@@ -166,7 +138,6 @@ class Span:
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
-            "site": self.site,
             "start_unix_s": self.start_unix_s,
             "duration_s": self.duration_s,
             "attrs": self.attrs,
@@ -216,57 +187,21 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-def wire_span(
-    name: str,
-    trace_id: str,
-    parent_id: Optional[str],
-    start_unix_s: float,
-    duration_s: float,
-    site: str,
-    attrs: Optional[Dict] = None,
-) -> Dict:
-    """A finished span as a plain dict, for shipping across a process queue.
-
-    Scan workers cannot hold live :class:`Span` objects (the recorder lives
-    in the coordinator), so they build their spans with this helper and the
-    coordinator ingests them via :meth:`SpanTracer.ingest`.
-    """
-    return {
-        "name": str(name),
-        "trace_id": str(trace_id),
-        "span_id": new_span_id(),
-        "parent_id": parent_id,
-        "site": str(site),
-        "start_unix_s": float(start_unix_s),
-        "duration_s": float(duration_s),
-        "attrs": dict(attrs) if attrs else {},
-    }
-
-
 class FlightRecorder:
     """A bounded in-memory buffer of finished spans.
 
     Oldest spans rotate out once ``capacity`` is reached (``dropped``
     counts the casualties), so a long-running service retains the recent
-    flight without unbounded growth.  ``dump_jsonl`` exports on demand;
-    ``auto_dump`` is the black-box trigger — the engine calls it when it
-    emits ``DEGRADED``, writing a numbered ``trace-<reason>-N.jsonl`` into
-    ``auto_dump_dir`` (a no-op when no directory is configured).
+    flight without unbounded growth.  ``dump_jsonl`` exports on demand.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_RECORDER_CAPACITY,
-        auto_dump_dir: Optional[Path] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_RECORDER_CAPACITY) -> None:
         if capacity < 1:
             raise ProtectionError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.auto_dump_dir = Path(auto_dump_dir) if auto_dump_dir else None
         self.dropped = 0
         self._spans: deque = deque()
         self._lock = threading.Lock()
-        self._auto_dumps = 0
 
     def record(self, span: Dict) -> None:
         with self._lock:
@@ -295,16 +230,6 @@ class FlightRecorder:
         path.write_text("".join(line + "\n" for line in lines))
         return path
 
-    def auto_dump(self, reason: str) -> Optional[Path]:
-        """Dump to ``auto_dump_dir`` tagged with ``reason`` (``None`` if unset)."""
-        if self.auto_dump_dir is None:
-            return None
-        self._auto_dumps += 1
-        safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in reason)
-        return self.dump_jsonl(
-            self.auto_dump_dir / f"trace-{safe}-{self._auto_dumps}.jsonl"
-        )
-
 
 class SpanTracer:
     """Hands out spans and records the finished ones into a flight recorder."""
@@ -322,35 +247,11 @@ class SpanTracer:
     ) -> Span:
         """Start a span.  ``parent=None`` starts a new trace (a root span)."""
         if parent is not None:
-            return Span(self, name, parent.trace_id, parent.span_id, attrs, "coordinator")
-        return Span(self, name, new_span_id(), None, attrs, "coordinator")
+            return Span(self, name, parent.trace_id, parent.span_id, attrs)
+        return Span(self, name, new_span_id(), None, attrs)
 
     def _record(self, span: Span) -> None:
         self.recorder.record(span.to_dict())
-
-    def ingest(self, spans: Iterable) -> int:
-        """Record externally built span dicts (from workers); returns count.
-
-        Worker payloads are untrusted (the chaos plan malforms wire
-        payloads on purpose), so anything that is not a well-formed span
-        dict is dropped silently rather than poisoning the recorder.
-        """
-        ingested = 0
-        if not isinstance(spans, (list, tuple)):
-            return 0
-        for span in spans:
-            if not isinstance(span, dict):
-                continue
-            if not all(field in span for field in SPAN_FIELDS):
-                continue
-            if not isinstance(span["duration_s"], (int, float)):
-                continue
-            self.recorder.record(span)
-            ingested += 1
-        return ingested
-
-    def auto_dump(self, reason: str) -> Optional[Path]:
-        return self.recorder.auto_dump(reason)
 
 
 class _NullTracer:
@@ -364,12 +265,6 @@ class _NullTracer:
     def span(self, name, parent=None, attrs=None) -> _NullSpan:
         return NULL_SPAN
 
-    def ingest(self, spans) -> int:
-        return 0
-
-    def auto_dump(self, reason: str) -> None:
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NULL_TRACER"
 
@@ -380,9 +275,8 @@ NULL_TRACER = _NullTracer()
 def assert_no_orphans(spans: Sequence[Dict]) -> None:
     """Raise if any span references a parent that is not in ``spans``.
 
-    The acceptance property of the cross-process propagation: every
-    worker-side scan span (including retries and quarantine fallbacks)
-    must chain back to a coordinator tick span *within one export*.
+    The acceptance property of an export: every stage span of a tick
+    must chain back to its ``engine.tick`` span *within one export*.
     """
     known = {span["span_id"] for span in spans}
     orphans = [

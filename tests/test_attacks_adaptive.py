@@ -124,7 +124,6 @@ class TestRotationTracker:
         for tick, shard in enumerate([0, 1, 2, 3]):
             tracker.observe_scan(tick, [shard])
         assert tracker._stalest_shard() == 3
-        engine.close()
 
 
 class TestBudgetAwareAttacker:
@@ -136,10 +135,10 @@ class TestBudgetAwareAttacker:
             recovery_policy=RecoveryPolicy.RELOAD,
         )
         managed = engine.register("victim", model, keep_golden_weights=True)
-        return engine, model, managed
+        return model, managed
 
     def test_fires_on_budget_exhaustion(self):
-        engine, model, managed = self._bound()
+        model, managed = self._bound()
         attacker = BudgetAwareAttacker(
             AttackCadence.burst(2), num_flips=1, patience=10
         ).bind(managed)
@@ -148,10 +147,9 @@ class TestBudgetAwareAttacker:
             FleetEvent(FleetEventType.BUDGET_EXHAUSTED, "victim", tick=3)
         )
         assert attacker.maybe_attack(model, 3, "victim") is not None
-        engine.close()
 
     def test_ignores_other_models_starvation(self):
-        engine, model, managed = self._bound()
+        model, managed = self._bound()
         attacker = BudgetAwareAttacker(
             AttackCadence.burst(2), num_flips=1, patience=10
         ).bind(managed)
@@ -159,10 +157,9 @@ class TestBudgetAwareAttacker:
             FleetEvent(FleetEventType.BUDGET_EXHAUSTED, "bystander", tick=3)
         )
         assert attacker.maybe_attack(model, 3, "victim") is None
-        engine.close()
 
     def test_patience_fallback_fires_against_a_well_funded_defense(self):
-        engine, model, managed = self._bound()
+        model, managed = self._bound()
         attacker = BudgetAwareAttacker(
             AttackCadence.burst(2), num_flips=1, patience=3
         ).bind(managed)
@@ -173,7 +170,6 @@ class TestBudgetAwareAttacker:
                 break
         assert fired_at == 5  # armed at 2, patience 3
         assert attacker.max_fire_delay_ticks >= attacker.patience
-        engine.close()
 
 
 class TestAdaptiveExploitInvariants:

@@ -148,7 +148,7 @@ class TestServeDemoCommand:
         assert code == 0
         assert "Serving timeline" in capsys.readouterr().out
 
-    def test_demo_events_and_workers(self, capsys):
+    def test_demo_prints_the_event_stream(self, capsys):
         code = main(
             [
                 "serve-demo",
@@ -157,7 +157,6 @@ class TestServeDemoCommand:
                 "--passes", "8",
                 "--attack-at-pass", "1",
                 "--num-flips", "4",
-                "--workers", "2",
                 "--events",
             ]
         )
@@ -169,7 +168,7 @@ class TestServeDemoCommand:
 
 
 class TestServeDemoObservability:
-    """--http-port / --trace-dir / --report-every on serve-demo."""
+    """--http-port / --trace-dir on serve-demo."""
 
     def test_trace_dir_exports_an_analyzable_trace(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
@@ -200,22 +199,6 @@ class TestServeDemoObservability:
 
         assert_no_orphans(spans)
         assert sum(span["name"] == "engine.tick" for span in spans) == 6
-
-    def test_report_every_prints_fault_and_worker_reports(self, capsys):
-        code = main(
-            [
-                "serve-demo",
-                "--models", "2",
-                "--num-shards", "4",
-                "--passes", "6",
-                "--report-every", "3",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "[pass 3] fault report:" in out
-        assert "[pass 6] fault report:" in out
-        assert "Worker load after pass 3" in out
 
     def test_http_port_announces_and_serves(self, tmp_path, capsys):
         # Port 0 binds an ephemeral port; the demo must announce it so a
@@ -419,6 +402,20 @@ class TestStateDirPersistence:
             assert saved["cost_model"]["type"] == "measured"
             # Two runs of 6 passes each have been folded into the EWMA.
             assert saved["cost_model"]["observations"] >= 12
+
+    def test_infer_demo_state_roundtrip(self, capsys, tmp_path):
+        state_dir = tmp_path / "state"
+        args = [
+            "infer-demo",
+            "--batches", "8",
+            "--batch-size", "4",
+            "--state-dir", str(state_dir),
+        ]
+        assert main(args) == 0
+        assert "cold start" in capsys.readouterr().out
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "resumed calibration" in out
 
 
 class TestSlaReportCommand:

@@ -22,6 +22,15 @@ from repro.errors import ProtectionError
 from repro.models.small import MLP, LeNet5
 from repro.quant.layers import quantize_model, quantized_layers
 
+#: (hidden_dims, input_dim) choices for heterogeneous fleets.  The first
+#: quantized layer of the smallest is 48 * 16 = 768 weights, so flip
+#: indices below that bound are valid for every structure.
+STRUCTURES = (
+    ((24,), 48),
+    ((32, 16), 64),
+    ((16,), 48),
+)
+
 
 def _small_model(seed: int, hidden=(24,), input_dim=48) -> MLP:
     model = MLP(input_dim=input_dim, num_classes=4, hidden_dims=hidden, seed=seed)
@@ -109,10 +118,6 @@ class TestEventBus:
 
 
 class TestEngineValidation:
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ProtectionError, match="workers must be >= 1"):
-            VerificationEngine(workers=0)
-
     def test_tick_requires_models(self, engine):
         with pytest.raises(ProtectionError, match="no registered models"):
             engine.tick()
@@ -180,16 +185,42 @@ class TestBatchedEquivalence:
                 np.arange(4, dtype=np.int64),
             )
 
-    def test_tick_detects_exactly_what_sequential_steps_detect(self):
+    @settings(max_examples=8, deadline=None)
+    @given(
+        structures=st.lists(
+            st.integers(min_value=0, max_value=len(STRUCTURES) - 1),
+            min_size=2,
+            max_size=4,
+        ),
+        flips=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=255),
+            ),
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_tick_detects_exactly_what_sequential_steps_detect(
+        self, structures, flips
+    ):
+        """Mixed structures share padded buckets; 0-3 flips anywhere."""
         config = RadarConfig(group_size=8)
         batched_engine = VerificationEngine(config, num_shards=4)
         reference_engine = VerificationEngine(config, num_shards=4)
-        for index in range(3):
-            batched_engine.register(f"m{index}", _small_model(index))
-            reference_engine.register(f"m{index}", _small_model(index))
-        _flip_weight(batched_engine.get("m2").model, weight_index=3)
-        _flip_weight(reference_engine.get("m2").model, weight_index=3)
-        lag = batched_engine.get("m0").scheduler.worst_case_lag_passes
+        for engine in (batched_engine, reference_engine):
+            for index, structure in enumerate(structures):
+                hidden, input_dim = STRUCTURES[structure]
+                engine.register(
+                    f"m{index}", _small_model(100 + index, hidden, input_dim)
+                )
+            for model_index, weight_index in flips:
+                name = f"m{model_index % len(structures)}"
+                _flip_weight(engine.get(name).model, weight_index=weight_index)
+        lag = max(
+            batched_engine.get(name).scheduler.worst_case_lag_passes
+            for name in batched_engine.names()
+        )
         for _ in range(lag):
             outcomes = batched_engine.tick(recovery_policy=RecoveryPolicy.NONE)
             for name in reference_engine.names():
@@ -261,23 +292,21 @@ class TestBatchedEquivalence:
         assert outcomes["mlp-b"].batch_size == 2
         assert outcomes["coarse"].batch_size == 1
 
-    def test_worker_pool_ticks_heterogeneous_fleet(self):
-        with VerificationEngine(
-            RadarConfig(group_size=8), num_shards=4, workers=2
-        ) as engine:
-            engine.register("mlp", _small_model(1))
-            lenet = LeNet5(num_classes=4, seed=2)
-            quantize_model(lenet)
-            engine.register("lenet", lenet)
-            _flip_weight(engine.get("mlp").model)
-            detected = set()
-            for _ in range(engine.get("mlp").scheduler.worst_case_lag_passes):
-                for name, outcome in engine.tick().items():
-                    if outcome.attack_detected:
-                        detected.add(name)
-            assert detected == {"mlp"}
-            clean = engine.scan_all()
-            assert not any(report.attack_detected for report in clean.values())
+    def test_inline_ticks_heterogeneous_fleet(self):
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        engine.register("mlp", _small_model(1))
+        lenet = LeNet5(num_classes=4, seed=2)
+        quantize_model(lenet)
+        engine.register("lenet", lenet)
+        _flip_weight(engine.get("mlp").model)
+        detected = set()
+        for _ in range(engine.get("mlp").scheduler.worst_case_lag_passes):
+            for name, outcome in engine.tick().items():
+                if outcome.attack_detected:
+                    detected.add(name)
+        assert detected == {"mlp"}
+        clean = engine.scan_all()
+        assert not any(report.attack_detected for report in clean.values())
 
 
 class TestLifecycle:

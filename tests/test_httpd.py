@@ -64,10 +64,8 @@ class TestRegistryOnlyServer:
     def test_engine_routes_answer_503_without_an_engine(self):
         with ObservabilityServer(registry=MetricRegistry()) as server:
             health_status, _, health_body = _get(f"{server.url}/healthz")
-            stats_status, _, _ = _get(f"{server.url}/fault-stats")
         assert health_status == 503
         assert json.loads(health_body)["status"] == "no-engine"
-        assert stats_status == 503
 
     def test_trace_answers_404_without_a_recorder(self):
         with ObservabilityServer(registry=MetricRegistry()) as server:
@@ -91,8 +89,7 @@ class TestEngineBackedServer:
         engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
         engine.register("m0", _small_model(1))
         engine.register("m1", _small_model(2))
-        yield engine
-        engine.close()
+        return engine
 
     def test_healthz_reports_tick_and_models(self, engine):
         telemetry = FleetTelemetry().attach(engine)
@@ -101,26 +98,9 @@ class TestEngineBackedServer:
             status, _, body = _get(f"{server.url}/healthz")
         payload = json.loads(body)
         assert status == 200
-        assert payload["status"] == "ok" and payload["degraded"] is False
+        assert payload["status"] == "ok"
         assert payload["tick"] == engine.tick_index
         assert payload["models"] == 2
-
-    def test_healthz_reports_degraded(self, engine):
-        telemetry = FleetTelemetry().attach(engine)
-        engine._degraded = True  # the breaker flag behind the property
-        with ObservabilityServer(telemetry=telemetry, engine=engine) as server:
-            status, _, body = _get(f"{server.url}/healthz")
-        assert status == 200
-        assert json.loads(body)["status"] == "degraded"
-
-    def test_fault_stats_mirror_the_engine(self, engine):
-        telemetry = FleetTelemetry().attach(engine)
-        engine.tick()
-        with ObservabilityServer(telemetry=telemetry, engine=engine) as server:
-            status, content_type, body = _get(f"{server.url}/fault-stats")
-        assert status == 200
-        assert content_type.startswith("application/json")
-        assert json.loads(body) == dict(engine.fault_stats())
 
     def test_metrics_track_engine_ticks(self, engine):
         telemetry = FleetTelemetry().attach(engine)

@@ -1,11 +1,9 @@
-"""Tests for ``scripts/check_perf_regression.py``: a skipped check is visible.
+"""Tests for ``scripts/check_perf_regression.py``: pass, fail, promote.
 
-The ``fleet-processes`` gate cannot compare process-scaling ratios, nor
-hold its absolute floor, on a host with fewer CPUs than processes.  Such a
-skip must never read as a pass: every skipped check prints a GitHub
-``::warning::`` annotation and the run ends on a ``SKIPPED`` line.  For the
-same reason ``--promote`` copies a fresh artifact over its baseline only
-after a plain pass, never after a failure or a skip.
+The gate judges a fresh artifact against its committed baseline and ends
+on either the pass line or ``REGRESSION GATE FAILED``.  ``--promote``
+copies a fresh artifact over its baseline only after a pass, never after
+a failure.
 """
 
 from __future__ import annotations
@@ -33,94 +31,69 @@ def gate():
     return module
 
 
-def _rows(available_cpus, speedups=(1.0, 0.8, 0.7)):
+def _rows(speedups=(0.9, 1.3, 2.4)):
+    """A ``--kind fleet`` artifact (``results/fleet_throughput.json`` shape)."""
     return {
         "rows": [
             {
-                "processes": processes,
-                "num_models": 16,
-                "groups_per_tick": 164864,
-                "speedup_vs_single": speedup,
-                "available_cpus": available_cpus,
-                "weight_bytes_copied_per_tick": 0.0,
-                "oracle_match": True,
+                "num_models": num_models,
+                "groups_per_tick": 68 * num_models,
+                "speedup": speedup,
             }
-            for processes, speedup in zip((1, 2, 4), speedups)
+            for num_models, speedup in zip((2, 4, 16), speedups)
         ]
     }
 
 
-def _run(gate, tmp_path, capsys, baseline, fresh):
+def _gate_args(tmp_path, baseline, fresh):
     baseline_path = tmp_path / "baseline.json"
     fresh_path = tmp_path / "fresh.json"
     baseline_path.write_text(json.dumps(baseline))
     fresh_path.write_text(json.dumps(fresh))
-    status = gate.main(
-        [
-            "--kind", "fleet-processes",
-            "--baseline", str(baseline_path),
-            "--fresh", str(fresh_path),
-            "--tolerance", "0.5",
-            "--min-speedup", "2.5",
-        ]
-    )
+    return [
+        "--kind", "fleet",
+        "--baseline", str(baseline_path),
+        "--fresh", str(fresh_path),
+        "--tolerance", "0.5",
+        "--min-speedup", "2.0",
+    ]
+
+
+def _run(gate, tmp_path, capsys, baseline, fresh):
+    status = gate.main(_gate_args(tmp_path, baseline, fresh))
     return status, capsys.readouterr().out.strip().splitlines()
 
 
-def test_too_few_cpus_reports_a_visible_skip(gate, tmp_path, capsys):
-    status, lines = _run(gate, tmp_path, capsys, _rows(1), _rows(1))
+def test_a_passing_run_gets_a_real_verdict(gate, tmp_path, capsys):
+    status, lines = _run(gate, tmp_path, capsys, _rows(), _rows((0.8, 1.2, 2.3)))
     assert status == 0
-    warnings = [line for line in lines if line.startswith("::warning")]
-    # Both multi-process rows' ratios and the absolute floor were skipped.
-    assert len(warnings) == 3
-    assert any("processes=2" in line for line in warnings)
-    assert any("processes=4" in line for line in warnings)
-    assert any("acceptance floor skipped" in line for line in warnings)
-    assert lines[-1].startswith("SKIPPED")
-    assert not any(line.startswith("regression gate passed") for line in lines)
-
-
-def test_a_host_with_the_cores_gets_a_real_verdict(gate, tmp_path, capsys):
-    status, lines = _run(
-        gate, tmp_path, capsys, _rows(8, (1.0, 1.8, 3.0)), _rows(8, (1.0, 1.7, 2.9))
-    )
-    assert status == 0
-    assert not any(line.startswith("::warning") for line in lines)
+    assert any(line.startswith("acceptance floor: best fleet speedup") for line in lines)
     assert lines[-1].startswith("regression gate passed")
 
 
-def test_a_failure_still_fails_when_other_checks_were_skipped(gate, tmp_path, capsys):
-    fresh = _rows(1)
-    fresh["rows"][2]["oracle_match"] = False
-    status, lines = _run(gate, tmp_path, capsys, _rows(1), fresh)
+def test_a_regression_fails_the_gate(gate, tmp_path, capsys):
+    # The 4-model ratio halves past the tolerance and the best row drops
+    # under the absolute floor: both are reported.
+    status, lines = _run(gate, tmp_path, capsys, _rows(), _rows((0.8, 0.6, 1.9)))
     assert status == 1
-    assert any(line.startswith("::warning") for line in lines)
+    assert any("num_models=4: speedup fell to 0.60x" in line for line in lines)
+    assert any("below the 2.00x acceptance floor" in line for line in lines)
     assert any("REGRESSION GATE FAILED" in line for line in lines)
 
 
 def _promote(gate, tmp_path, capsys, fresh):
-    baseline_path = tmp_path / "baseline.json"
-    fresh_path = tmp_path / "fresh.json"
-    baseline_text = json.dumps(_rows(8, (1.0, 1.8, 3.0)))
-    baseline_path.write_text(baseline_text)
-    fresh_path.write_text(json.dumps(fresh))
-    status = gate.main(
-        [
-            "--kind", "fleet-processes",
-            "--baseline", str(baseline_path),
-            "--fresh", str(fresh_path),
-            "--tolerance", "0.5",
-            "--min-speedup", "2.5",
-            "--promote",
-        ]
-    )
+    baseline_text = json.dumps(_rows())
+    args = _gate_args(tmp_path, _rows(), fresh)
+    status = gate.main(args + ["--promote"])
     lines = capsys.readouterr().out.strip().splitlines()
-    return status, lines, baseline_text, baseline_path.read_text(), fresh_path.read_text()
+    baseline_after = (tmp_path / "baseline.json").read_text()
+    fresh_text = (tmp_path / "fresh.json").read_text()
+    return status, lines, baseline_text, baseline_after, fresh_text
 
 
 def test_promote_copies_fresh_over_baseline_on_a_pass(gate, tmp_path, capsys):
     status, lines, _, baseline_after, fresh_text = _promote(
-        gate, tmp_path, capsys, _rows(8, (1.0, 1.7, 2.9))
+        gate, tmp_path, capsys, _rows((0.8, 1.2, 2.3))
     )
     assert status == 0
     assert baseline_after == fresh_text
@@ -129,20 +102,12 @@ def test_promote_copies_fresh_over_baseline_on_a_pass(gate, tmp_path, capsys):
 
 
 def test_promote_refuses_after_a_failure(gate, tmp_path, capsys):
-    fresh = _rows(8, (1.0, 1.7, 2.9))
-    fresh["rows"][1]["oracle_match"] = False
-    status, lines, baseline_before, baseline_after, _ = _promote(gate, tmp_path, capsys, fresh)
+    status, lines, baseline_before, baseline_after, _ = _promote(
+        gate, tmp_path, capsys, _rows((0.8, 1.2, 1.5))
+    )
     assert status == 1
     assert baseline_after == baseline_before
     assert any("REGRESSION GATE FAILED" in line for line in lines)
-    assert lines[-1].startswith("not promoted")
-
-
-def test_promote_refuses_a_skipped_outcome(gate, tmp_path, capsys):
-    status, lines, baseline_before, baseline_after, _ = _promote(gate, tmp_path, capsys, _rows(1))
-    assert status == 1
-    assert baseline_after == baseline_before
-    assert any(line.startswith("SKIPPED") for line in lines)
     assert lines[-1].startswith("not promoted")
 
 

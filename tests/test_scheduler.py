@@ -103,6 +103,25 @@ class TestFusedSignatures:
             FusedSignatures(SignatureStore(RadarConfig(group_size=8)))
 
 
+class TestSliceDescriptors:
+    """A slice descriptor's row ranges expand back to the planned rows."""
+
+    def test_slice_descriptor_round_trips_rows(self):
+        model = MLP(input_dim=64, num_classes=4, hidden_dims=(32, 16), seed=1)
+        quantize_model(model)
+        protector = ModelProtector(RadarConfig(group_size=8))
+        protector.protect(model)
+        scheduler = ScanScheduler(protector.store, num_shards=4)
+        for indices in ([0], [2], [1, 2], list(range(scheduler.num_shards))):
+            descriptor = scheduler.slice_descriptor(indices)
+            expected = scheduler.slice_rows(indices)
+            np.testing.assert_array_equal(descriptor.rows(), expected)
+            assert descriptor.num_rows == expected.size
+        empty = scheduler.slice_descriptor([])
+        assert empty.rows().size == 0
+        assert empty.num_rows == 0
+
+
 class TestScanSchedulerRotation:
     def test_rotation_union_matches_full_scan_exactly(self, protected):
         model, protector = protected

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
 from repro.core import (
     MeasuredScanCostModel,
+    ProtectedInference,
     RadarConfig,
     RecoveryPolicy,
     ScanPolicy,
@@ -389,7 +390,6 @@ class TestTelemetryStore:
         assert np.isfinite(before["model-0"]["p99_detection_ticks"])
         store.save_telemetry(telemetry)
         telemetry.detach()
-        engine.close()
 
         # A fresh process: new engine, new monitor, empty registry.
         restarted = _build_engine()
@@ -400,7 +400,6 @@ class TestTelemetryStore:
             before["model-0"]["p99_detection_ticks"]
         )
         assert after["model-0"]["injections"] == before["model-0"]["injections"]
-        restarted.close()
 
     def test_restore_merges_windows_across_runs(self, tmp_path):
         from repro.telemetry import FleetTelemetry
@@ -439,3 +438,58 @@ class TestTelemetryStore:
         store.telemetry_path.write_text(json.dumps({"version": 99, "metrics": {}}))
         with pytest.raises(ProtectionError, match="version"):
             store.restore_telemetry(FleetTelemetry())
+
+
+class TestRuntimePersistence:
+    """ProtectedInference calibration survives a restart."""
+
+    def _runtime(self, seed: int = 0, group_size: int = 16) -> ProtectedInference:
+        model = MLP(input_dim=64, num_classes=4, hidden_dims=(48, 24), seed=seed)
+        quantize_model(model)
+        return ProtectedInference(
+            model, config=RadarConfig(group_size=group_size), budget_s=2e-4
+        )
+
+    def _calibrate(self, runtime: ProtectedInference, checks: int = 4) -> None:
+        rng = np.random.default_rng(7)
+        for _ in range(checks * runtime.check_every):
+            runtime(rng.normal(size=(4, 64)))
+        assert runtime.cost_model.observations > 0
+
+    def test_state_roundtrip_restores_price_and_rederives_cadence(self):
+        runtime = self._runtime()
+        self._calibrate(runtime)
+        state = json.loads(json.dumps(runtime.state_dict()))  # JSON-safe
+        fresh = self._runtime(seed=1)
+        fresh.load_state_dict(state)
+        assert fresh.cost_model.seconds_per_group == pytest.approx(
+            runtime.cost_model.seconds_per_group
+        )
+        assert fresh.cost_model.observations == runtime.cost_model.observations
+        # Same budget + same restored price → the auto-cadence re-derives to
+        # the same value (re-derived, not copied: see load_state_dict).
+        assert fresh.check_every == runtime.check_every
+
+    def test_state_store_roundtrip_and_fingerprint_guard(self, tmp_path):
+        store = StateStore(tmp_path)
+        runtime = self._runtime()
+        self._calibrate(runtime)
+        store.save_runtime(
+            "demo", runtime, radar_config=runtime.protector.config
+        )
+        fresh = self._runtime(seed=1)
+        assert store.restore_runtime(
+            "demo", fresh, radar_config=fresh.protector.config
+        )
+        assert fresh.cost_model.seconds_per_group == pytest.approx(
+            runtime.cost_model.seconds_per_group
+        )
+        # A snapshot learned under another grouping is refused (cold start).
+        other = self._runtime(seed=2, group_size=8)
+        assert not store.restore_runtime(
+            "demo", other, radar_config=other.protector.config
+        )
+        # So is a name that was never persisted.
+        assert not store.restore_runtime(
+            "ghost", fresh, radar_config=fresh.protector.config
+        )

@@ -386,7 +386,6 @@ class TestMetricPersistence:
             engine.tick()
         state = telemetry.state_dict()
         telemetry.detach()
-        engine.close()
 
         restarted = _fleet()
         reborn = FleetTelemetry().attach(restarted)
@@ -396,4 +395,3 @@ class TestMetricPersistence:
         assert np.isfinite(rows["model-0"]["p99_detection_ticks"])
         # Pending injections deliberately do not survive the restart.
         assert reborn.pending_injections("model-0") == 0
-        restarted.close()
