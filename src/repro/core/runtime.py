@@ -49,9 +49,9 @@ from repro.core.recovery import (
     require_golden_weights,
 )
 from repro.core.scheduler import ScanPolicy, ScanScheduler
-from repro.core.signature import FusedSignatures, ScanScratch, SignatureStore
+from repro.core.signature import FusedSignatures, SignatureStore
 from repro.errors import ProtectionError
-from repro.nn.module import Module
+from repro.nn.module import Module, no_grad
 from repro.quant.layers import quantized_layers
 from repro.quant.quantizer import dequantize
 
@@ -197,9 +197,6 @@ class ProtectedInference:
         self._since_last_check = 0
         # The helper thread's job queue, created on the first full check.
         self._jobs: Optional[queue.SimpleQueue] = None
-        # Kernel workspace for the layer verified on the request thread (the
-        # fused view's own scratch belongs to the helper thread).
-        self._scratch = ScanScratch()
 
     def _derived_cadence(self) -> int:
         """Batches per check so amortized checking stays within ``budget_s``."""
@@ -246,14 +243,13 @@ class ProtectedInference:
             RecoveryReport(policy=self.policy),
             self.protector.golden_weights,
         )
-        # The first layer is verified here: the forward reads it at once, so
-        # waiting for the helper thread to wake would only add latency.
-        stream.verify(0, self._scratch)
+        # The helper verifies the first layer while that layer's conv
+        # unfolds its input: a conv builds its columns before it reads its
+        # weights.
         self._verifier_jobs().put(stream)
         for position, layer in enumerate(stream.layers):
             layer.weight_source = functools.partial(stream.weight, position)
         try:
-            self.model.eval()
             logits = self.model(images)
         finally:
             for layer in stream.layers:
@@ -295,20 +291,24 @@ class ProtectedInference:
         return detection.attack_detected, flagged, recovered
 
     def forward(self, images: np.ndarray) -> InferenceOutcome:
-        """Run one protected inference batch."""
+        """Run one protected inference batch.
+
+        The model runs under :func:`~repro.nn.module.no_grad`: the forward
+        computes its logits and keeps no backward caches.
+        """
         verdict = (False, 0, 0)
         self._since_last_check += 1
-        if self._since_last_check < self.check_every:
-            self.model.eval()
-            logits = self.model(images)
-        else:
-            self._since_last_check = 0
-            if self.scheduler is None:
-                logits, verdict = self._streamed_forward(images)
-            else:
-                verdict = self._check()
-                self.model.eval()
+        self.model.eval()
+        with no_grad():
+            if self._since_last_check < self.check_every:
                 logits = self.model(images)
+            else:
+                self._since_last_check = 0
+                if self.scheduler is None:
+                    logits, verdict = self._streamed_forward(images)
+                else:
+                    verdict = self._check()
+                    logits = self.model(images)
         attack_detected, flagged, recovered = verdict
         if attack_detected:
             self.log.detections += 1
@@ -443,7 +443,7 @@ class _LayerStream:
         self.recovery_s = 0.0
         self.wait_s = 0.0
 
-    def verify(self, position: int, scratch: Optional[ScanScratch] = None) -> None:
+    def verify(self, position: int) -> None:
         """Verify layer ``position`` (the next in store order) and publish its verdict.
 
         A clean layer's weights are dequantized here, right after its
@@ -452,9 +452,7 @@ class _LayerStream:
         layer = self.layers[position]
         start, end = self.fused.row_range(self.fused.layer_names[position])
         began = time.perf_counter()
-        rows = self.fused.verify_rows(
-            self.plane, np.arange(start, end, dtype=np.int64), scratch
-        )
+        rows = self.fused.verify_rows(self.plane, np.arange(start, end, dtype=np.int64))
         scanned = time.perf_counter()
         if rows.size:
             self.flagged[position] = rows - start
@@ -469,7 +467,7 @@ class _LayerStream:
     def run(self) -> None:
         """Helper thread: verify the remaining layers, never raising."""
         try:
-            for position in range(self.verified, len(self.layers)):
+            for position in range(len(self.layers)):
                 self.verify(position)
         except BaseException as error:  # re-raised on the request thread
             self.error = error

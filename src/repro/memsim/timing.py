@@ -25,6 +25,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -94,28 +95,40 @@ def count_model_ops(model: Module, example_input: np.ndarray) -> List[LayerOps]:
 
     ``example_input`` should be a single-sample batch shaped like the real
     deployment input (e.g. ``(1, 3, 224, 224)`` for ImageNet ResNet-18);
-    the returned counts are per sample.
+    the returned counts are per sample.  A conv's MACs follow from the
+    shape of the output it returns in the tracing pass, so the counts do
+    not depend on whether the forward keeps backward caches.
     """
     example_input = np.asarray(example_input)
     if example_input.ndim != 4 or example_input.shape[0] != 1:
         raise SimulationError(
             f"example_input must be a single-sample NCHW batch, got shape {example_input.shape}"
         )
-    model.eval()
-    model(example_input)
+    layers = quantized_layers(model)
+    output_shapes: Dict[str, tuple] = {}
+
+    def traced(name: str, forward, inputs: np.ndarray) -> np.ndarray:
+        output = forward(inputs)
+        output_shapes[name] = output.shape
+        return output
+
+    for name, layer in layers:
+        layer.forward = functools.partial(traced, name, layer.forward)
+    try:
+        model.eval()
+        model(example_input)
+    finally:
+        for _, layer in layers:
+            del layer.forward
 
     ops: List[LayerOps] = []
-    for name, layer in quantized_layers(model):
+    for name, layer in layers:
         if isinstance(layer, QuantConv2d):
-            cache = layer._cache
-            if cache is None:
+            if name not in output_shapes:
                 raise SimulationError(f"Layer {name!r} was not exercised by the forward pass")
-            columns, weight_shape, _, _, _, _ = cache
-            out_positions = columns.shape[0]  # batch(=1) * out_h * out_w
-            out_channels = weight_shape[0]
-            kernel_volume = int(np.prod(weight_shape[1:]))
-            macs = out_positions * out_channels * kernel_volume
-            output_elements = out_positions * out_channels
+            out_positions = int(np.prod(output_shapes[name][2:]))  # out_h * out_w
+            macs = out_positions * layer.weight.size
+            output_elements = out_positions * layer.out_channels
         elif isinstance(layer, QuantLinear):
             macs = layer.in_features * layer.out_features
             output_elements = layer.out_features

@@ -64,17 +64,14 @@ class BasicBlock(Module):
             )
         else:
             self.downsample = Identity()
-        self._shortcut_input = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shortcut_input = inputs
         out = self.conv1(inputs)
         out = self.bn1(out)
         out = self.relu1(out)
         out = self.conv2(out)
         out = self.bn2(out)
-        shortcut = self.downsample(inputs)
-        out = out + shortcut
+        out += self.downsample(inputs)
         return self.relu2(out)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

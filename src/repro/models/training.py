@@ -15,7 +15,7 @@ import numpy as np
 from repro.data.loader import DataLoader, iterate_batches
 from repro.data.synthetic import Dataset
 from repro.nn.loss import CrossEntropyLoss
-from repro.nn.module import Module
+from repro.nn.module import Module, no_grad
 from repro.nn.optim import Adam, SGD, Optimizer
 from repro.nn.scheduler import CosineAnnealingLR
 from repro.utils.logging import get_logger
@@ -75,11 +75,11 @@ def evaluate_accuracy(
         images, labels = images[:max_samples], labels[:max_samples]
     correct = 0
     total = 0
-    for batch_images, batch_labels in iterate_batches(images, labels, batch_size):
-        logits = model(batch_images)
-        predictions = logits.argmax(axis=1)
-        correct += int((predictions == batch_labels).sum())
-        total += batch_labels.shape[0]
+    with no_grad():
+        for batch_images, batch_labels in iterate_batches(images, labels, batch_size):
+            predictions = model(batch_images).argmax(axis=1)
+            correct += int((predictions == batch_labels).sum())
+            total += batch_labels.shape[0]
     return correct / total if total else float("nan")
 
 
@@ -91,10 +91,10 @@ def evaluate_loss(
     criterion = CrossEntropyLoss()
     losses = []
     weights = []
-    for batch_images, batch_labels in iterate_batches(images, labels, batch_size):
-        logits = model(batch_images)
-        losses.append(criterion(logits, batch_labels))
-        weights.append(batch_labels.shape[0])
+    with no_grad():
+        for batch_images, batch_labels in iterate_batches(images, labels, batch_size):
+            losses.append(criterion(model(batch_images), batch_labels))
+            weights.append(batch_labels.shape[0])
     if not losses:
         return float("nan")
     return float(np.average(losses, weights=weights))

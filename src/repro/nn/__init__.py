@@ -7,7 +7,7 @@ original PyTorch reference implementations, while everything runs on
 NumPy.
 """
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, is_grad_enabled, no_grad
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -28,6 +28,8 @@ from repro.nn import init
 __all__ = [
     "Module",
     "Parameter",
+    "no_grad",
+    "is_grad_enabled",
     "Conv2d",
     "Linear",
     "BatchNorm2d",

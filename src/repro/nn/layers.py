@@ -12,9 +12,14 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, is_grad_enabled
 from repro.tensor import functional as F
 from repro.utils.rng import new_rng
+
+
+def _kept(cache):
+    """``cache`` outside :func:`~repro.nn.module.no_grad`, ``None`` inside it."""
+    return cache if is_grad_enabled() else None
 
 
 class Conv2d(Module):
@@ -54,13 +59,16 @@ class Conv2d(Module):
         """Convolve ``(N, C_in, H, W)`` inputs to ``(N, C_out, out_h, out_w)``.
 
         The output's memory is channel-major (see
-        :func:`repro.tensor.functional.conv2d_forward`).
+        :func:`repro.tensor.functional.conv2d_forward`).  The columns are
+        built before the weight is read, so a streamed protected forward's
+        wait for this layer's verdict overlaps the unfold.
         """
-        weight = self.effective_weight()
+        columns = F.conv2d_columns(inputs, self.weight.shape, self.stride, self.padding)
         bias = self.bias.data if self.bias is not None else None
-        output, self._cache = F.conv2d_forward(
-            inputs, weight, bias, stride=self.stride, padding=self.padding
+        output, cache = F.conv2d_multiply(
+            columns, self.effective_weight(), bias, inputs.shape, self.stride, self.padding
         )
+        self._cache = _kept(cache)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -101,7 +109,8 @@ class Linear(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         weight = self.effective_weight()
         bias = self.bias.data if self.bias is not None else None
-        output, self._cache = F.linear_forward(inputs, weight, bias)
+        output, cache = F.linear_forward(inputs, weight, bias)
+        self._cache = _kept(cache)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -136,7 +145,17 @@ class BatchNorm2d(Module):
             raise ShapeError(
                 f"BatchNorm2d expected {self.num_features} channels, got {inputs.shape[1]}"
             )
-        output, self._cache, new_mean, new_var = F.batchnorm_forward(
+        if not (self.training or is_grad_enabled()):
+            self._cache = None
+            return F.batchnorm_inference(
+                inputs,
+                self.weight.data,
+                self.bias.data,
+                self.running_mean,
+                self.running_var,
+                eps=self.eps,
+            )
+        output, cache, new_mean, new_var = F.batchnorm_forward(
             inputs,
             self.weight.data,
             self.bias.data,
@@ -146,6 +165,7 @@ class BatchNorm2d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
+        self._cache = _kept(cache)
         if self.training:
             self.set_buffer("running_mean", new_mean)
             self.set_buffer("running_var", new_var)
@@ -168,7 +188,8 @@ class ReLU(Module):
         self._cache = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._cache = F.relu_forward(inputs)
+        output, cache = F.relu_forward(inputs)
+        self._cache = _kept(cache)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -188,6 +209,9 @@ class MaxPool2d(Module):
         self._cache = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        if not is_grad_enabled():
+            self._cache = None
+            return F.max_pool2d(inputs, self.kernel_size, self.stride, self.padding)
         output, self._cache = F.max_pool2d_forward(
             inputs, self.kernel_size, self.stride, self.padding
         )
@@ -210,9 +234,10 @@ class AvgPool2d(Module):
         self._cache = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._cache = F.avg_pool2d_forward(
+        output, cache = F.avg_pool2d_forward(
             inputs, self.kernel_size, self.stride, self.padding
         )
+        self._cache = _kept(cache)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -229,7 +254,8 @@ class GlobalAvgPool2d(Module):
         self._cache = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._cache = F.global_avg_pool_forward(inputs)
+        output, cache = F.global_avg_pool_forward(inputs)
+        self._cache = _kept(cache)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -246,7 +272,7 @@ class Flatten(Module):
         self._input_shape = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._input_shape = _kept(inputs.shape)
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -7,10 +7,18 @@ the last forward call and accumulates parameter gradients in
 ``Parameter.grad``.  This explicit-graph design (rather than a taped
 autograd) keeps the framework small and the computation costs easy to
 model for the timing simulator.
+
+Caches are kept only outside :func:`no_grad`.  Inside it, a forward
+computes its output and nothing else: every layer it runs sets its cache
+to ``None``, so a later ``backward`` raises instead of reusing the cache
+of an earlier forward.  Protected inference and accuracy evaluation run
+under it; training and the gradient-based attacks do not.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -19,6 +27,28 @@ import numpy as np
 from repro.tensor.dtypes import FLOAT_DTYPE
 
 from repro.errors import ShapeError
+
+_grad_mode = threading.local()
+
+
+def is_grad_enabled() -> bool:
+    """Whether forwards on this thread keep the caches ``backward`` needs."""
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run forwards on this thread without keeping backward caches.
+
+    The mode is per thread, as in ``torch.no_grad``: a scope on one thread
+    leaves the caches of a forward and backward on another thread alone.
+    """
+    previous = is_grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 class Parameter:

@@ -2,7 +2,10 @@
 
 Every ``*_forward`` function returns ``(output, cache)`` where ``cache``
 holds whatever the matching ``*_backward`` function needs.  The caches are
-plain tuples so they stay cheap and picklable.
+plain tuples so they stay cheap and picklable.  :func:`batchnorm_inference`
+and :func:`max_pool2d` compute only the output, bit-identical to their
+``*_forward`` counterparts, for forwards run under
+:func:`repro.nn.module.no_grad`.
 """
 
 from __future__ import annotations
@@ -44,29 +47,55 @@ def conv2d_forward(
     ``(1, 0, 2, 3)`` transposed view of a contiguous ``(C_out, N, out_h,
     out_w)`` array, which is what the next conv's :func:`im2col` reads in
     long runs.  Element-wise layers (batch norm, ReLU, residual adds)
-    keep that order.
+    keep that order.  This is :func:`conv2d_columns` followed by
+    :func:`conv2d_multiply`.
     """
-    if inputs.ndim != 4 or weight.ndim != 4:
+    columns = conv2d_columns(inputs, weight.shape, stride, padding)
+    return conv2d_multiply(columns, weight, bias, inputs.shape, stride, padding)
+
+
+def conv2d_columns(
+    inputs: np.ndarray, weight_shape: Tuple[int, ...], stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """Check ``inputs`` against a conv weight's shape and unfold them with :func:`im2col`.
+
+    Only the weight's shape is needed, so a layer can build its columns
+    before it reads its weights.
+    """
+    if inputs.ndim != 4 or len(weight_shape) != 4:
         raise ShapeError(
-            f"conv2d expects 4-D input and weight, got {inputs.shape} and {weight.shape}"
+            f"conv2d expects 4-D input and weight, got {inputs.shape} and {tuple(weight_shape)}"
         )
-    if inputs.shape[1] != weight.shape[1]:
+    if inputs.shape[1] != weight_shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input has {inputs.shape[1]} channels, "
-            f"weight expects {weight.shape[1]}"
+            f"weight expects {weight_shape[1]}"
         )
-    batch, _, height, width = inputs.shape
+    return im2col(inputs, tuple(weight_shape[2:]), stride, padding)
+
+
+def conv2d_multiply(
+    columns: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    input_shape: Tuple[int, ...],
+    stride: int = 1,
+    padding: int = 0,
+) -> Tuple[np.ndarray, Cache]:
+    """The conv's matrix multiply over :func:`conv2d_columns` of an ``input_shape`` input.
+
+    Returns ``(output, cache)`` as :func:`conv2d_forward` does.
+    """
+    batch, _, height, width = input_shape
     out_channels, _, kernel_h, kernel_w = weight.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-
-    columns = im2col(inputs, (kernel_h, kernel_w), stride, padding)
     weight_matrix = weight.reshape(out_channels, -1)
     output = weight_matrix @ columns.T
     if bias is not None:
         output += bias[:, None]
     output = output.reshape(out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
-    cache = (columns, weight.shape, inputs.shape, stride, padding, bias is not None)
+    cache = (columns, weight.shape, input_shape, stride, padding, bias is not None)
     return output, cache
 
 
@@ -181,12 +210,38 @@ def batchnorm_forward(
         new_running_var = running_var
 
     mean_b = mean.reshape(1, -1, 1, 1)
-    var_b = var.reshape(1, -1, 1, 1)
-    inv_std = 1.0 / np.sqrt(var_b + eps)
+    inv_std = _inv_std(var, eps)
     normalized = (inputs - mean_b) * inv_std
     output = gamma.reshape(1, -1, 1, 1) * normalized + beta.reshape(1, -1, 1, 1)
     cache = (normalized, inv_std, gamma, training)
     return output, cache, new_running_mean, new_running_var
+
+
+def batchnorm_inference(
+    inputs: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float = 1e-5,
+) -> np.ndarray:
+    """Eval-mode batch normalization into one output buffer, keeping nothing.
+
+    The same IEEE operations in the same order as the eval branch of
+    :func:`batchnorm_forward` — ``x - mean``, ``* inv_std``, ``* gamma``,
+    ``+ beta`` — so the output is bit-identical to it.
+    """
+    if inputs.ndim != 4:
+        raise ShapeError(f"batchnorm expects a 4-D NCHW tensor, got {inputs.shape}")
+    output = np.subtract(inputs, running_mean.reshape(1, -1, 1, 1))
+    output *= _inv_std(running_var, eps)
+    output *= gamma.reshape(1, -1, 1, 1)
+    output += beta.reshape(1, -1, 1, 1)
+    return output
+
+
+def _inv_std(var: np.ndarray, eps: float) -> np.ndarray:
+    return 1.0 / np.sqrt(var.reshape(1, -1, 1, 1) + eps)
 
 
 def batchnorm_backward(
@@ -251,6 +306,50 @@ def max_pool2d_forward(
     output = output.reshape(batch, channels, out_h, out_w)
     cache = (argmax, columns.shape, inputs.shape, padded_shape, kernel_size, stride, padding)
     return output, cache
+
+
+def max_pool2d(
+    inputs: np.ndarray, kernel_size: int, stride: Optional[int] = None, padding: int = 0
+) -> np.ndarray:
+    """Max pooling without the argmax cache, bit-identical to :func:`max_pool2d_forward`.
+
+    Takes the element-wise maximum over the ``kernel_size**2`` strided
+    views of the ``-inf``-padded channel-major planes.  A maximum that is
+    nonzero and not NaN has one bit pattern, whichever window element it
+    came from.  Zero maxima (``0.0`` and ``-0.0`` compare equal) and NaN
+    windows are settled by ``argmax`` over their gathered windows in
+    kernel order, as :func:`max_pool2d_forward` does: its first maximum,
+    or its first NaN, wins.  The output is channel-major, like a conv's.
+    """
+    stride = stride or kernel_size
+    batch, channels, height, width = inputs.shape
+    out_h = conv_output_size(height, kernel_size, stride, padding)
+    out_w = conv_output_size(width, kernel_size, stride, padding)
+    planes = inputs.transpose(1, 0, 2, 3)
+    if padding > 0:
+        padded = np.full(
+            (channels, batch, height + 2 * padding, width + 2 * padding),
+            -np.inf,
+            dtype=inputs.dtype,
+        )
+        padded[:, :, padding:padding + height, padding:padding + width] = planes
+        planes = padded
+    row_span = stride * (out_h - 1) + 1
+    col_span = stride * (out_w - 1) + 1
+    views = [
+        planes[:, :, row:row + row_span:stride, col:col + col_span:stride]
+        for row in range(kernel_size)
+        for col in range(kernel_size)
+    ]
+    output = views[0].copy()
+    for view in views[1:]:
+        np.maximum(output, view, out=output)
+    tied = output == 0
+    tied |= output != output
+    if tied.any():
+        windows = np.stack([view[tied] for view in views], axis=1)
+        output[tied] = windows[np.arange(windows.shape[0]), windows.argmax(axis=1)]
+    return output.transpose(1, 0, 2, 3)
 
 
 def max_pool2d_backward(grad_output: np.ndarray, cache: Cache) -> np.ndarray:

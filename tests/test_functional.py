@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
 from repro.models.resnet_cifar import resnet20
+from repro.nn.layers import Conv2d
 from repro.quant.layers import quantize_model
 from repro.quant.quantizer import QuantParams, dequantize
 from repro.tensor import functional as F
@@ -165,7 +166,11 @@ class TestConv2dAgainstReference:
 
         # Same model, float64 activations, every conv replaced by the reference.
         monkeypatch.setattr(
-            F, "conv2d_forward", lambda *args, **kwargs: (reference_conv2d(*args, **kwargs), None)
+            Conv2d,
+            "forward",
+            lambda self, inputs: reference_conv2d(
+                inputs, self.effective_weight(), None, self.stride, self.padding
+            ),
         )
         expected = model(inputs.astype(np.float64))
         assert logits.dtype == np.float32 and expected.dtype == np.float64

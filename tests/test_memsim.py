@@ -22,6 +22,7 @@ from repro.memsim.timing import (
     total_weights,
 )
 from repro.models.small import MLP, LeNet5
+from repro.nn import no_grad
 from repro.quant.bitops import MSB_POSITION
 from repro.quant.layers import quantize_model, quantized_layers
 
@@ -248,6 +249,17 @@ class TestTimingModel:
         conv_ops = [op for op in ops if op.kind == "QuantConv2d"]
         # Convolutions reuse each weight across output positions.
         assert all(op.macs > op.weight_count for op in conv_ops)
+
+    def test_conv_macs_follow_from_output_shapes_not_caches(self, ops):
+        model = LeNet5(num_classes=4, seed=5)
+        quantize_model(model)
+        example = np.zeros((1, 3, 32, 32), dtype=np.float32)
+        with no_grad():
+            counted = count_model_ops(model, example)
+        assert counted == ops
+        # 6x3x5x5 weights over 32x32 outputs; 16x6x5x5 over 12x12.
+        assert [op.macs for op in counted[:2]] == [450 * 32 * 32, 2400 * 12 * 12]
+        assert all("forward" not in vars(layer) for _, layer in quantized_layers(model))
 
     def test_count_model_ops_requires_single_sample(self):
         model = LeNet5(num_classes=4, seed=5)
