@@ -10,7 +10,7 @@ and Chakrabarti.  The package provides:
   synthetic datasets;
 * ``repro.attacks`` — the Progressive Bit-Flip Attack and variants;
 * ``repro.core`` — the RADAR detection and recovery scheme, plus the
-  amortized scan scheduler and multi-model protection service;
+  amortized scan scheduler and the fleet verification engine;
 * ``repro.telemetry`` — fleet SLA metrics (detection-latency percentiles),
   durable persistence of calibrated state across restarts, span tracing
   of the engine tick, Prometheus text exposition and the read-only

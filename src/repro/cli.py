@@ -985,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve-demo",
-        help="ProtectionService demo: a small model fleet, one attacked mid-rotation",
+        help="VerificationEngine demo: a small model fleet, one attacked mid-rotation",
     )
     serve_parser.add_argument("--models", type=_positive_int, default=3, help="models in the fleet")
     serve_parser.add_argument("--group-size", type=_group_size_arg, default=None)

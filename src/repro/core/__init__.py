@@ -36,18 +36,14 @@ Several run-time extensions go beyond the paper's stop-the-world scan:
   PROTECTED → FLAGGED → RECOVERING → REPROTECTING → PROTECTED state machine
   and a ``detection`` / ``recovery`` / ``reprotect`` / ``budget_exhausted``
   event bus, so the detect→recover→reprotect loop is engine policy rather
-  than caller discipline.
-* :class:`repro.core.service.ProtectionService` — the backward-compatible
-  façade over the engine: a registry that advances every model's scan
-  rotation per serving tick and optionally splits one fleet-wide latency
-  budget across the registry by exposure and flip history.
+  than caller discipline.  A fleet-wide latency budget is split across
+  the registry by exposure backlog and flip history.
 """
 
 from repro.core.config import RadarConfig
 from repro.core.cost import (
     AnalyticScanCostModel,
     BudgetPlan,
-    CacheAwareScanCostModel,
     MeasuredScanCostModel,
     ScanCostModel,
     plan_rotation,
@@ -92,14 +88,11 @@ from repro.core.fleet import (
     ProtectionState,
     VerificationEngine,
 )
-from repro.core.service import ProtectionService, ServiceStepOutcome
-from repro.core.streaming import StreamEvent, StreamReport, StreamingVerifier
 
 __all__ = [
     "RadarConfig",
     "ScanCostModel",
     "AnalyticScanCostModel",
-    "CacheAwareScanCostModel",
     "MeasuredScanCostModel",
     "BudgetPlan",
     "plan_rotation",
@@ -135,16 +128,11 @@ __all__ = [
     "ProtectionSummary",
     "ProtectedInference",
     "InferenceOutcome",
-    "ProtectionService",
     "ManagedModel",
-    "ServiceStepOutcome",
     "VerificationEngine",
     "ProtectionState",
     "FleetEvent",
     "FleetEventType",
     "EventBus",
     "EngineTickOutcome",
-    "StreamingVerifier",
-    "StreamEvent",
-    "StreamReport",
 ]

@@ -7,29 +7,21 @@ bridges the two: it prices "verify ``g`` signature groups" in seconds, so
 
 * a :class:`~repro.core.scheduler.ScanScheduler` can size shards adaptively
   from a latency budget (:meth:`ScanScheduler.from_budget`),
-* the :class:`~repro.core.service.ProtectionService` can split one fleet-wide
+* the :class:`~repro.core.fleet.VerificationEngine` can split one fleet-wide
   budget across registered models, and
 * :mod:`repro.memsim.timing` can re-price Table IV for amortized checking
   (``results/table4_amortized.json``).
 
-Three implementations share the protocol:
+Two implementations share the protocol:
 
 * :class:`AnalyticScanCostModel` — the :class:`~repro.memsim.timing.TimingModel`
   per-group price (``group_size`` × per-weight checksum cycles, which depend on
   whether the interleaved gather breaks unit-stride access, plus the per-group
   binarize/compare cycles, divided by the platform frequency).  Deterministic
-  and available before any pass has run.  Since the zero-copy scan kernel
-  landed the default price carries the narrow-accumulation discount
-  (``TimingConfig.narrow_accumulation_speedup`` on the per-weight term):
-  budgets are sized for the kernel the scheduler actually runs, and
-  ``narrow=False`` reproduces the PR-3 per-layer price.
-* :class:`CacheAwareScanCostModel` — the analytic compute price *plus* the
-  DRAM streaming time of the slice's weights through
-  :meth:`~repro.memsim.cache.CacheHierarchy.scan_stream_time_s`.  A background
-  scan slice cannot piggyback on the inference weight stream the way the
-  paper's inline check does, so its weights must be re-fetched; ignoring that
-  (as the pure analytic model does) under-prices every slice on
-  bandwidth-bound platforms and makes budgeted rotations overrun.
+  and available before any pass has run.  The price carries the
+  narrow-accumulation discount
+  (``TimingConfig.narrow_accumulation_speedup`` on the per-weight term), so
+  budgets are sized for the scan kernel the scheduler actually runs.
 * :class:`MeasuredScanCostModel` — an exponentially-weighted moving average of
   observed wall-clock seconds per group, for hosts where the analytic
   calibration constants do not apply.
@@ -37,7 +29,7 @@ Three implementations share the protocol:
 The import of :mod:`repro.memsim.timing` happens lazily inside
 :meth:`AnalyticScanCostModel.from_radar_config` so that ``repro.core`` keeps
 its documented one-directional boundary with the memory simulator at module
-import time (the same pattern :mod:`repro.core.streaming` uses for DRAM).
+import time.
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ from repro.core.config import RadarConfig
 from repro.errors import ProtectionError
 
 if TYPE_CHECKING:  # lazy at run time; see module docstring
-    from repro.memsim.cache import CacheConfig, CacheHierarchy
     from repro.memsim.timing import TimingConfig
 
 
@@ -82,18 +73,12 @@ class AnalyticScanCostModel:
         cls,
         radar_config: RadarConfig,
         timing_config: Optional["TimingConfig"] = None,
-        narrow: bool = True,
     ) -> "AnalyticScanCostModel":
-        """Price a group with :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`.
-
-        ``narrow`` (the default) prices the zero-copy scan kernel's int8
-        gather + int32 accumulation; ``narrow=False`` reproduces the
-        pre-kernel per-layer price (kept for comparisons).
-        """
+        """Price a group with :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`."""
         from repro.memsim.timing import TimingModel
 
         timing = TimingModel(timing_config)
-        return cls(timing.scan_seconds_per_group(radar_config, narrow=narrow))
+        return cls(timing.scan_seconds_per_group(radar_config))
 
     def pass_cost_s(self, num_groups: int) -> float:
         if num_groups < 0:
@@ -107,96 +92,6 @@ class AnalyticScanCostModel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AnalyticScanCostModel(seconds_per_group={self.seconds_per_group:.3e})"
-
-
-class CacheAwareScanCostModel:
-    """Analytic compute price plus the DRAM cost of re-streaming the slice.
-
-    A non-empty pass is priced affinely::
-
-        cost(g) = g * (compute_per_group + bytes_per_group / bandwidth)
-                  + dram_latency                      # stream-open, once
-
-    with ``cost(0) = 0``.  The affine shape keeps :meth:`groups_within`
-    exactly invertible, so :func:`plan_rotation`'s within-budget guarantee
-    holds for cache-aware pricing too.
-    """
-
-    def __init__(
-        self,
-        compute_seconds_per_group: float,
-        group_size: int,
-        cache: Optional["CacheHierarchy"] = None,
-    ) -> None:
-        from repro.memsim.cache import CacheHierarchy
-
-        if not compute_seconds_per_group > 0:
-            raise ProtectionError(
-                "compute_seconds_per_group must be positive, "
-                f"got {compute_seconds_per_group}"
-            )
-        if group_size < 1:
-            raise ProtectionError(f"group_size must be >= 1, got {group_size}")
-        self.compute_seconds_per_group = float(compute_seconds_per_group)
-        self.group_size = int(group_size)
-        self.cache = cache if cache is not None else CacheHierarchy()
-        self.seconds_per_group = (
-            self.compute_seconds_per_group
-            + self.group_size / self.cache.config.dram_bandwidth_bytes_per_s
-        )
-
-    @classmethod
-    def from_radar_config(
-        cls,
-        radar_config: RadarConfig,
-        timing_config: Optional["TimingConfig"] = None,
-        cache_config: Optional["CacheConfig"] = None,
-        narrow: bool = True,
-    ) -> "CacheAwareScanCostModel":
-        """Compute price from :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`,
-        memory price from the (default: paper's 32 KB L1 / 64 KB L2) hierarchy.
-        ``narrow`` selects the kernel (default) vs pre-kernel compute price."""
-        from repro.memsim.cache import CacheHierarchy
-        from repro.memsim.timing import TimingModel
-
-        timing = TimingModel(timing_config)
-        cache = CacheHierarchy(cache_config) if cache_config is not None else CacheHierarchy()
-        return cls(
-            timing.scan_seconds_per_group(radar_config, narrow=narrow),
-            radar_config.group_size,
-            cache=cache,
-        )
-
-    def pass_cost_s(self, num_groups: int) -> float:
-        if num_groups < 0:
-            raise ProtectionError(f"num_groups must be >= 0, got {num_groups}")
-        if num_groups == 0:
-            return 0.0
-        return (
-            num_groups * self.compute_seconds_per_group
-            + self.cache.scan_stream_time_s(num_groups, self.group_size)
-        )
-
-    def groups_within(self, budget_s: float) -> int:
-        if budget_s < 0:
-            raise ProtectionError(f"budget_s must be >= 0, got {budget_s}")
-        latency = self.cache.config.dram_latency_s
-        if budget_s < self.seconds_per_group + latency:
-            return 0
-        affordable = int((budget_s - latency) / self.seconds_per_group)
-        # The affine inversion and pass_cost_s associate their float
-        # operations differently, which can disagree by an ulp; the
-        # within-budget guarantee of plan_rotation must hold *exactly*
-        # under pass_cost_s, so step down until it does.
-        while affordable > 0 and self.pass_cost_s(affordable) > budget_s:
-            affordable -= 1
-        return affordable
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheAwareScanCostModel(seconds_per_group={self.seconds_per_group:.3e}, "
-            f"group_size={self.group_size})"
-        )
 
 
 class MeasuredScanCostModel:
@@ -237,6 +132,8 @@ class MeasuredScanCostModel:
             return  # an empty pass carries no per-group information
         if elapsed_s < 0:
             raise ProtectionError(f"elapsed_s must be >= 0, got {elapsed_s}")
+        if elapsed_s == 0:
+            return  # too short for the clock: a zero sample would zero the price
         sample = elapsed_s / num_groups
         self.seconds_per_group += self.alpha * (sample - self.seconds_per_group)
         self.observations += 1

@@ -1,13 +1,11 @@
 """Fleet verification engine: cross-model batched scanning with an explicit
 detect → recover → reprotect lifecycle.
 
-PR 1–2 gave every registered model its own amortized
-:class:`~repro.core.scheduler.ScanScheduler` and let the
-:class:`~repro.core.service.ProtectionService` walk the registry *one model
-at a time*, with recovery and re-signing left to caller discipline
-(``step_and_recover`` + a manual ``reprotect``).  The
-:class:`VerificationEngine` replaces that sequential tick with a shared
-work queue of scan slices drawn from all registered models:
+Every registered model has its own amortized
+:class:`~repro.core.scheduler.ScanScheduler`.  Rather than stepping the
+registry *one model at a time*, with recovery and re-signing left to caller
+discipline, the :class:`VerificationEngine` runs each tick as a shared work
+queue of scan slices drawn from all registered models:
 
 * **Batched execution** — each tick, every model plans its affordable slice
   and the engine coalesces every slice sharing a *kernel bucket* (same
@@ -44,8 +42,8 @@ work queue of scan slices drawn from all registered models:
   recovery (the paper's group-zeroing, or RELOAD from a golden snapshot)
   and — because zeroed groups no longer match their golden signatures —
   an automatic re-sign (``auto_reprotect``) so the fleet returns to a
-  verifiably clean PROTECTED state without any manual
-  ``step_and_recover`` / ``reprotect`` calls.  The re-sign is preceded by a
+  verifiably clean PROTECTED state without a manual :meth:`reprotect`
+  call.  The re-sign is preceded by a
   full-model sweep: the detection slice covered one shard, and re-signing
   with other shards unscanned would accept their corruption as golden.
 * **Event bus** — ``detection`` / ``recovery`` / ``reprotect`` /
@@ -53,9 +51,8 @@ work queue of scan slices drawn from all registered models:
   :class:`EventBus` with a bounded history, so operators observe the
   lifecycle instead of polling per-model state.
 
-:class:`~repro.core.service.ProtectionService` is a thin façade over this
-engine, preserving the PR 1–2 API (detect-only ``step``, caller-driven
-``step_and_recover``/``reprotect``).
+Detect-only ticks (``recovery_policy=RecoveryPolicy.NONE``) and
+``auto_reprotect=False`` leave recovery and re-signing to the caller.
 """
 
 from __future__ import annotations

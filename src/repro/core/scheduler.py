@@ -21,7 +21,7 @@ The scheduler splits responsibilities across two collaborators:
   budget* instead of a fixed shard count: :meth:`ScanScheduler.from_budget`
   sizes the shards so every pass is priced within the budget, and
   :meth:`step` accepts a per-call budget override (how the
-  :class:`~repro.core.service.ProtectionService` spreads one fleet-wide
+  :class:`~repro.core.fleet.VerificationEngine` spreads one fleet-wide
   budget across models).
 
 Three built-in policies decide which shards a pass scans:
@@ -179,7 +179,7 @@ class ScanScheduler:
     :class:`~repro.core.detector.DetectionReport` to
     :func:`~repro.core.recovery.recover_model` (as
     :class:`~repro.core.runtime.ProtectedInference` and
-    :class:`~repro.core.service.ProtectionService` do).
+    :class:`~repro.core.fleet.VerificationEngine` do).
 
     Invariant: the union of the per-pass reports over one complete rotation
     equals a full :meth:`~repro.core.detector.RadarDetector.scan` of the
@@ -398,7 +398,7 @@ class ScanScheduler:
         """Priced cost of the slice the next :meth:`step` would scan.
 
         Uses the scheduler's cost model (instantiating the analytic default
-        if none was given); the :class:`~repro.core.service.ProtectionService`
+        if none was given); the :class:`~repro.core.fleet.VerificationEngine`
         uses this to let models claim exact slice costs out of a fleet budget.
         """
         return self.slice_cost_s(self.plan(budget_s=budget_s))
@@ -466,7 +466,7 @@ class ScanScheduler:
         """Verify the next slice of shards against the golden signatures.
 
         ``budget_s`` overrides the scheduler's own budget for this pass only —
-        the :class:`~repro.core.service.ProtectionService` uses it to hand each
+        the :class:`~repro.core.fleet.VerificationEngine` uses it to hand each
         model its allocated share of a fleet-wide budget.  A pass whose budget
         cannot afford even one shard scans nothing (``shard_indices == []``);
         its exposure counters still advance, so an underfunded model's claim
@@ -664,7 +664,7 @@ class ScanScheduler:
         self._shard_views_cache = None
 
     def describe(self) -> Dict[str, object]:
-        """Summary row used by the CLI and the service registry."""
+        """Summary row used by the CLI and the fleet engine's ``describe``."""
         row: Dict[str, object] = {
             "groups": self.total_groups,
             "shards": self.num_shards,

@@ -2,12 +2,11 @@
 
 Not a paper artifact: this is the performance study behind the fleet
 engine (:mod:`repro.core.fleet`).  A serving deployment hosting many
-models used to advance their scan rotations *one model at a time* —
-``ProtectionService.step`` before the engine landed was a per-model loop of
-:meth:`~repro.core.scheduler.ScanScheduler.step` calls, each paying the
-full NumPy dispatch cost of its own small slice.  The engine instead
-coalesces structurally identical models' slices into one stacked
-verification pass (:class:`~repro.core.signature.StackedVerifier`).
+models could advance their scan rotations *one model at a time* — a
+per-model loop of :meth:`~repro.core.scheduler.ScanScheduler.step` calls,
+each paying the full NumPy dispatch cost of its own small slice.  The
+engine instead coalesces structurally identical models' slices into one
+stacked verification pass (:class:`~repro.core.signature.StackedVerifier`).
 
 This experiment measures both paths over the *same* fleet of quantized
 MLPs at the *same* per-tick budget (each model funded for exactly its
@@ -61,7 +60,7 @@ def _build_engine(
 
 
 def _sequential_tick(engine: VerificationEngine, budget_s: Optional[float]) -> int:
-    """The pre-engine ``ProtectionService.step``: walk models one at a time.
+    """The sequential baseline: walk models one at a time.
 
     Identical budget allocation, identical slices, identical bookkeeping —
     the only difference from :meth:`VerificationEngine.tick` is that every

@@ -69,33 +69,6 @@ class CacheHierarchy:
             + self.config.dram_latency_s
         )
 
-    def scan_traffic_bytes(self, num_groups: int, group_size: int) -> int:
-        """DRAM traffic of a *background* verification pass over ``num_groups``.
-
-        The paper's inline check rides the inference weight stream for free;
-        an asynchronous scan slice (the amortized scheduler stepping between
-        batches) has no such stream to piggyback on and must re-fetch its
-        weights from DRAM.  Weight tensors do not fit in the caches (the
-        "accessed only once" observation), so every scanned int8 weight —
-        ``group_size`` bytes per signature group — is billed as traffic.
-        """
-        if num_groups < 0 or group_size < 1:
-            raise ValueError(
-                f"num_groups must be >= 0 and group_size >= 1, "
-                f"got {num_groups} and {group_size}"
-            )
-        return int(num_groups) * int(group_size)
-
-    def scan_stream_time_s(self, num_groups: int, group_size: int) -> float:
-        """Memory-side seconds of a background scan slice
-        (:meth:`stream_time_s` of :meth:`scan_traffic_bytes`).
-
-        This is the term the cache-aware scan cost model
-        (:class:`repro.core.cost.CacheAwareScanCostModel`) adds on top of
-        the compute-only analytic price.
-        """
-        return self.stream_time_s(self.scan_traffic_bytes(num_groups, group_size))
-
     def describe(self) -> Dict[str, float]:
         return {
             "l1_kb": self.config.l1_bytes / 1024,

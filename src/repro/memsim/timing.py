@@ -28,12 +28,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # imported lazily where needed
-    from repro.memsim.cache import CacheHierarchy
 
 from repro.core.config import RadarConfig
 from repro.errors import SimulationError
@@ -231,31 +228,6 @@ class TimingModel:
             self.scan_cycles_per_group(radar_config, narrow=narrow)
             / self.config.frequency_hz
         )
-
-    def cache_aware_scan_seconds(
-        self,
-        num_groups: int,
-        radar_config: RadarConfig,
-        cache: Optional["CacheHierarchy"] = None,
-    ) -> float:
-        """Seconds to verify ``num_groups`` as a *background* slice, memory included.
-
-        :meth:`scan_seconds_per_group` prices the checksum arithmetic alone,
-        which is the right model when the check rides the inference weight
-        stream (the paper's inline deployment).  A scheduler slice that runs
-        *between* batches must instead re-stream its weights from DRAM, so
-        its true cost is the compute price plus
-        :meth:`~repro.memsim.cache.CacheHierarchy.scan_stream_time_s`.
-        ``cache`` defaults to the paper's 32 KB L1 / 64 KB L2 hierarchy.
-        """
-        if num_groups < 0:
-            raise SimulationError(f"num_groups must be >= 0, got {num_groups}")
-        if cache is None:
-            from repro.memsim.cache import CacheHierarchy
-
-            cache = CacheHierarchy()
-        compute = num_groups * self.scan_seconds_per_group(radar_config)
-        return compute + cache.scan_stream_time_s(num_groups, radar_config.group_size)
 
     def amortized_overhead_s(
         self,

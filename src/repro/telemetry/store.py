@@ -1,12 +1,12 @@
 """Durable state store: calibrated pricing and fleet state across restarts.
 
-A long-running protection service *learns*: its
+A long-running :class:`~repro.core.fleet.VerificationEngine` *learns*: its
 :class:`~repro.core.cost.MeasuredScanCostModel` EWMAs converge on the real
 host's per-group price, its
 :class:`~repro.core.planner.PriorityExposurePlanner` accumulates per-shard
 flip rates, and its schedulers carry exposure backlog that drives fleet
 budget allocation.  All of that used to die with the process — a restarted
-service re-calibrated from the analytic prior and re-learned attack
+engine re-calibrated from the analytic prior and re-learned attack
 locality from scratch.  The :class:`StateStore` persists exactly that
 mutable, *learned* state as JSON under a ``--state-dir``:
 

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from repro.core import RadarConfig
 from repro.core.cost import (
     AnalyticScanCostModel,
-    CacheAwareScanCostModel,
     MeasuredScanCostModel,
     ScanCostModel,
     plan_rotation,
 )
 from repro.errors import ProtectionError
-from repro.memsim.cache import CacheConfig, CacheHierarchy
 from repro.memsim.timing import TimingConfig, TimingModel
 
 
@@ -64,77 +62,6 @@ class TestAnalyticScanCostModel:
     def test_satisfies_protocol(self):
         assert isinstance(AnalyticScanCostModel(1e-6), ScanCostModel)
         assert isinstance(MeasuredScanCostModel(1e-6), ScanCostModel)
-        assert isinstance(
-            CacheAwareScanCostModel(1e-6, group_size=8), ScanCostModel
-        )
-
-
-class TestCacheAwareScanCostModel:
-    def test_prices_above_the_compute_only_model(self):
-        radar = RadarConfig(group_size=64)
-        compute_only = AnalyticScanCostModel.from_radar_config(radar)
-        cache_aware = CacheAwareScanCostModel.from_radar_config(radar)
-        assert cache_aware.pass_cost_s(0) == 0.0
-        for groups in (1, 10, 1000):
-            assert cache_aware.pass_cost_s(groups) > compute_only.pass_cost_s(groups)
-
-    def test_memory_term_matches_the_cache_hierarchy(self):
-        radar = RadarConfig(group_size=32)
-        cache = CacheHierarchy()
-        model = CacheAwareScanCostModel.from_radar_config(radar)
-        compute = AnalyticScanCostModel.from_radar_config(radar)
-        groups = 500
-        assert model.pass_cost_s(groups) == pytest.approx(
-            compute.pass_cost_s(groups)
-            + cache.scan_stream_time_s(groups, radar.group_size)
-        )
-
-    def test_slower_dram_raises_the_price(self):
-        radar = RadarConfig(group_size=64)
-        fast = CacheAwareScanCostModel.from_radar_config(radar)
-        slow = CacheAwareScanCostModel.from_radar_config(
-            radar, cache_config=CacheConfig(dram_bandwidth_bytes_per_s=0.8e9)
-        )
-        assert slow.pass_cost_s(100) > fast.pass_cost_s(100)
-
-    def test_groups_within_inverts_pass_cost(self):
-        model = CacheAwareScanCostModel.from_radar_config(RadarConfig(group_size=16))
-        for groups in (1, 7, 320, 9999):
-            budget = model.pass_cost_s(groups)
-            affordable = model.groups_within(budget)
-            # Float rounding may lose at most one group either way; what can
-            # never happen is an affordable count priced above its budget.
-            assert affordable >= groups - 1
-            assert model.pass_cost_s(affordable) <= budget * (1 + 1e-9)
-        assert model.groups_within(0.0) == 0
-        assert model.groups_within(model.pass_cost_s(1) * 0.5) == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        total_groups=st.integers(min_value=1, max_value=50_000),
-        group_size=st.sampled_from([2, 8, 64, 512]),
-        budget_groups=st.floats(min_value=2.0, max_value=1e5),
-    )
-    def test_plan_rotation_property_holds_with_cache_pricing(
-        self, total_groups, group_size, budget_groups
-    ):
-        cost_model = CacheAwareScanCostModel.from_radar_config(
-            RadarConfig(group_size=group_size)
-        )
-        budget_s = budget_groups * cost_model.seconds_per_group + cost_model.pass_cost_s(1)
-        plan = plan_rotation(total_groups, budget_s, cost_model)
-        assert plan.per_pass_cost_s <= budget_s
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ProtectionError):
-            CacheAwareScanCostModel(0.0, group_size=8)
-        with pytest.raises(ProtectionError):
-            CacheAwareScanCostModel(1e-6, group_size=0)
-        model = CacheAwareScanCostModel(1e-6, group_size=8)
-        with pytest.raises(ProtectionError):
-            model.pass_cost_s(-1)
-        with pytest.raises(ProtectionError):
-            model.groups_within(-1.0)
 
 
 class TestMeasuredScanCostModel:
@@ -156,6 +83,19 @@ class TestMeasuredScanCostModel:
         model.observe(0, 1.0)
         assert model.seconds_per_group == 1e-6
         assert model.observations == 0
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.2])
+    def test_zero_length_pass_keeps_the_price_usable(self, alpha):
+        model = MeasuredScanCostModel(1e-6, alpha=alpha)
+        for _ in range(50):
+            model.observe(100, 0.0)
+        assert model.seconds_per_group == 1e-6
+        assert model.observations == 0
+        assert model.groups_within(1e-3) == 1000
+        assert plan_rotation(5000, 1e-3, model).groups_per_pass == 1000
+        restored = MeasuredScanCostModel(1.0)
+        restored.load_state_dict(model.state_dict())
+        assert restored.seconds_per_group == model.seconds_per_group
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ProtectionError):

@@ -63,6 +63,20 @@ def engine():
     return VerificationEngine(RadarConfig(group_size=8), num_shards=4)
 
 
+@pytest.fixture()
+def manual_engine():
+    """An engine that leaves re-signing to explicit :meth:`reprotect` calls."""
+    return VerificationEngine(
+        RadarConfig(group_size=8), num_shards=4, auto_reprotect=False
+    )
+
+
+def _detect(engine, budget_s=None):
+    """One detect-only tick: each model's scan result, nothing recovered."""
+    outcomes = engine.tick(budget_s=budget_s, recovery_policy=RecoveryPolicy.NONE)
+    return {name: outcome.scan for name, outcome in outcomes.items()}
+
+
 class TestEventBus:
     def test_emit_delivers_to_subscribers_in_order(self):
         bus = EventBus()
@@ -122,9 +136,181 @@ class TestEngineValidation:
         with pytest.raises(ProtectionError, match="no registered models"):
             engine.tick()
 
+    def test_scan_all_requires_models(self, engine):
+        with pytest.raises(ProtectionError, match="no registered models"):
+            engine.scan_all()
+
+    def test_describe_is_empty_but_allowed(self, engine):
+        assert engine.describe() == []
+
     def test_state_of_unknown_model_rejected(self, engine):
         with pytest.raises(ProtectionError, match="not registered"):
             engine.state_of("ghost")
+
+    def test_invalid_num_shards_rejected(self):
+        with pytest.raises(ProtectionError, match="num_shards must be >= 1"):
+            VerificationEngine(num_shards=0)
+
+    def test_invalid_shards_per_pass_rejected(self):
+        with pytest.raises(ProtectionError, match="shards_per_pass must be >= 1"):
+            VerificationEngine(shards_per_pass=0)
+
+    def test_slice_larger_than_shard_count_rejected(self):
+        with pytest.raises(ProtectionError, match=r"within \[1, num_shards\]"):
+            VerificationEngine(num_shards=2, shards_per_pass=3)
+
+    def test_invalid_budget_rejected(self):
+        with pytest.raises(ProtectionError, match="budget_s must be positive"):
+            VerificationEngine(budget_s=0.0)
+
+    def test_per_model_override_validated_at_register(self, engine):
+        with pytest.raises(ProtectionError, match=r"within \[1, num_shards\]"):
+            engine.register("alpha", _small_model(1), num_shards=2, shards_per_pass=5)
+
+
+class TestRegistry:
+    def test_register_protects_and_enrols(self, engine):
+        managed = engine.register("alpha", _small_model(1))
+        assert managed.protector.is_protected
+        assert managed.scheduler.num_shards == 4
+        assert "alpha" in engine
+        assert len(engine) == 1
+        assert engine.names() == ["alpha"]
+
+    def test_duplicate_name_rejected(self, engine):
+        engine.register("alpha", _small_model(1))
+        with pytest.raises(ProtectionError):
+            engine.register("alpha", _small_model(2))
+
+    def test_empty_name_rejected(self, engine):
+        with pytest.raises(ProtectionError):
+            engine.register("", _small_model(1))
+
+    def test_unregister_removes_model(self, engine):
+        engine.register("alpha", _small_model(1))
+        managed = engine.unregister("alpha")
+        assert managed.name == "alpha"
+        assert "alpha" not in engine
+        with pytest.raises(ProtectionError):
+            engine.unregister("alpha")
+
+    def test_get_unknown_model_rejected(self, engine):
+        with pytest.raises(ProtectionError):
+            engine.get("ghost")
+
+    def test_per_model_overrides(self, engine):
+        managed = engine.register(
+            "beta",
+            _small_model(2),
+            config=RadarConfig(group_size=4),
+            num_shards=2,
+            policy=ScanPolicy.FULL,
+        )
+        assert managed.protector.config.group_size == 4
+        assert managed.scheduler.num_shards == 2
+        assert managed.scheduler.policy is ScanPolicy.FULL
+
+
+class TestFleetOperations:
+    def test_tick_advances_every_model(self, manual_engine):
+        manual_engine.register("alpha", _small_model(1))
+        manual_engine.register("beta", _small_model(2))
+        results = _detect(manual_engine)
+        assert set(results) == {"alpha", "beta"}
+        assert all(result.pass_index == 1 for result in results.values())
+
+    def test_clean_fleet_detects_nothing(self, manual_engine):
+        manual_engine.register("alpha", _small_model(1))
+        for _ in range(4):
+            outcomes = manual_engine.tick()
+            assert not any(outcome.attack_detected for outcome in outcomes.values())
+
+    def test_attacked_model_is_detected_and_repaired_within_one_rotation(
+        self, manual_engine
+    ):
+        manual_engine.register("alpha", _small_model(1), keep_golden_weights=True)
+        manual_engine.register("beta", _small_model(2), keep_golden_weights=True)
+        victim = manual_engine.get("alpha")
+        name, layer = quantized_layers(victim.model)[0]
+        flat = layer.qweight.reshape(-1)
+        original = int(flat[3])
+        flat[3] = np.int8(original ^ -128)
+        recovered = 0
+        detected_models = set()
+        for _ in range(victim.scheduler.worst_case_lag_passes):
+            outcomes = manual_engine.tick(recovery_policy=RecoveryPolicy.RELOAD)
+            for outcome_name, outcome in outcomes.items():
+                if outcome.attack_detected:
+                    detected_models.add(outcome_name)
+                    recovered += outcome.recovery.reloaded_weights
+        assert detected_models == {"alpha"}
+        assert recovered > 0
+        assert int(flat[3]) == original  # RELOAD restored the golden value
+        # The fleet is clean again after the repair.
+        reports = manual_engine.scan_all()
+        assert not any(report.attack_detected for report in reports.values())
+
+    def test_scan_all_matches_per_model_full_scans(self, engine):
+        engine.register("alpha", _small_model(1))
+        model = engine.get("alpha").model
+        _flip_weight(model, layer_index=1)
+        reports = engine.scan_all()
+        reference = engine.get("alpha").protector.scan(model)
+        assert reports["alpha"].num_flagged_groups == reference.num_flagged_groups
+
+    def test_describe_reports_one_row_per_model(self, engine):
+        engine.register("alpha", _small_model(1))
+        engine.register("beta", _small_model(2), num_shards=2)
+        rows = {row["model"]: row for row in engine.describe()}
+        assert set(rows) == {"alpha", "beta"}
+        assert rows["alpha"]["shards"] == 4
+        assert rows["beta"]["shards"] == 2
+        assert rows["alpha"]["storage_kb"] > 0
+
+
+class TestReprotect:
+    """The re-protect lifecycle for legitimate weight updates."""
+
+    def test_reprotect_accepts_updated_weights_as_new_golden(self, manual_engine):
+        manual_engine.register("alpha", _small_model(1))
+        model = manual_engine.get("alpha").model
+        name, layer = quantized_layers(model)[0]
+        flat = layer.qweight.reshape(-1)
+        # An update big enough for the 2-bit signatures to notice (MSB scale).
+        flat[:8] = flat[:8] ^ np.int8(-128)
+        # Before re-signing, the deliberate update looks exactly like an attack.
+        assert manual_engine.scan_all()["alpha"].attack_detected
+        manual_engine.reprotect("alpha")
+        assert not manual_engine.scan_all()["alpha"].attack_detected
+
+    def test_reprotect_resets_the_scan_rotation(self, manual_engine):
+        managed = manual_engine.register("alpha", _small_model(1))
+        for _ in range(3):
+            _detect(manual_engine)
+        assert managed.scheduler.passes == 3
+        refreshed = manual_engine.reprotect("alpha")
+        assert refreshed.scheduler.passes == 0
+        assert refreshed.scheduler.max_exposure_passes == 0
+        # Structural options survive the rebuild.
+        assert refreshed.scheduler.num_shards == managed.scheduler.num_shards
+
+    def test_reprotect_preserves_golden_weight_snapshot_policy(self, manual_engine):
+        manual_engine.register("alpha", _small_model(1), keep_golden_weights=True)
+        model = manual_engine.get("alpha").model
+        name, layer = quantized_layers(model)[0]
+        flat = layer.qweight.reshape(-1)
+        flat[:4] = np.clip(flat[:4].astype(np.int64) + 2, -128, 127).astype(np.int8)
+        manual_engine.reprotect("alpha")
+        # The refreshed snapshot lets RELOAD restore the *updated* weights.
+        updated = int(flat[0])
+        flat[0] = np.int8(updated ^ -128)
+        for _ in range(manual_engine.get("alpha").scheduler.worst_case_lag_passes):
+            manual_engine.tick(recovery_policy=RecoveryPolicy.RELOAD)
+        assert int(flat[0]) == updated
+
+    def test_reprotect_unknown_model_rejected(self, manual_engine):
+        with pytest.raises(ProtectionError, match="not registered"):
+            manual_engine.reprotect("ghost")
 
 
 class TestSteadyStateMemory:
@@ -521,3 +707,119 @@ class TestBudgetedEngine:
             assert outcome.measured_s is not None
             assert outcome.measured_s > 0
             assert outcome.scan.measured_s == outcome.measured_s
+
+    def test_generous_budget_funds_every_model_exactly(self, engine):
+        engine.register("alpha", _small_model(1))
+        engine.register("beta", _small_model(2))
+        shares = engine.allocate_budget(1.0)
+        # Each model claims exactly the priced cost of its next slice.
+        for name, share in shares.items():
+            scheduler = engine.get(name).scheduler
+            assert share == pytest.approx(scheduler.planned_slice_cost_s())
+            assert share > 0
+        assert sum(shares.values()) <= 1.0
+
+    def test_flagged_history_makes_a_model_claim_first(self, manual_engine):
+        from repro.core import AnalyticScanCostModel
+
+        manual_engine.register("clean", _small_model(1), keep_golden_weights=True)
+        manual_engine.register("victim", _small_model(2), keep_golden_weights=True)
+        victim = manual_engine.get("victim")
+        _flip_weight(victim.model)
+        for _ in range(victim.scheduler.worst_case_lag_passes):
+            manual_engine.tick(recovery_policy=RecoveryPolicy.RELOAD)
+        # Both backlogs are identical after the shared ticks; the victim's
+        # flag history tips the urgency, so under a one-slice budget it
+        # claims the whole tick and the clean model gets nothing.
+        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        one_slice = victim.scheduler.planned_slice_cost_s()
+        shares = manual_engine.allocate_budget(one_slice + cost_model.seconds_per_group)
+        assert shares["victim"] == pytest.approx(one_slice)
+        assert shares["clean"] == 0.0
+
+    def test_budgeted_tick_passes_each_model_its_share(self):
+        from repro.core import AnalyticScanCostModel
+
+        config = RadarConfig(group_size=8)
+        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        # Affords one ~39-group shard for each of the two models.
+        engine = VerificationEngine(
+            config, num_shards=4, budget_s=2 * cost_model.pass_cost_s(40)
+        )
+        engine.register("alpha", _small_model(1))
+        engine.register("beta", _small_model(2))
+        for result in _detect(engine).values():
+            assert result.budget_s is not None
+            assert result.planned_cost_s is not None
+            assert result.within_budget
+            assert result.shard_indices  # both models afford their slice
+
+    def test_underfunded_model_preempts_on_the_next_tick(self):
+        from repro.core import AnalyticScanCostModel
+
+        config = RadarConfig(group_size=8)
+        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        # Each model's shard holds ~39 groups; the fleet budget affords one
+        # shard *total* per tick, so exactly one model scans each tick.
+        engine = VerificationEngine(
+            config, num_shards=4, budget_s=cost_model.pass_cost_s(40)
+        )
+        engine.register("alpha", _small_model(1))
+        engine.register("beta", _small_model(2))
+        scanned_by_tick = []
+        for _ in range(4):
+            results = _detect(engine)
+            scanned = {name for name, result in results.items() if result.shard_indices}
+            assert len(scanned) == 1, "budget affords exactly one slice per tick"
+            scanned_by_tick.append(scanned.pop())
+        # The starved model's backlog grows, so the fleet alternates instead
+        # of starving one model forever.
+        assert scanned_by_tick == ["alpha", "beta", "alpha", "beta"]
+
+    def test_explicit_budget_overrides_engine_default(self, engine):
+        engine.register("alpha", _small_model(1))
+        results = _detect(engine, budget_s=1.0)  # generous: everything fits
+        assert results["alpha"].budget_s is not None
+        assert results["alpha"].shard_indices
+
+    def test_allocation_requires_models_and_positive_budget(self, engine):
+        with pytest.raises(ProtectionError, match="no registered models"):
+            engine.allocate_budget(1e-3)
+        engine.register("alpha", _small_model(1))
+        with pytest.raises(ProtectionError, match="budget_s must be positive"):
+            engine.allocate_budget(0.0)
+
+    def test_budget_accounting_validates_end_to_end(self, engine):
+        from repro.core import MeasuredScanCostModel
+
+        cost_model = MeasuredScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        engine.register("alpha", _small_model(1), cost_model=cost_model)
+        result = _detect(engine, budget_s=1.0)["alpha"]
+        # Planned cost and measured spend are both visible, and the measured
+        # wall-clock calibrated the cost model.
+        assert result.planned_cost_s is not None
+        assert result.measured_s is not None
+        assert cost_model.observations == 1
+
+
+class TestBudgetFeasibility:
+    """A budget no model slice can ever fit must fail fast, not scan nothing."""
+
+    def test_register_rejects_model_the_default_budget_cannot_cover(self):
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4, budget_s=1e-9)
+        with pytest.raises(ProtectionError, match="can never cover a full scan slice"):
+            engine.register("alpha", _small_model(1))
+
+    def test_allocate_budget_rejects_infeasible_tick_budget(self, engine):
+        engine.register("alpha", _small_model(1))
+        with pytest.raises(ProtectionError, match="can never cover a full scan slice"):
+            engine.allocate_budget(1e-9)
+
+    def test_feasible_budget_passes_the_check(self):
+        from repro.core import AnalyticScanCostModel
+
+        config = RadarConfig(group_size=8)
+        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        engine = VerificationEngine(config, num_shards=4, budget_s=cost_model.pass_cost_s(40))
+        engine.register("alpha", _small_model(1))
+        assert _detect(engine)["alpha"].shard_indices

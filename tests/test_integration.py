@@ -9,6 +9,7 @@ subpackage rather than any single module.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,9 +80,33 @@ class TestFullPipeline:
         RowhammerAttacker(dram).mount(result.profile)
         dram.write_back_to_model(model)
 
+        store = runtime.protector.store
+        flips_per_group = Counter(
+            (flip.layer_name, store.layer(flip.layer_name).layout.group_of(flip.flat_index))
+            for flip in result.profile
+        )
+        oracle = store.fused().rows_to_layer_groups(store.mismatched_rows(model))
+        flagged = {(name, int(group)) for name, groups in oracle.items() for group in groups}
+        # Every group holding one mounted flip is flagged and nothing else
+        # is; two flips in one group may cancel in its sum (this profile
+        # puts a +128 and a -128 in one group), the scheme's known miss.
+        single = {group for group, count in flips_per_group.items() if count == 1}
+        assert single <= flagged <= set(flips_per_group)
+
         outcome = runtime(test_set.images[:32])
         assert outcome.attack_detected
-        assert outcome.flagged_groups >= 1
+        assert outcome.flagged_groups == len(flagged)
+        # ZERO recovery zeroed exactly the flagged groups...
+        layer_map = dict(quantized_layers(model))
+        zeroed = 0
+        for name, group in flagged:
+            members = store.layer(name).layout.members_of(group)
+            assert not layer_map[name].qweight.reshape(-1)[members].any()
+            zeroed += members.size
+        assert outcome.recovered_weights == zeroed
+        # ...in the fetched weights only: the DRAM image keeps the flipped bits.
+        for flip in result.profile:
+            assert int(dram.read_layer(flip.layer_name)[flip.flat_index]) == flip.value_after
         assert evaluate_accuracy(model, test_set) >= clean_accuracy - 0.3
 
     def test_reload_policy_fully_restores_clean_accuracy(self, trained_tiny):

@@ -188,51 +188,16 @@ class TestCacheHierarchy:
         with pytest.raises(ValueError):
             CacheConfig(l1_bytes=0)
 
-    def test_scan_traffic_bills_every_scanned_weight(self):
-        cache = CacheHierarchy()
-        assert cache.scan_traffic_bytes(100, 8) == 800
-        assert cache.scan_traffic_bytes(0, 8) == 0
-        with pytest.raises(ValueError):
-            cache.scan_traffic_bytes(-1, 8)
-        with pytest.raises(ValueError):
-            cache.scan_traffic_bytes(10, 0)
-
-    def test_scan_stream_time_is_affine_in_groups(self):
+    def test_stream_time_is_affine_in_bytes(self):
         config = CacheConfig()
         cache = CacheHierarchy(config)
-        assert cache.scan_stream_time_s(0, 64) == 0.0
-        one = cache.scan_stream_time_s(1, 64)
-        two = cache.scan_stream_time_s(2, 64)
+        one = cache.stream_time_s(64)
+        two = cache.stream_time_s(128)
         # One stream-open latency plus bandwidth-limited transfer.
         assert one == pytest.approx(
             64 / config.dram_bandwidth_bytes_per_s + config.dram_latency_s
         )
         assert two - one == pytest.approx(64 / config.dram_bandwidth_bytes_per_s)
-
-
-class TestCacheAwareScanTiming:
-    def test_cache_aware_scan_adds_the_memory_term(self):
-        timing = TimingModel()
-        radar = RadarConfig(group_size=64)
-        cache = CacheHierarchy()
-        groups = 200
-        combined = timing.cache_aware_scan_seconds(groups, radar, cache)
-        compute = groups * timing.scan_seconds_per_group(radar)
-        assert combined == pytest.approx(
-            compute + cache.scan_stream_time_s(groups, radar.group_size)
-        )
-        assert timing.cache_aware_scan_seconds(0, radar, cache) == pytest.approx(0.0)
-
-    def test_default_hierarchy_is_used_when_none_given(self):
-        timing = TimingModel()
-        radar = RadarConfig(group_size=8)
-        assert timing.cache_aware_scan_seconds(10, radar) == pytest.approx(
-            timing.cache_aware_scan_seconds(10, radar, CacheHierarchy())
-        )
-
-    def test_negative_groups_rejected(self):
-        with pytest.raises(SimulationError):
-            TimingModel().cache_aware_scan_seconds(-1, RadarConfig(group_size=8))
 
 
 class TestTimingModel:

@@ -30,7 +30,6 @@ from repro.core import (
     RecoveryPolicy,
     ScanScratch,
     SignatureStore,
-    StreamingVerifier,
     VerificationEngine,
     batched_mismatched_rows,
     split_by_padding_waste,
@@ -263,13 +262,14 @@ class TestPlaneAdoption:
         finally:
             gc.enable()
 
-    def test_streaming_path_does_not_build_the_global_kernel(self):
-        """Streaming-only callers must not pay for the plane/global matrices."""
+    def test_oracle_path_does_not_build_the_global_kernel(self):
+        """Oracle-only callers must not pay for the plane/global matrices."""
         model, protector = _protected_mlp(seed=14)
-        fused = protector.store.fused()
-        name = protector.store.layer_names()[0]
-        layer = dict(quantized_layers(model))[name]
-        StreamingVerifier(protector.store).verify_layer(name, layer.qweight.reshape(-1))
+        store = protector.store
+        fused = store.fused()
+        store.current_signatures(model)
+        store.mismatched_rows(model)
+        store.mismatched_rows(model, np.array([0, store.total_groups() - 1]))
         assert fused._kernel_indices is None and fused._plane is None
         # The first plane scan builds it on demand.
         fused.mismatched_rows(model)
@@ -463,37 +463,48 @@ class TestHeterogeneousEngine:
         return model
 
 
-class TestStreamVerifier:
-    def test_stream_verdicts_match_the_oracle(self):
+class TestOracleVerdicts:
+    def test_per_layer_signatures_flag_the_corrupted_group(self):
         model, protector = _protected_mlp(seed=9, group_size=8)
         store = protector.store
         _flip(model, 0, 4)
         expected = store.fused().rows_to_layer_groups(store.mismatched_rows(model))
-        assert any(groups.size for groups in expected.values())
-        verifier = StreamingVerifier(store)
-        for name, layer in quantized_layers(model):
-            stream = layer.qweight.reshape(-1)
+        first = store.layer_names()[0]
+        assert expected[first].tolist() == [store.layer(first).layout.group_of(4)]
+        current = store.current_signatures(model)
+        for entry in store:
             np.testing.assert_array_equal(
-                verifier.verify_layer(name, stream).flagged_groups, expected[name]
-            )
-            subset = np.arange(0, store.layer(name).num_groups, 2, dtype=np.int64)
-            np.testing.assert_array_equal(
-                verifier.verify_layer(name, stream, subset).flagged_groups,
-                np.intersect1d(expected[name], subset),
+                np.nonzero(current[entry.layer_name] != entry.golden)[0],
+                expected[entry.layer_name],
             )
 
-    def test_stream_verifier_validates_inputs(self):
+    def test_row_restricted_verdicts_are_the_full_verdicts_within_the_rows(self):
+        model, protector = _protected_mlp(seed=9, group_size=8)
+        store = protector.store
+        _flip(model, 0, 4)
+        _flip(model, 1, 1)
+        flagged = store.mismatched_rows(model)
+        assert flagged.size == 2
+        for rows in (
+            np.arange(0, store.total_groups(), 2, dtype=np.int64),
+            np.arange(1, store.total_groups(), 2, dtype=np.int64),
+            flagged[::-1].copy(),
+        ):
+            np.testing.assert_array_equal(
+                store.mismatched_rows(model, rows), rows[np.isin(rows, flagged)]
+            )
+
+    def test_oracle_validates_inputs(self):
         model, protector = _protected_mlp(seed=10)
-        verifier = StreamingVerifier(protector.store)
-        name = protector.store.layer_names()[0]
-        entry = protector.store.layer(name)
-        stream = np.zeros(entry.layout.num_weights, dtype=np.int8)
-        with pytest.raises(ProtectionError, match="not protected"):
-            verifier.verify_layer("ghost", stream)
-        with pytest.raises(ProtectionError, match="int8"):
-            verifier.verify_layer(name, stream.astype(np.int64))
+        store = protector.store
+        with pytest.raises(ProtectionError, match="missing from model"):
+            store.current_signatures(LeNet5(num_classes=4, seed=5))
         with pytest.raises(ProtectionError, match="out of range"):
-            verifier.verify_layer(name, stream, np.array([entry.num_groups]))
+            store.mismatched_rows(model, np.array([-1]))
+        _, layer = quantized_layers(model)[0]
+        layer.qweight = layer.qweight.astype(np.int64)
+        with pytest.raises(ProtectionError, match="int8"):
+            store.current_signatures(model)
 
 
 class TestRowRangeLookup:
