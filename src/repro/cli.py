@@ -35,13 +35,15 @@ cost model (:mod:`repro.core.cost`); for ``serve-demo`` and ``scan --all``
 the budget is fleet-wide and split across models by exposure and flagged
 history.
 
-All three also accept ``--state-dir``, backed by
-:class:`~repro.telemetry.store.StateStore`: ``protect`` seeds (and ``scan``
-resumes and updates) the per-setup measured scan-cost calibration, while
-``serve-demo`` and ``scan --all`` persist the whole engine's learned state —
-calibrated cost-model EWMAs, planner flip rates, scheduler rotation
-counters, lifecycle states — so a killed-and-restarted service resumes warm
-instead of re-calibrating from the analytic prior.
+``scan``, ``serve-demo`` and ``infer-demo`` accept ``--state-dir``, backed
+by :class:`~repro.telemetry.store.StateStore`: a single-setup ``scan``
+resumes and updates the setup's measured scan-cost calibration (the first
+run starts from the analytic prior), while ``serve-demo`` and ``scan --all``
+persist the whole engine's learned state — calibrated cost-model EWMAs,
+planner flip rates, scheduler rotation counters, lifecycle states — so a
+killed-and-restarted service resumes warm instead of re-calibrating from
+the analytic prior.  Both fleet commands build their engine and run its
+ticks through one shared path (:func:`_build_engine`, :func:`_run_fleet`).
 
 * ``sla-report`` — run the scripted attack campaign
   (:mod:`repro.experiments.campaign`: random / PBFA / knowledgeable
@@ -58,7 +60,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import reporting
 from repro.version import __version__
@@ -147,34 +149,33 @@ def _default_group_size(setup: str) -> int:
     return 16
 
 
-def _protection_config(args: argparse.Namespace):
+def _radar_config(args: argparse.Namespace, setup: str = ""):
+    """The :class:`~repro.core.RadarConfig` the parsed flags ask for.
+
+    ``setup`` picks the paper's default G when ``--group-size`` is unset;
+    commands without ``--no-interleave`` / ``--no-masking`` keep both on.
+    """
     from repro.core import RadarConfig
 
     return RadarConfig(
         group_size=(
-            args.group_size if args.group_size is not None else _default_group_size(args.setup)
+            args.group_size if args.group_size is not None else _default_group_size(setup)
         ),
         signature_bits=args.signature_bits,
-        use_interleave=not args.no_interleave,
-        use_masking=not args.no_masking,
+        use_interleave=not getattr(args, "no_interleave", False),
+        use_masking=not getattr(args, "no_masking", False),
     )
 
 
-def _add_protection_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--setup",
-        default="resnet20-cifar",
-        help="model-zoo setup to protect (see 'repro-radar list-setups')",
-    )
+def _add_scan_arguments(parser: argparse.ArgumentParser, num_shards: int) -> None:
+    """Grouping and rotation flags shared by protect, scan and serve-demo."""
     parser.add_argument(
         "--group-size", type=_group_size_arg, default=None,
         help="weights per checksum group (default: the paper's recommendation)",
     )
     parser.add_argument("--signature-bits", type=int, default=2, choices=(1, 2, 3))
-    parser.add_argument("--no-interleave", action="store_true", help="disable t-interleaving")
-    parser.add_argument("--no-masking", action="store_true", help="disable secret-key masking")
     parser.add_argument(
-        "--num-shards", type=_positive_int, default=8,
+        "--num-shards", type=_positive_int, default=num_shards,
         help="shards the signature groups are partitioned into for amortized scanning",
     )
     parser.add_argument(
@@ -186,15 +187,21 @@ def _add_protection_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards-per-pass", type=_positive_int, default=1, help="shards verified per scan pass"
     )
+
+
+def _add_protection_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--setup",
+        default="resnet20-cifar",
+        help="model-zoo setup to protect (see 'repro-radar list-setups')",
+    )
+    _add_scan_arguments(parser, num_shards=8)
+    parser.add_argument("--no-interleave", action="store_true", help="disable t-interleaving")
+    parser.add_argument("--no-masking", action="store_true", help="disable secret-key masking")
     parser.add_argument(
         "--budget-ms", type=_positive_float, default=None,
         help="per-pass latency budget in milliseconds; sizes shards adaptively from the "
         "analytic cost model (overrides --num-shards / --shards-per-pass)",
-    )
-    parser.add_argument(
-        "--state-dir", type=Path, default=None,
-        help="directory persisting calibrated scan-cost state across runs "
-        "(protect seeds it, scan resumes and updates it)",
     )
     parser.add_argument("--output", type=Path, default=None, help="write the rows to this JSON file")
 
@@ -221,6 +228,121 @@ def _build_scheduler(protector, args: argparse.Namespace, cost_model=None):
         shards_per_pass=args.shards_per_pass,
         cost_model=cost_model,
     )
+
+
+def _injection_window_ok(flag: str, at_pass: int, passes: int) -> bool:
+    """Whether an injection before 0-based pass ``at_pass`` lands inside
+    ``passes``; prints the usage error when it would inject nothing."""
+    if 0 <= at_pass < passes:
+        return True
+    print(
+        f"error: {flag} {at_pass} is outside the {passes} scheduled passes; "
+        "nothing would be injected",
+        file=sys.stderr,
+    )
+    return False
+
+
+def _inject_flips(model, name: str, num_flips: int, seed: int) -> None:
+    """The simulated attack: ``num_flips`` random MSB flips in ``model``."""
+    from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
+
+    RandomBitFlipAttack(
+        RandomFlipConfig(num_flips=num_flips, msb_only=True, seed=seed)
+    ).run(model, name)
+
+
+def _build_engine(args: argparse.Namespace, models: Dict, recovery_policy):
+    """The fleet engine ``scan --all`` and ``serve-demo`` drive.
+
+    ``models`` maps each name to its ``(model, RadarConfig)``.  RELOAD
+    recovery keeps golden weights to reload from.  With ``--state-dir``
+    every model calibrates measured pricing (so the saved snapshot has
+    learned prices to resume from) and the engine warm-starts from the
+    directory's snapshot.  Returns ``(engine, state_store)``; the store is
+    ``None`` without ``--state-dir``.
+    """
+    from repro.core import (
+        MeasuredScanCostModel,
+        RecoveryPolicy,
+        ScanPolicy,
+        VerificationEngine,
+    )
+
+    engine = VerificationEngine(
+        num_shards=args.num_shards,
+        policy=ScanPolicy(args.scan_policy),
+        shards_per_pass=args.shards_per_pass,
+        budget_s=args.budget_ms / 1e3 if args.budget_ms is not None else None,
+        recovery_policy=recovery_policy,
+    )
+    for name, (model, config) in models.items():
+        engine.register(
+            name,
+            model,
+            config=config,
+            keep_golden_weights=recovery_policy is RecoveryPolicy.RELOAD,
+            cost_model=(
+                MeasuredScanCostModel.from_radar_config(config)
+                if args.state_dir is not None
+                else None
+            ),
+        )
+    state_store = None
+    if args.state_dir is not None:
+        from repro.telemetry.store import StateStore
+
+        state_store = StateStore(args.state_dir)
+        _announce_restore(engine, state_store.restore_engine(engine))
+    print(reporting.render_table(engine.describe(), title="Fleet engine registry"))
+    return engine, state_store
+
+
+def _run_fleet(
+    args: argparse.Namespace,
+    engine,
+    state_store,
+    passes: int,
+    inject_at: Optional[int],
+    inject: Callable[[], None],
+    title: str,
+) -> Optional[int]:
+    """Tick ``engine`` ``passes`` times and emit one row per model per tick.
+
+    ``inject`` runs just before 0-based pass ``inject_at`` (``None``:
+    never).  The rows go to ``--output`` and the engine's learned state to
+    ``state_store``.  Returns the 1-based pass of the first detection, or
+    ``None`` when nothing was detected.
+    """
+    rows: List[Dict] = []
+    detected_at = None
+    for pass_index in range(passes):
+        if pass_index == inject_at:
+            inject()
+        for name, outcome in engine.tick().items():
+            if outcome.attack_detected and detected_at is None:
+                detected_at = pass_index + 1
+            recovery = outcome.recovery
+            row = {
+                "pass": pass_index + 1,
+                "model": name,
+                "shards": ",".join(str(i) for i in outcome.scan.shard_indices),
+                "groups_checked": outcome.scan.groups_checked,
+                "flagged_groups": outcome.scan.report.num_flagged_groups,
+                "recovered_weights": (
+                    0
+                    if recovery is None
+                    else recovery.reloaded_weights + recovery.zeroed_weights
+                ),
+                "state": outcome.state.value,
+            }
+            if outcome.budget_s is not None:
+                row["budget_share_ms"] = round(outcome.budget_s * 1e3, 6)
+            rows.append(row)
+    _emit(rows, title, args.output)
+    if state_store is not None:
+        print(f"engine state persisted to {state_store.save_engine(engine)}")
+    return detected_at
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -338,7 +460,7 @@ def _cmd_protect(args: argparse.Namespace) -> int:
     from repro.experiments.common import ExperimentContext
 
     context = ExperimentContext.load(args.setup)
-    protector = ModelProtector(_protection_config(args))
+    protector = ModelProtector(_radar_config(args, args.setup))
     store = protector.protect(context.model)
     rows = [
         {
@@ -367,31 +489,12 @@ def _cmd_protect(args: argparse.Namespace) -> int:
             f"priced per-pass cost {plan['per_pass_cost_ms']:.4f} ms "
             "(analytic cost model)"
         )
-    if args.state_dir is not None:
-        from repro.telemetry.store import StateStore
-
-        state_store = StateStore(args.state_dir)
-        cost_model = state_store.measured_cost_model(args.setup, protector.config)
-        path = state_store.save_calibration(
-            args.setup, cost_model, radar_config=protector.config
-        )
-        print(
-            f"calibration state for {args.setup!r} seeded in {path} "
-            f"({cost_model.observations} prior observations, "
-            f"{cost_model.seconds_per_group * 1e6:.4g} us/group)"
-        )
     return 0
 
 
 def _cmd_scan_all(args: argparse.Namespace) -> int:
     """``scan --all``: every cached setup as one fleet through the engine."""
-    from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
-    from repro.core import (
-        MeasuredScanCostModel,
-        RadarConfig,
-        ScanPolicy,
-        VerificationEngine,
-    )
+    from repro.core import RecoveryPolicy
     from repro.experiments.common import ExperimentContext
     from repro.models.zoo import ModelZoo, available_setups
 
@@ -401,83 +504,29 @@ def _cmd_scan_all(args: argparse.Namespace) -> int:
         for setup in available_setups()
         if setup != args.setup and zoo.is_cached(setup)
     ]
-    engine = VerificationEngine(
-        num_shards=args.num_shards,
-        policy=ScanPolicy(args.scan_policy),
-        shards_per_pass=args.shards_per_pass,
-        budget_s=args.budget_ms / 1e3 if args.budget_ms is not None else None,
-    )
-    contexts = {}
-    for setup in setups:
-        context = ExperimentContext.load(setup)
-        contexts[setup] = context
-        config = RadarConfig(
-            group_size=(
-                args.group_size
-                if args.group_size is not None
-                else _default_group_size(setup)
-            ),
-            signature_bits=args.signature_bits,
-            use_interleave=not args.no_interleave,
-            use_masking=not args.no_masking,
-        )
-        engine.register(
-            setup,
-            context.model,
-            config=config,
-            # With a state dir each model calibrates measured pricing, so
-            # the persisted engine state has learned prices to resume from
-            # (an analytic model would save nothing restorable).
-            cost_model=(
-                MeasuredScanCostModel.from_radar_config(config)
-                if args.state_dir is not None
-                else None
-            ),
-        )
-    state_store = None
-    if args.state_dir is not None:
-        from repro.telemetry.store import StateStore
-
-        state_store = StateStore(args.state_dir)
-        restore = state_store.restore_engine(engine)
-        _announce_restore(engine, restore)
-    print(reporting.render_table(engine.describe(), title="Fleet engine registry"))
-
+    models = {
+        setup: (ExperimentContext.load(setup).model, _radar_config(args, setup))
+        for setup in setups
+    }
+    engine, state_store = _build_engine(args, models, RecoveryPolicy.ZERO)
     passes = args.passes or max(
         engine.get(setup).scheduler.worst_case_lag_passes for setup in setups
     )
-    if args.inject_flips and not 0 <= args.inject_at_pass < passes:
-        print(
-            f"error: --inject-at-pass {args.inject_at_pass} is outside the "
-            f"{passes} scheduled passes; nothing would be injected",
-            file=sys.stderr,
-        )
+    if args.inject_flips and not _injection_window_ok(
+        "--inject-at-pass", args.inject_at_pass, passes
+    ):
         return 2
-    rows: List[Dict] = []
-    detected_at = None
-    for pass_index in range(passes):
-        if args.inject_flips and pass_index == args.inject_at_pass:
-            RandomBitFlipAttack(
-                RandomFlipConfig(num_flips=args.inject_flips, msb_only=True, seed=args.seed)
-            ).run(contexts[args.setup].model, args.setup)
-        outcomes = engine.tick()
-        for name, outcome in outcomes.items():
-            if outcome.attack_detected and detected_at is None:
-                detected_at = pass_index + 1
-            row = {
-                "pass": pass_index + 1,
-                "model": name,
-                "shards": ",".join(str(i) for i in outcome.scan.shard_indices),
-                "groups_checked": outcome.scan.groups_checked,
-                "flagged_groups": outcome.scan.report.num_flagged_groups,
-                "state": outcome.state.value,
-            }
-            if outcome.budget_s is not None:
-                row["budget_share_ms"] = round(outcome.budget_s * 1e3, 6)
-            rows.append(row)
-    _emit(rows, f"Fleet scan of {len(setups)} setups", args.output)
-    if state_store is not None:
-        print(f"engine state persisted to {state_store.save_engine(engine)}")
+    detected_at = _run_fleet(
+        args,
+        engine,
+        state_store,
+        passes,
+        inject_at=args.inject_at_pass if args.inject_flips else None,
+        inject=lambda: _inject_flips(
+            models[args.setup][0], args.setup, args.inject_flips, args.seed
+        ),
+        title=f"Fleet scan of {len(setups)} setups",
+    )
     if args.inject_flips:
         if detected_at is None:
             print("injected flips not yet scanned (increase --passes to cover a full rotation)")
@@ -490,14 +539,13 @@ def _cmd_scan_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
     from repro.core import ModelProtector
     from repro.experiments.common import ExperimentContext
 
     if args.all:
         return _cmd_scan_all(args)
     context = ExperimentContext.load(args.setup)
-    protector = ModelProtector(_protection_config(args))
+    protector = ModelProtector(_radar_config(args, args.setup))
     protector.protect(context.model)
     state_store = None
     cost_model = None
@@ -519,20 +567,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             )
     scheduler = _build_scheduler(protector, args, cost_model=cost_model)
     passes = args.passes or scheduler.worst_case_lag_passes
-    if args.inject_flips and not 0 <= args.inject_at_pass < passes:
-        print(
-            f"error: --inject-at-pass {args.inject_at_pass} is outside the "
-            f"{passes} scheduled passes; nothing would be injected",
-            file=sys.stderr,
-        )
+    if args.inject_flips and not _injection_window_ok(
+        "--inject-at-pass", args.inject_at_pass, passes
+    ):
         return 2
     rows: List[Dict] = []
     detected_at = None
     for pass_index in range(passes):
         if args.inject_flips and pass_index == args.inject_at_pass:
-            RandomBitFlipAttack(
-                RandomFlipConfig(num_flips=args.inject_flips, msb_only=True, seed=args.seed)
-            ).run(context.model, context.model_name)
+            _inject_flips(context.model, context.model_name, args.inject_flips, args.seed)
         result = scheduler.step(context.model)
         if result.attack_detected and detected_at is None:
             detected_at = result.pass_index
@@ -547,7 +590,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             row["planned_cost_ms"] = round(result.planned_cost_s * 1e3, 6)
         rows.append(row)
     _emit(rows, f"Amortized scan of {args.setup} ({scheduler.num_shards} shards)", args.output)
-    if state_store is not None and cost_model is not None:
+    if state_store is not None:
         path = state_store.save_calibration(
             args.setup, cost_model, radar_config=protector.config
         )
@@ -571,50 +614,27 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
-    from repro.core import (
-        MeasuredScanCostModel,
-        RadarConfig,
-        RecoveryPolicy,
-        ScanPolicy,
-        VerificationEngine,
-    )
+    from repro.core import RecoveryPolicy
     from repro.models.small import MLP
     from repro.quant.layers import quantize_model
+    from repro.telemetry.monitor import FleetTelemetry
 
-    config = RadarConfig(
-        group_size=args.group_size if args.group_size is not None else 16,
-        signature_bits=args.signature_bits,
-    )
-    engine = VerificationEngine(
-        config,
-        num_shards=args.num_shards,
-        policy=ScanPolicy(args.scan_policy),
-        shards_per_pass=args.shards_per_pass,
-        budget_s=args.budget_ms / 1e3 if args.budget_ms is not None else None,
-        recovery_policy=RecoveryPolicy.RELOAD,
-        auto_reprotect=True,
-    )
+    if not _injection_window_ok("--attack-at-pass", args.attack_at_pass, args.passes):
+        return 2
+    config = _radar_config(args)
+    models = {}
     for index in range(args.models):
         model = MLP(
             input_dim=64, num_classes=4, hidden_dims=(48, 24), seed=args.seed + index
         )
         quantize_model(model)
-        engine.register(
-            f"model-{index}",
-            model,
-            keep_golden_weights=True,
-            # With a state dir the demo calibrates measured pricing so a
-            # restart has something learned to resume from.
-            cost_model=(
-                MeasuredScanCostModel.from_radar_config(config)
-                if args.state_dir is not None
-                else None
-            ),
-        )
-    from repro.telemetry.monitor import FleetTelemetry
-
+        models[f"model-{index}"] = (model, config)
+    engine, state_store = _build_engine(args, models, RecoveryPolicy.RELOAD)
     telemetry = FleetTelemetry().attach(engine)
+    if state_store is not None and state_store.restore_telemetry(telemetry):
+        # Histogram windows merge (persisted samples first), so the SLA
+        # percentiles below span restarts of this demo.
+        print(f"telemetry metrics restored from {state_store.telemetry_path}")
     recorder = None
     if args.trace_dir is not None:
         from repro.telemetry.trace import FlightRecorder, SpanTracer
@@ -633,48 +653,22 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             port=args.http_port,
         ).start()
         print(f"observability server listening on {server.url}")
-    state_store = None
-    if args.state_dir is not None:
-        from repro.telemetry.store import StateStore
-
-        state_store = StateStore(args.state_dir)
-        _announce_restore(engine, state_store.restore_engine(engine))
-        if state_store.restore_telemetry(telemetry):
-            # Histogram windows merge (persisted samples first), so the
-            # SLA percentiles below span restarts of this demo.
-            print(f"telemetry metrics restored from {state_store.telemetry_path}")
-    print(reporting.render_table(engine.describe(), title="Fleet engine registry"))
 
     victim = engine.get("model-0")
-    rows: List[Dict] = []
-    detected_at = None
-    for pass_index in range(args.passes):
-        if pass_index == args.attack_at_pass:
-            RandomBitFlipAttack(
-                RandomFlipConfig(num_flips=args.num_flips, msb_only=True, seed=args.seed)
-            ).run(victim.model, victim.name)
-            telemetry.note_injection(victim.name, flips=args.num_flips)
-        outcomes = engine.tick()
-        for name, outcome in outcomes.items():
-            if outcome.attack_detected and detected_at is None:
-                detected_at = pass_index + 1
-            recovered = 0
-            if outcome.recovery is not None:
-                recovered = (
-                    outcome.recovery.reloaded_weights + outcome.recovery.zeroed_weights
-                )
-            row = {
-                "pass": pass_index + 1,
-                "model": name,
-                "shards": ",".join(str(i) for i in outcome.scan.shard_indices),
-                "flagged_groups": outcome.scan.report.num_flagged_groups,
-                "recovered_weights": recovered,
-                "state": outcome.state.value,
-            }
-            if outcome.budget_s is not None:
-                row["budget_share_ms"] = round(outcome.budget_s * 1e3, 6)
-            rows.append(row)
-    _emit(rows, f"Serving timeline ({args.models} models, {args.num_shards} shards)", args.output)
+
+    def attack() -> None:
+        _inject_flips(victim.model, victim.name, args.num_flips, args.seed)
+        telemetry.note_injection(victim.name, flips=args.num_flips)
+
+    detected_at = _run_fleet(
+        args,
+        engine,
+        state_store,
+        args.passes,
+        inject_at=args.attack_at_pass,
+        inject=attack,
+        title=f"Serving timeline ({args.models} models, {args.num_shards} shards)",
+    )
     if args.events:
         event_rows = [
             {
@@ -699,7 +693,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             "re-signed by the engine)"
         )
     if state_store is not None:
-        print(f"engine state persisted to {state_store.save_engine(engine)}")
         print(f"telemetry metrics persisted to {state_store.save_telemetry(telemetry)}")
         ticks = telemetry.registry.histogram(
             "detection_latency_ticks", model=victim.name
@@ -741,15 +734,11 @@ def _cmd_infer_demo(args: argparse.Namespace) -> int:
     """
     import numpy as np
 
-    from repro.core import ProtectedInference, RadarConfig, RecoveryPolicy
-
+    from repro.core import ProtectedInference, RecoveryPolicy
     from repro.models.small import MLP
     from repro.quant.layers import quantize_model
 
-    config = RadarConfig(
-        group_size=args.group_size if args.group_size is not None else 16,
-        signature_bits=args.signature_bits,
-    )
+    config = _radar_config(args)
     model = MLP(input_dim=64, num_classes=4, hidden_dims=(48, 24), seed=args.seed)
     quantize_model(model)
     runtime = ProtectedInference(
@@ -977,6 +966,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan_parser.add_argument("--seed", type=int, default=0)
     scan_parser.add_argument(
+        "--state-dir", type=Path, default=None,
+        help="persist and resume the setup's calibrated scan cost (with --all: "
+        "the fleet engine's learned state) across runs",
+    )
+    scan_parser.add_argument(
         "--all", action="store_true",
         help="scan every cached model-zoo setup (plus --setup) as one fleet "
         "through the verification engine (each tick runs inline)",
@@ -988,15 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="VerificationEngine demo: a small model fleet, one attacked mid-rotation",
     )
     serve_parser.add_argument("--models", type=_positive_int, default=3, help="models in the fleet")
-    serve_parser.add_argument("--group-size", type=_group_size_arg, default=None)
-    serve_parser.add_argument("--signature-bits", type=int, default=2, choices=(1, 2, 3))
-    serve_parser.add_argument("--num-shards", type=_positive_int, default=4)
-    serve_parser.add_argument(
-        "--scan-policy",
-        default="round_robin",
-        choices=("round_robin", "priority_exposure", "jittered", "full"),
-    )
-    serve_parser.add_argument("--shards-per-pass", type=_positive_int, default=1)
+    _add_scan_arguments(serve_parser, num_shards=4)
     serve_parser.add_argument("--passes", type=_positive_int, default=8, help="serving ticks to simulate")
     serve_parser.add_argument(
         "--attack-at-pass", type=int, default=2,

@@ -85,7 +85,7 @@ class RadarDetector:
         return report_from_fused_rows(fused, fused.mismatched_rows(model))
 
     def scan_layer(self, model: Module, layer_name: str) -> np.ndarray:
-        """Flagged group indices for a single layer (used by the runtime wrapper)."""
+        """Flagged group indices for a single layer, from a full oracle :meth:`scan`."""
         report = self.scan(model)
         return report.flagged_groups.get(layer_name, np.empty(0, dtype=np.int64))
 

@@ -162,8 +162,12 @@ class ModelProtector:
     def scan_and_recover(
         self, model: Module, policy: RecoveryPolicy = RecoveryPolicy.ZERO
     ) -> ProtectionSummary:
-        """Detect then recover in one call (the run-time fast path)."""
-        report = self.scan(model)
+        """Detect then recover in one call (the run-time fast path).
+
+        Detection runs on the scan kernel (:meth:`scan_fused`), whose
+        verdicts are bit-identical to the per-layer oracle's (:meth:`scan`).
+        """
+        report = self.scan_fused(model)
         recovery = self.recover(model, report, policy=policy)
         return ProtectionSummary(detection=report, recovery=recovery)
 

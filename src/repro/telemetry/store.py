@@ -14,8 +14,11 @@ mutable, *learned* state as JSON under a ``--state-dir``:
   state, measured cost-model calibration, planner cursor + flip rates and
   scheduler rotation counters, plus the engine tick index;
 * **per-setup calibration** (``calibration.json``) — the measured
-  seconds-per-group of single-model CLI commands (``protect`` seeds it
-  with the analytic prior, ``scan`` folds observed passes back in);
+  seconds-per-group of a single-setup ``scan`` (the first run starts from
+  the analytic prior; each run folds its observed passes back in);
+* **runtime state** (``runtime_state.json``) — per named
+  :class:`~repro.core.runtime.ProtectedInference`: measured calibration
+  and check cadence (``infer-demo``);
 * **telemetry metrics** (``telemetry.json``) — the fleet monitor's metric
   registry, including each :class:`~repro.telemetry.metrics.RingHistogram`'s
   ordered sample window, so ``sla-report`` percentiles keep their recent
@@ -30,8 +33,9 @@ the detector).  The state file only ever changes *performance* (pricing,
 scan order), never *correctness* — restoring a stale or foreign file can
 waste budget, not hide an attack.
 
-Writes are atomic (temp file + ``os.replace``) so a crash mid-save leaves
-the previous state intact.
+Every file goes through one version-checked reader and one atomic writer
+(temp file + ``os.replace``, so a crash mid-save leaves the previous state
+intact), and every restored price through one pricing-fingerprint check.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ def pricing_fingerprint(radar_config: RadarConfig) -> Dict[str, object]:
     A measured EWMA calibrated under one grouping is meaningless under
     another (the per-group price scales with ``group_size`` and the gather
     stride changes with interleaving), so calibration entries record this
-    fingerprint and :meth:`StateStore.measured_cost_model` refuses to
-    restore across a mismatch — the same staleness guard the scheduler
+    fingerprint and every restore refuses a price across a mismatch (see
+    :func:`_pricing_compatible`) — the same staleness guard the scheduler
     snapshot applies to its shard count.
     """
     return {
@@ -73,12 +77,32 @@ def pricing_fingerprint(radar_config: RadarConfig) -> Dict[str, object]:
     }
 
 
+def _pricing_compatible(saved: Dict[str, object], radar_config: Optional[RadarConfig]) -> bool:
+    """Whether ``saved``'s price may be restored under ``radar_config``
+    (an entry without a fingerprint, or a restore without a config, is)."""
+    fingerprint = saved.get("config")
+    return (
+        fingerprint is None
+        or radar_config is None
+        or fingerprint == pricing_fingerprint(radar_config)
+    )
+
+
+def _check_version(payload: Dict[str, object], kind: str) -> Dict[str, object]:
+    if int(payload.get("version", -1)) != STATE_VERSION:
+        raise ProtectionError(
+            f"{kind} state has version {payload.get('version')!r}, "
+            f"expected {STATE_VERSION}"
+        )
+    return payload
+
+
 def cost_model_state(cost_model: object) -> Dict[str, object]:
     """Serializable pricing state of any cost model.
 
-    Only the measured model carries true mutable state (its EWMA); the
-    analytic and cache-aware models are pure functions of configuration and
-    are recorded by type and price for the report's benefit only.
+    Only the measured model carries true mutable state (its EWMA); any
+    other model is a pure function of configuration and is recorded by type
+    and price for the report's benefit only.
     """
     if isinstance(cost_model, MeasuredScanCostModel):
         return {"type": "measured", **cost_model.state_dict()}
@@ -102,6 +126,7 @@ def engine_state_dict(engine: VerificationEngine) -> Dict[str, object]:
         models[name] = {
             "state": managed.state.value,
             "cost_model": cost_model_state(managed.cost_model),
+            "config": pricing_fingerprint(managed.protector.config),
             "planner": {
                 "type": type(planner).__name__,
                 "state": planner.state_dict(),
@@ -125,14 +150,11 @@ def restore_engine_state(
     calibration, planner state, scheduler counters and lifecycle state
     back.  Mismatches are tolerated per concern and reported rather than
     fatal — a fleet whose shard count changed still wants its calibrated
-    prices back, it just cannot reuse shard-indexed counters.  Returns
+    prices back, it just cannot reuse shard-indexed counters, and a model
+    whose grouping changed keeps its fresh pricing.  Returns
     ``{"restored": [names], "skipped": [names], "partial": [notes]}``.
     """
-    if int(payload.get("version", -1)) != STATE_VERSION:
-        raise ProtectionError(
-            f"engine state has version {payload.get('version')!r}, "
-            f"expected {STATE_VERSION}"
-        )
+    _check_version(payload, "engine")
     report: Dict[str, List[str]] = {"restored": [], "skipped": [], "partial": []}
     saved_models: Dict[str, Dict] = dict(payload.get("models", {}))
     for name, saved in saved_models.items():
@@ -142,7 +164,13 @@ def restore_engine_state(
         managed = engine.get(name)
         # -- calibrated pricing -------------------------------------------------
         cost_state = saved.get("cost_model") or {}
-        if cost_state.get("type") == "measured":
+        if not _pricing_compatible(saved, managed.protector.config):
+            report["partial"].append(
+                f"{name}: pricing fingerprint changed ({saved['config']} -> "
+                f"{pricing_fingerprint(managed.protector.config)}); "
+                "calibrated pricing not restored"
+            )
+        elif cost_state.get("type") == "measured":
             if isinstance(managed.cost_model, MeasuredScanCostModel):
                 managed.cost_model.load_state_dict(cost_state)
             else:
@@ -200,9 +228,9 @@ def _atomic_write_json(path: Path, payload: Dict) -> None:
 class StateStore:
     """JSON state directory backing ``--state-dir`` on the CLI.
 
-    One directory holds at most one engine snapshot plus one calibration
-    table; the files are human-readable JSON so operators can inspect what
-    a service learned.
+    One directory holds at most one engine snapshot, one calibration table,
+    one runtime table and one telemetry snapshot; the files are
+    human-readable JSON so operators can inspect what a service learned.
     """
 
     def __init__(self, state_dir: Union[str, os.PathLike]) -> None:
@@ -225,17 +253,42 @@ class StateStore:
     def telemetry_path(self) -> Path:
         return self.state_dir / TELEMETRY_FILENAME
 
+    # -- the one reader and the named-entry tables ------------------------------
+    @staticmethod
+    def _read(path: Path, kind: str) -> Optional[Dict[str, object]]:
+        """The version-checked payload at ``path``, or ``None`` if absent."""
+        if not path.exists():
+            return None
+        return _check_version(json.loads(path.read_text(encoding="utf-8")), kind)
+
+    def _entries(self, path: Path, kind: str) -> Dict[str, Dict]:
+        payload = self._read(path, kind)
+        return dict(payload.get("entries", {})) if payload is not None else {}
+
+    def _save_entry(
+        self,
+        path: Path,
+        kind: str,
+        name: str,
+        entry: Dict[str, object],
+        radar_config: Optional[RadarConfig],
+    ) -> Path:
+        """Read-modify-write one named entry, stamped with ``radar_config``'s
+        pricing fingerprint so a restore under another grouping refuses it."""
+        if radar_config is not None:
+            entry["config"] = pricing_fingerprint(radar_config)
+        entries = self._entries(path, kind)
+        entries[name] = entry
+        _atomic_write_json(
+            path, {"version": STATE_VERSION, "kind": kind, "entries": entries}
+        )
+        return path
+
     # -- engine snapshots --------------------------------------------------------
     def save_engine(self, engine: VerificationEngine) -> Path:
         """Snapshot the engine's learned state (atomic)."""
         _atomic_write_json(self.engine_path, engine_state_dict(engine))
         return self.engine_path
-
-    def load_engine(self) -> Optional[Dict[str, object]]:
-        """The persisted engine payload, or ``None`` when none exists."""
-        if not self.engine_path.exists():
-            return None
-        return json.loads(self.engine_path.read_text(encoding="utf-8"))
 
     def restore_engine(
         self, engine: VerificationEngine
@@ -246,147 +299,29 @@ class StateStore:
         ``None`` when the directory holds no engine state yet — the
         cold-start case callers should announce differently.
         """
-        payload = self.load_engine()
+        payload = self._read(self.engine_path, "engine")
         if payload is None:
             return None
         return restore_engine_state(engine, payload)
 
     # -- per-setup calibration ----------------------------------------------------
-    def _load_calibrations(self) -> Dict[str, Dict]:
-        if not self.calibration_path.exists():
-            return {}
-        payload = json.loads(self.calibration_path.read_text(encoding="utf-8"))
-        if int(payload.get("version", -1)) != STATE_VERSION:
-            raise ProtectionError(
-                f"calibration state has version {payload.get('version')!r}, "
-                f"expected {STATE_VERSION}"
-            )
-        return dict(payload.get("entries", {}))
-
     def save_calibration(
         self,
         name: str,
         cost_model: object,
         radar_config: Optional[RadarConfig] = None,
     ) -> Path:
-        """Persist one named calibration entry (read-modify-write, atomic).
-
-        ``radar_config`` stamps the entry with its pricing fingerprint so a
-        later :meth:`measured_cost_model` can refuse to restore it under a
-        different grouping.
-        """
-        entries = self._load_calibrations()
-        entry = cost_model_state(cost_model)
-        if radar_config is not None:
-            entry["config"] = pricing_fingerprint(radar_config)
-        entries[name] = entry
-        _atomic_write_json(
+        """Persist one named calibration entry (read-modify-write, atomic)."""
+        return self._save_entry(
             self.calibration_path,
-            {"version": STATE_VERSION, "kind": "calibration", "entries": entries},
+            "calibration",
+            name,
+            cost_model_state(cost_model),
+            radar_config,
         )
-        return self.calibration_path
 
     def load_calibration(self, name: str) -> Optional[Dict[str, object]]:
-        return self._load_calibrations().get(name)
-
-    # -- protected-inference runtimes ---------------------------------------------
-    def _load_runtimes(self) -> Dict[str, Dict]:
-        if not self.runtime_path.exists():
-            return {}
-        payload = json.loads(self.runtime_path.read_text(encoding="utf-8"))
-        if int(payload.get("version", -1)) != STATE_VERSION:
-            raise ProtectionError(
-                f"runtime state has version {payload.get('version')!r}, "
-                f"expected {STATE_VERSION}"
-            )
-        return dict(payload.get("entries", {}))
-
-    def save_runtime(
-        self,
-        name: str,
-        runtime: object,
-        radar_config: Optional[RadarConfig] = None,
-    ) -> Path:
-        """Persist one :class:`~repro.core.runtime.ProtectedInference` snapshot.
-
-        Same shape as :meth:`save_calibration` — a named entry in a
-        read-modify-write JSON table, fingerprint-stamped so a later
-        :meth:`restore_runtime` under a different grouping refuses it.
-        """
-        entries = self._load_runtimes()
-        entry: Dict[str, object] = dict(runtime.state_dict())
-        if radar_config is not None:
-            entry["config"] = pricing_fingerprint(radar_config)
-        entries[name] = entry
-        _atomic_write_json(
-            self.runtime_path,
-            {"version": STATE_VERSION, "kind": "runtime", "entries": entries},
-        )
-        return self.runtime_path
-
-    def restore_runtime(
-        self,
-        name: str,
-        runtime: object,
-        radar_config: Optional[RadarConfig] = None,
-    ) -> bool:
-        """Warm-start ``runtime`` from the persisted entry, if compatible.
-
-        Returns ``True`` when a snapshot was applied; ``False`` for a cold
-        start (no entry, or a pricing-fingerprint mismatch — calibration
-        learned under another grouping would misprice this runtime's
-        cadence until the EWMA reconverged).
-        """
-        saved = self._load_runtimes().get(name)
-        if saved is None:
-            return False
-        fingerprint = saved.get("config")
-        if (
-            fingerprint is not None
-            and radar_config is not None
-            and fingerprint != pricing_fingerprint(radar_config)
-        ):
-            return False
-        runtime.load_state_dict(saved)
-        return True
-
-    # -- telemetry metrics ---------------------------------------------------------
-    def save_telemetry(self, telemetry: object) -> Path:
-        """Snapshot a :class:`~repro.telemetry.monitor.FleetTelemetry` (atomic).
-
-        Persists the metric registry's raw state — counters, gauges and
-        each histogram's ordered sample window — so SLA percentiles keep
-        their recent distribution across a restart instead of restarting
-        from an empty ring.
-        """
-        _atomic_write_json(
-            self.telemetry_path,
-            {
-                "version": STATE_VERSION,
-                "kind": "telemetry",
-                **telemetry.state_dict(),
-            },
-        )
-        return self.telemetry_path
-
-    def restore_telemetry(self, telemetry: object) -> bool:
-        """Merge the persisted metric windows into ``telemetry``, if any.
-
-        Returns ``True`` when a snapshot was merged (counters add,
-        histogram windows prepend — see
-        :meth:`~repro.telemetry.metrics.MetricRegistry.load_state_dict`),
-        ``False`` on a cold start with no telemetry file.
-        """
-        if not self.telemetry_path.exists():
-            return False
-        payload = json.loads(self.telemetry_path.read_text(encoding="utf-8"))
-        if int(payload.get("version", -1)) != STATE_VERSION:
-            raise ProtectionError(
-                f"telemetry state has version {payload.get('version')!r}, "
-                f"expected {STATE_VERSION}"
-            )
-        telemetry.load_state_dict(payload)
-        return True
+        return self._entries(self.calibration_path, "calibration").get(name)
 
     def measured_cost_model(
         self, name: str, radar_config: RadarConfig, alpha: float = 0.2
@@ -403,8 +338,71 @@ class StateStore:
         """
         model = MeasuredScanCostModel.from_radar_config(radar_config, alpha=alpha)
         saved = self.load_calibration(name)
-        if saved is not None and saved.get("type") == "measured":
-            fingerprint = saved.get("config")
-            if fingerprint is None or fingerprint == pricing_fingerprint(radar_config):
-                model.load_state_dict(saved)
+        if (
+            saved is not None
+            and saved.get("type") == "measured"
+            and _pricing_compatible(saved, radar_config)
+        ):
+            model.load_state_dict(saved)
         return model
+
+    # -- protected-inference runtimes ---------------------------------------------
+    def save_runtime(
+        self,
+        name: str,
+        runtime: object,
+        radar_config: Optional[RadarConfig] = None,
+    ) -> Path:
+        """Persist one :class:`~repro.core.runtime.ProtectedInference` snapshot
+        as a named entry, the same way :meth:`save_calibration` does."""
+        return self._save_entry(
+            self.runtime_path, "runtime", name, dict(runtime.state_dict()), radar_config
+        )
+
+    def restore_runtime(
+        self,
+        name: str,
+        runtime: object,
+        radar_config: Optional[RadarConfig] = None,
+    ) -> bool:
+        """Warm-start ``runtime`` from the persisted entry, if compatible.
+
+        Returns ``True`` when a snapshot was applied; ``False`` for a cold
+        start (no entry, or a pricing-fingerprint mismatch — calibration
+        learned under another grouping would misprice this runtime's
+        cadence until the EWMA reconverged).
+        """
+        saved = self._entries(self.runtime_path, "runtime").get(name)
+        if saved is None or not _pricing_compatible(saved, radar_config):
+            return False
+        runtime.load_state_dict(saved)
+        return True
+
+    # -- telemetry metrics ---------------------------------------------------------
+    def save_telemetry(self, telemetry: object) -> Path:
+        """Snapshot a :class:`~repro.telemetry.monitor.FleetTelemetry` (atomic).
+
+        Persists the metric registry's raw state — counters, gauges and
+        each histogram's ordered sample window — so SLA percentiles keep
+        their recent distribution across a restart instead of restarting
+        from an empty ring.
+        """
+        _atomic_write_json(
+            self.telemetry_path,
+            {"version": STATE_VERSION, "kind": "telemetry", **telemetry.state_dict()},
+        )
+        return self.telemetry_path
+
+    def restore_telemetry(self, telemetry: object) -> bool:
+        """Merge the persisted metric windows into ``telemetry``, if any.
+
+        Returns ``True`` when a snapshot was merged (counters add,
+        histogram windows prepend — see
+        :meth:`~repro.telemetry.metrics.MetricRegistry.load_state_dict`),
+        ``False`` on a cold start with no telemetry file.
+        """
+        payload = self._read(self.telemetry_path, "telemetry")
+        if payload is None:
+            return False
+        telemetry.load_state_dict(payload)
+        return True

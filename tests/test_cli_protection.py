@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.data.synthetic import make_tiny_dataset
 from repro.models.training import TrainConfig
 from repro.models.zoo import ZooEntry, register_setup
@@ -167,6 +170,39 @@ class TestServeDemoCommand:
         assert "detection" in out and "recovery" in out and "reprotect" in out
 
 
+class TestInjectionWindow:
+    """An injection pass outside the run is a usage error, not a silent no-op."""
+
+    @pytest.mark.parametrize("attack_at", ["9", "-1"])
+    def test_serve_demo_rejects_attack_outside_the_passes(self, attack_at, capsys):
+        code = main(
+            ["serve-demo", "--models", "2", "--passes", "4", "--attack-at-pass", attack_at]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (
+            f"error: --attack-at-pass {attack_at} is outside the 4 scheduled passes"
+            in captured.err
+        )
+        assert "Serving timeline" not in captured.out
+
+    def test_scan_rejects_injection_outside_the_passes(self, tiny_setup, capsys):
+        code = main(
+            [
+                "scan",
+                "--setup", tiny_setup,
+                "--group-size", "16",
+                "--passes", "3",
+                "--inject-flips", "2",
+                "--inject-at-pass", "3",
+            ]
+        )
+        assert code == 2
+        assert "--inject-at-pass 3 is outside the 3 scheduled passes" in (
+            capsys.readouterr().err
+        )
+
+
 class TestServeDemoObservability:
     """--http-port / --trace-dir on serve-demo."""
 
@@ -311,21 +347,9 @@ class TestBudgetFlags:
 
 
 class TestStateDirPersistence:
-    def test_protect_seeds_and_scan_resumes_calibration(self, tiny_setup, tmp_path, capsys):
+    def test_scan_resumes_calibration(self, tiny_setup, tmp_path, capsys):
         state_dir = tmp_path / "state"
-        code = main(
-            [
-                "protect",
-                "--setup", tiny_setup,
-                "--group-size", "16",
-                "--state-dir", str(state_dir),
-            ]
-        )
-        assert code == 0
-        assert "calibration state" in capsys.readouterr().out
-        assert (state_dir / "calibration.json").exists()
-
-        # First scan starts from the seeded prior and persists observations.
+        # First scan starts from the analytic prior and persists observations.
         code = main(
             [
                 "scan",
@@ -338,6 +362,7 @@ class TestStateDirPersistence:
         assert code == 0
         out = capsys.readouterr().out
         assert "calibration persisted" in out
+        assert (state_dir / "calibration.json").exists()
 
         # Second scan resumes warm: observed passes are already on record.
         code = main(
@@ -403,6 +428,29 @@ class TestStateDirPersistence:
             # Two runs of 6 passes each have been folded into the EWMA.
             assert saved["cost_model"]["observations"] >= 12
 
+    def test_serve_demo_refuses_pricing_from_another_grouping(self, tmp_path, capsys):
+        state_dir = tmp_path / "regrouped"
+        base = [
+            "serve-demo", "--models", "2", "--passes", "4", "--attack-at-pass", "1",
+            "--state-dir", str(state_dir),
+        ]
+        assert main(base + ["--group-size", "16"]) == 0
+        capsys.readouterr()
+        # A per-group price learned at G=16 would misprice G=32 groups.
+        assert main(base + ["--group-size", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "resumed warm" in out
+        assert "calibrated pricing for" not in out
+        assert "pricing fingerprint changed" in out
+        state = json.loads((state_dir / "engine_state.json").read_text())
+        for saved in state["models"].values():
+            assert saved["config"]["group_size"] == 32
+            assert saved["cost_model"]["observations"] == 4
+
+    def test_protect_has_no_state_dir(self, tiny_setup, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["protect", "--setup", tiny_setup, "--state-dir", str(tmp_path)])
+
     def test_infer_demo_state_roundtrip(self, capsys, tmp_path):
         state_dir = tmp_path / "state"
         args = [
@@ -447,3 +495,61 @@ class TestSlaReportCommand:
         code = main(["sla-report", "--scenario", "no-such-scenario"])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+
+class TestFlagCoverage:
+    """Flags no other test drives, and the README's documented invocations."""
+
+    def test_overhead_amortized_with_hamming(self, capsys):
+        assert main(["overhead", "--amortized", "--include-hamming"]) == 0
+        out = capsys.readouterr().out
+        assert "Hamming-SECDED" in out
+        assert "Table IV (amortized)" in out
+
+    def test_sla_report_matrix_smoke(self, tmp_path, capsys):
+        output = tmp_path / "matrix.json"
+        assert main(["sla-report", "--matrix", "--output", str(output)]) == 0
+        out = capsys.readouterr().out
+        assert "Campaign matrix (smoke" in out
+        assert "within their declared bounds" in out
+        rows = json.loads(output.read_text())["rows"]
+        assert rows and all(row["missed"] == 0 for row in rows)
+
+    def test_scan_with_every_grouping_and_rotation_flag(self, tiny_setup, tmp_path, capsys):
+        output = tmp_path / "scan_flags.json"
+        code = main(
+            [
+                "scan",
+                "--setup", tiny_setup,
+                "--group-size", "16",
+                "--no-interleave",
+                "--no-masking",
+                "--signature-bits", "3",
+                "--num-shards", "4",
+                "--shards-per-pass", "2",
+                "--scan-policy", "jittered",
+                "--passes", "4",
+                "--inject-flips", "3",
+                "--inject-at-pass", "0",
+                "--output", str(output),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "attack injected before pass 1" in out
+        rows = json.loads(output.read_text())["rows"]
+        assert len(rows) == 4
+        assert all(len(row["shards"].split(",")) == 2 for row in rows)
+        assert sum(row["flagged_groups"] for row in rows) > 0
+
+    def test_every_readme_invocation_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        joined = readme.replace("\\\n", " ")
+        invocations = re.findall(r"python -m repro\.cli ([a-z][^`#\n]*)", joined)
+        assert len(invocations) >= 10
+        parser = build_parser()
+        for invocation in invocations:
+            try:
+                parser.parse_args(shlex.split(invocation))
+            except SystemExit:
+                pytest.fail(f"README invocation does not parse: {invocation!r}")

@@ -8,6 +8,7 @@ import pytest
 from repro.attacks import PbfaConfig, ProgressiveBitFlipAttack, apply_bit_flips
 from repro.attacks.bitflip import make_bit_flip
 from repro.core import ModelProtector, RadarConfig
+from repro.core.detector import RadarDetector
 from repro.core.recovery import RecoveryPolicy
 from repro.core.runtime import ProtectedInference
 from repro.errors import ProtectionError
@@ -62,6 +63,23 @@ class TestModelProtector:
         assert layer.qweight.reshape(-1)[10] == 0
         # Accuracy stays close to clean (a single zeroed group barely matters).
         assert evaluate_accuracy(model, test_set) >= clean_accuracy - 0.1
+
+    def test_scan_and_recover_runs_the_kernel(self, trained_tiny, monkeypatch):
+        model, _, _, _ = trained_tiny
+        protector = ModelProtector(RadarConfig(group_size=16))
+        protector.protect(model)
+        _flip_one_msb(model, flat_index=10)
+        oracle = protector.scan(model)
+
+        def no_oracle(self, model):
+            raise AssertionError("scan_and_recover ran the per-layer oracle")
+
+        monkeypatch.setattr(RadarDetector, "scan", no_oracle)
+        summary = protector.scan_and_recover(model)
+        assert set(summary.detection.flagged_groups) == set(oracle.flagged_groups)
+        for name, groups in oracle.flagged_groups.items():
+            np.testing.assert_array_equal(summary.detection.flagged_groups[name], groups)
+        assert summary.recovery.zeroed_weights > 0
 
     def test_reload_policy_needs_golden_snapshot(self, trained_tiny):
         model, _, _, _ = trained_tiny

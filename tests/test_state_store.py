@@ -250,6 +250,24 @@ class TestEngineStateRoundTrip:
             == engine.get("model-0").cost_model.seconds_per_group
         )
 
+    def test_restore_under_another_grouping_keeps_fresh_pricing(self, tmp_path):
+        engine = _build_engine(num_models=1)
+        self._calibrate(engine)
+        store = StateStore(tmp_path)
+        store.save_engine(engine)
+        regrouped = RadarConfig(group_size=32)
+        twin = VerificationEngine(regrouped, num_shards=4, policy=ScanPolicy.PRIORITY_EXPOSURE)
+        model = MLP(input_dim=48, num_classes=4, hidden_dims=(32, 16), seed=0)
+        quantize_model(model)
+        fresh = MeasuredScanCostModel.from_radar_config(regrouped)
+        twin.register("model-0", model, cost_model=fresh)
+        report = store.restore_engine(twin)
+        assert report["restored"] == ["model-0"]
+        assert any("pricing fingerprint changed" in note for note in report["partial"])
+        managed = twin.get("model-0")
+        assert managed.cost_model is fresh
+        assert managed.cost_model.observations == 0
+
     def test_version_mismatch_is_fatal(self, tmp_path):
         engine = _build_engine(num_models=1)
         payload = engine_state_dict(engine)
