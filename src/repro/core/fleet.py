@@ -279,18 +279,15 @@ class _PlannedSlice:
     batch_width: int = 0
 
 
-def _homogeneous(batch: List[_PlannedSlice]) -> bool:
-    """Whether a stacked batch may take the kernel's broadcast branch.
+def _same_rows(batch: List[_PlannedSlice]) -> bool:
+    """Whether every slice of a stacked batch plans the same row ranges.
 
-    Every model shares one structure key (identical index and sign
-    matrices) and plans the same row ranges.
+    With one shared geometry (:attr:`StackedVerifier.shared_geometry`)
+    that lets the batch take the kernel's broadcast branch.
     """
     first, rest = batch[0], batch[1:]
     if not rest:
         return True
-    key = first.managed.scheduler.fused.structure_key()
-    if any(planned.managed.scheduler.fused.structure_key() != key for planned in rest):
-        return False
     ranges = first.managed.scheduler.slice_descriptor(first.shard_indices).row_ranges
     return all(
         planned.managed.scheduler.slice_descriptor(planned.shard_indices).row_ranges
@@ -447,6 +444,9 @@ class VerificationEngine:
             raise ProtectionError(f"Model {name!r} is not registered")
         managed = self._models.pop(name)
         self._models_version += 1
+        # A cached bucket verifier would keep the model's view, plane and
+        # shared geometry alive until the next tick rebuilt it.
+        self._verifiers.clear()
         return managed
 
     def get(self, name: str) -> ManagedModel:
@@ -719,7 +719,7 @@ class VerificationEngine:
             if self.tracer.enabled
             else NULL_SPAN
         )
-        homogeneous = _homogeneous(batch)
+        homogeneous = verifier.shared_geometry and _same_rows(batch)
         started = time.perf_counter()
         # Singletons go through the same kernel: a one-model "stack" costs the
         # same as the direct path but reuses the cached layer maps instead of

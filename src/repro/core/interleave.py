@@ -46,6 +46,11 @@ class GroupLayout:
         self.padded_size = self.num_groups * self.group_size
         self._group_of_index = self._build_group_assignment()
         self._groups = self._build_groups()
+        # Equal-shaped layers share one layout (see SignatureStore), so its
+        # maps are write-locked: a stray in-place write would otherwise
+        # regroup every store holding it.
+        self._group_of_index.setflags(write=False)
+        self._groups.setflags(write=False)
 
     # -- construction --------------------------------------------------------
     def _build_group_assignment(self) -> np.ndarray:
@@ -73,6 +78,15 @@ class GroupLayout:
     def groups(self) -> np.ndarray:
         """Copy of the (num_groups, group_size) index matrix."""
         return self._groups.copy()
+
+    @property
+    def index_matrix(self) -> np.ndarray:
+        """The write-locked (num_groups, group_size) index matrix itself.
+
+        :attr:`groups` without the copy, for callers that only read it
+        (the scan kernel builds its geometry from it).
+        """
+        return self._groups
 
     def group_of(self, flat_index: int) -> int:
         """Group id of an original weight index."""

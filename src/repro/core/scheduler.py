@@ -70,6 +70,9 @@ from repro.core.signature import SignatureStore
 from repro.errors import ProtectionError
 from repro.nn.module import Module
 
+#: Slice descriptors one scheduler keeps memoized (see slice_descriptor).
+MAX_MEMOIZED_DESCRIPTORS = 256
+
 
 class ScanPolicy(str, Enum):
     """Shard-selection policy of the :class:`ScanScheduler`."""
@@ -218,10 +221,14 @@ class ScanScheduler:
         self.shards_per_pass = min(shards_per_pass, self.num_shards)
         self.cost_model = cost_model
         self.budget_s = budget_s
-        self._shards: List[np.ndarray] = [
-            rows.astype(np.int64)
-            for rows in np.array_split(np.arange(self.fused.total_groups), self.num_shards)
-        ]
+        # Shards are write-locked views of one all-rows array: slice_rows
+        # hands them (and the array itself, for a full in-order slice) to
+        # callers without copying.
+        self._all_rows = np.arange(self.fused.total_groups, dtype=np.int64)
+        self._all_rows.setflags(write=False)
+        self._shards: List[np.ndarray] = np.array_split(self._all_rows, self.num_shards)
+        self._in_order: List[int] = list(range(self.num_shards))
+        self._descriptors: Dict[Tuple[int, ...], SliceDescriptor] = {}
         # Plain-int mirrors of each shard's size and row range: planning,
         # pricing and flag attribution consult these once per model per
         # tick, where NumPy scalar extraction is pure dispatch overhead.
@@ -424,15 +431,18 @@ class ScanScheduler:
         """Concatenated global rows of a planned slice, in scan order.
 
         Single-shard slices (the steady state of a budgeted rotation)
-        return the shard array itself rather than a copy — callers treat
-        planned rows as read-only, and the stable identity lets the fleet
-        engine's batched verifier recognize repeated rotation positions
-        without re-comparing row contents every tick.
+        return the shard array itself and a slice of every shard in order
+        (a full scan) the all-rows array, rather than a copy — both are
+        write-locked, and the stable identity lets the fleet engine's
+        batched verifier recognize repeated rotation positions without
+        re-comparing row contents every tick.
         """
         if not shard_indices:
             return np.empty(0, dtype=np.int64)
         if len(shard_indices) == 1:
             return self._shards[shard_indices[0]]
+        if shard_indices == self._in_order:
+            return self._all_rows
         return np.concatenate([self._shards[index] for index in shard_indices])
 
     def slice_descriptor(self, shard_indices: List[int]) -> SliceDescriptor:
@@ -440,8 +450,17 @@ class ScanScheduler:
 
         Shards hold contiguous ascending rows by construction, so each
         planned shard contributes one ``(start, stop)`` range; a shard left
-        empty by the data-dependent clamp contributes nothing.
+        empty by the data-dependent clamp contributes nothing.  Memoized
+        per shard tuple: the fleet engine asks for every model's
+        descriptor every tick, and a rotation revisits the same slices.
         """
+        key = tuple(shard_indices)
+        descriptor = self._descriptors.get(key)
+        if descriptor is not None:
+            return descriptor
+        if len(self._descriptors) >= MAX_MEMOIZED_DESCRIPTORS:
+            # Randomized planners can produce many distinct slices.
+            self._descriptors.clear()
         ranges: List[Tuple[int, int]] = []
         indices: List[int] = []
         for index in shard_indices:
@@ -453,9 +472,11 @@ class ScanScheduler:
             shard = self._shards[index]
             if shard.size:
                 ranges.append((int(shard[0]), int(shard[-1]) + 1))
-        return SliceDescriptor(
+        descriptor = SliceDescriptor(
             shard_indices=tuple(indices), row_ranges=tuple(ranges)
         )
+        self._descriptors[key] = descriptor
+        return descriptor
 
     # -- scanning ---------------------------------------------------------------
     def step(

@@ -11,21 +11,32 @@ The store's per-layer recomputation (:meth:`SignatureStore.current_signatures`,
 :meth:`SignatureStore.mismatched_rows`) is the one bit-identity oracle.
 The run-time side of this module is the **zero-copy scan kernel**,
 :func:`stacked_mismatched_rows`, over the fused views of
-:class:`FusedSignatures`: all layers fused at store-build time into one
-contiguous int8 weight plane with a single global gather-index matrix and a
-single int8 sign mask.  Verifying a wide contiguous range of an interleaved
-plane is a few int16 ``einsum`` calls per layer over strided views of the
-plane itself (:class:`PlaneStructure`); any other row set is one int8
-gather plus one int16 ``einsum``.  Neither path has a per-group Python
-loop or a materialized product matrix, and (for engine-adopted models)
-neither copies a weight.  Every verification path — one model, an engine
-bucket (:class:`StackedVerifier`) — is a thin caller of that one kernel.
+:class:`FusedSignatures`: all layers fused into one contiguous int8 weight
+plane, read through a single global gather-index matrix and a single int8
+sign mask.  Verifying a wide contiguous range of an interleaved plane is a
+few int16 ``einsum`` calls per layer over strided views of the plane
+itself (:class:`PlaneStructure`); any other row set is one int8 gather
+plus one int16 ``einsum``.  Neither path has a per-group Python loop or a
+materialized product matrix, and (for engine-adopted models) neither
+copies a weight.  Every verification path — one model, an engine bucket
+(:class:`StackedVerifier`) — is a thin caller of that one kernel.
+
+**Geometry per shape, state per model.**  The index and sign matrices,
+the layer offsets and the band structure depend only on the layers'
+layouts, secret keys and group size, never on the weights.  They live in
+a write-locked :class:`KernelGeometry` that :func:`kernel_geometry` builds
+once per plane shape and shares; layouts are shared the same way
+(:func:`shared_layout`).  A view itself holds only its goldens, its plane
+and the adoption registry, so a fleet of equal-shaped models — or a model
+re-signed over new weights — pays for its geometry once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -63,6 +74,39 @@ class LayerSignatures:
         return self.layout.num_groups
 
 
+#: Live layouts by their parameters.  Weak values: a layout lives as long as
+#: a store or a kernel geometry holds it, and the memo never pins one.
+_LAYOUTS: "weakref.WeakValueDictionary[Tuple, GroupLayout]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def shared_layout(
+    num_weights: int, group_size: int, use_interleave: bool, interleave_offset: int
+) -> GroupLayout:
+    """The one live :class:`GroupLayout` with these parameters (built on a miss).
+
+    A layout is a pure function of its parameters and its maps are
+    write-locked, so equal-shaped layers share one — across the models of
+    a fleet and within a model (ResNets repeat their conv shapes) — and
+    views over them share one :class:`KernelGeometry`.  Two threads racing
+    on a miss may each build one; either is correct.
+    """
+    key = (num_weights, group_size, use_interleave, interleave_offset)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS.setdefault(
+            key,
+            GroupLayout(
+                num_weights=num_weights,
+                group_size=group_size,
+                use_interleave=use_interleave,
+                interleave_offset=interleave_offset,
+            ),
+        )
+    return layout
+
+
 class SignatureStore:
     """Golden signatures for all quantized layers of one model."""
 
@@ -89,11 +133,11 @@ class SignatureStore:
 
     def _build_layer(self, name: str, qweight: np.ndarray) -> LayerSignatures:
         config = self.config
-        layout = GroupLayout(
-            num_weights=int(qweight.size),
-            group_size=config.group_size,
-            use_interleave=config.use_interleave,
-            interleave_offset=config.interleave_offset,
+        layout = shared_layout(
+            int(qweight.size),
+            config.group_size,
+            config.use_interleave,
+            config.interleave_offset,
         )
         key = (
             SecretKey.generate(config.key_bits, config.secret_seed, name)
@@ -332,8 +376,8 @@ class _BandedLayer(NamedTuple):
 class PlaneStructure:
     """Executable rotated-arange structure of one fused weight plane.
 
-    Built at fuse time by :class:`FusedSignatures` after *numerically
-    verifying* each layer's analytic
+    Built once per plane shape by :class:`KernelGeometry` after
+    *numerically verifying* each layer's analytic
     :meth:`~repro.core.interleave.GroupLayout.slot_shifts` hint against the
     layer's actual index matrix (see :func:`_verified_slot_shifts`).
 
@@ -346,9 +390,9 @@ class PlaneStructure:
     so the layer's sums are ``Σ_m einsum(view_m, band_m)``, where
     ``band_m`` is the layer's slot-major sign mask zeroed outside the
     band's staircase.  Bands are trimmed to their bounding boxes (at most
-    ~2× the layer's area) and cut once, lazily, from the kernel's sign
-    matrix; views are built per call with ``np.ndarray(buffer=plane, ...)``,
-    which bounds-checks every one.  Positions a box covers outside the
+    ~2× the layer's area), cut once at construction from the kernel's sign
+    matrix and write-locked; views are built per call with
+    ``np.ndarray(buffer=plane, ...)``, which bounds-checks every one.  Positions a box covers outside the
     staircase (other wraps, padded slots, the next layer's weights) carry
     sign 0, so the sums equal the general gather's exactly modulo 2**16.
     Layers that are unstructured, too small for the per-band dispatch to
@@ -356,7 +400,7 @@ class PlaneStructure:
     plane stay on the general ``np.take`` gather.
     """
 
-    def __init__(self, row_starts, weight_offsets, shifts) -> None:
+    def __init__(self, row_starts, weight_offsets, shifts, signs: np.ndarray) -> None:
         self.row_starts: List[int] = [int(value) for value in row_starts]
         self.weight_offsets: List[int] = [int(value) for value in weight_offsets]
         self.shifts: List[Optional[List[int]]] = [
@@ -366,7 +410,17 @@ class PlaneStructure:
         self.structured_layers = sum(
             1 for layer in self.shifts if layer is not None
         )
-        self._bands: Optional[List[Optional[_BandedLayer]]] = None
+        # Cut once, here: the structure is shared by every view of its
+        # plane shape and read by concurrent verifier threads, so nothing
+        # in it may change after construction.  ``None`` when no layer
+        # qualifies for the band path.
+        bands = [
+            self._banded_layer(position, signs)
+            for position in range(self.num_layers)
+        ]
+        self._bands: Optional[List[Optional[_BandedLayer]]] = (
+            bands if any(layer is not None for layer in bands) else None
+        )
 
     @property
     def num_layers(self) -> int:
@@ -413,9 +467,9 @@ class PlaneStructure:
             columns = np.arange(col0, col1, dtype=np.int64)[None, :]
             staircase = (columns >= first) & (columns < first + n)
             block = signs[row0:row1, col_base + col0 : col_base + col1] * staircase
-            bands.append(
-                _Band(m, row0, col0, offset, block.astype(np.int8, copy=False))
-            )
+            block = block.astype(np.int8, copy=False)
+            block.setflags(write=False)
+            bands.append(_Band(m, row0, col0, offset, block))
         return _BandedLayer(n, t, tuple(bands))
 
     def band_sums(
@@ -431,23 +485,18 @@ class PlaneStructure:
         """Fill ``out`` with the masked sums of global rows ``[start, stop)``.
 
         ``indices`` and ``signs`` are the plane's slot-major kernel
-        matrices (``signs`` is also what the bands are cut from, on first
-        use).  Each covered layer wide enough for its bands runs on them;
-        runs of the other layers go through one general ``np.take`` each.
-        Returns ``False`` without touching ``out`` when no covered layer
-        qualifies — the caller's general gather is then the faster engine.
+        matrices (``signs`` is also what the bands were cut from).  Each
+        covered layer wide enough for its bands runs on them; runs of the
+        other layers go through one general ``np.take`` each.  Returns
+        ``False`` without touching ``out`` when no covered layer qualifies
+        — the caller's general gather is then the faster engine.
         """
         group_size = signs.shape[0]
         if (
-            not self.any_structured
+            self._bands is None
             or group_size * (stop - start) < 2 * MIN_WEIGHTS_PER_BAND
         ):
             return False
-        if self._bands is None:
-            self._bands = [
-                self._banded_layer(position, signs)
-                for position in range(self.num_layers)
-            ]
         row_starts = self.row_starts
         position = bisect.bisect_right(row_starts, start) - 1
         # (first row, stop row, banded layer or None for np.take, layer's
@@ -540,7 +589,7 @@ def _layer_band_sums(
 
 
 def _verified_slot_shifts(
-    layout: GroupLayout, indices: np.ndarray, sign_mask: np.ndarray
+    layout: GroupLayout, local: np.ndarray, pads: np.ndarray
 ) -> Optional[np.ndarray]:
     """The layout's rotated-arange shifts, proven against its index matrix.
 
@@ -548,19 +597,22 @@ def _verified_slot_shifts(
     hint is re-derived from layout *parameters*; the kernel must not trust
     it blindly — a foreign or subclassed layout could change the assignment
     while keeping the flags.  This verifies, entry by entry over the
-    non-padded slots, that the layer's actual ``(num_groups, group_size)``
-    index matrix equals ``r * N + (g + s_r) % N``; any disagreement demotes
-    the layer to the general gather (returns ``None``).
+    non-padded slots, that the layer's actual slot-major ``(group_size,
+    num_groups)`` index matrix ``local`` equals ``r * N + (g + s_r) % N``;
+    any disagreement demotes the layer to the general gather (returns
+    ``None``).  ``pads`` marks the padded slots, which are not compared.
     """
     hint = layout.slot_shifts()
     if hint is None:
         return None
-    num_groups, group_size = indices.shape
-    g = np.arange(num_groups, dtype=np.int64)[:, None]
-    r = np.arange(group_size, dtype=np.int64)[None, :]
-    expected = r * num_groups + (g + hint[None, :]) % num_groups
-    valid = sign_mask != 0
-    if not np.array_equal(indices[valid], expected[valid]):
+    group_size, num_groups = local.shape
+    expected = np.arange(num_groups, dtype=np.int64)[None, :] + hint[:, None]
+    np.remainder(expected, num_groups, out=expected)
+    expected += np.arange(group_size, dtype=np.int64)[:, None] * num_groups
+    # Padding is rare (the tail of the last groups): copy the actual
+    # entries over it rather than compare through two masked copies.
+    expected[pads] = local[pads]
+    if not np.array_equal(local, expected):
         return None
     return hint
 
@@ -592,34 +644,144 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.setflags(write=False)
 
 
+def _locked(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class KernelGeometry:
+    """The scan geometry of one plane shape, shared by every view of it.
+
+    Everything the kernel reads besides a model's weights and goldens: the
+    slot-major ``(group_size, total_groups)`` gather-index matrix into the
+    plane (int32 when the plane fits, padding redirected to the layer's
+    first weight), the int8 sign matrix of the same shape (``+1``/``-1``
+    from each layer's secret key, ``0`` on padded slots), the full-scan
+    row array and the verified :class:`PlaneStructure` (each layer's row
+    and weight offsets, its proven shifts and its sign bands).  All of it is a pure function of the layers' layouts,
+    their key bits and the group size, so fleets of equal-shaped models —
+    and a model re-signed over new weights — need it once.  Build it with
+    :func:`kernel_geometry`, which memoizes it; every array is write-locked
+    because other views may be reading it.
+    """
+
+    def __init__(
+        self,
+        layouts: Sequence[GroupLayout],
+        keys: Sequence[Optional[SecretKey]],
+        group_size: int,
+    ) -> None:
+        #: Pinned so the layout ids in the memo key cannot be reused while
+        #: this geometry is alive.
+        self.layouts: Tuple[GroupLayout, ...] = tuple(layouts)
+        row_starts = np.zeros(len(layouts) + 1, dtype=np.int64)
+        row_starts[1:] = np.cumsum([layout.num_groups for layout in layouts])
+        offsets = np.zeros(len(layouts) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([layout.num_weights for layout in layouts])
+        total_groups = int(row_starts[-1])
+        index_dtype = (
+            np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
+        )
+        # Slot-major, so the masked-sum einsum reduces over the short slot
+        # axis while streaming contiguously along the rows (~2x the
+        # row-major reduction), and a row slice is one ``axis=1`` take.
+        # Filled in place, one layer's block at a time.
+        indices = np.empty((group_size, total_groups), dtype=index_dtype)
+        signs = np.empty((group_size, total_groups), dtype=np.int8)
+        shifts = []
+        for position, (layout, key) in enumerate(zip(layouts, keys)):
+            lo, hi = row_starts[position], row_starts[position + 1]
+            local = layout.index_matrix.T
+            pads = local == PAD_INDEX
+            block = indices[:, lo:hi]
+            # PAD_INDEX is -1: clamping sends padded slots to the layer's
+            # first weight, inside its own plane segment.
+            np.maximum(local, 0, out=block, casting="unsafe")
+            block += offsets[position]
+            sign_block = signs[:, lo:hi]
+            sign_block[...] = (
+                1 if key is None else key.signs(group_size, dtype=np.int8)[:, None]
+            )
+            sign_block[pads] = 0
+            shifts.append(_verified_slot_shifts(layout, local, pads))
+        self.indices = _locked(indices)
+        self.signs = _locked(signs)
+        #: The row slice of a full scan.
+        self.all_rows = _locked(np.arange(total_groups, dtype=np.int64))
+        #: Rotated-arange structure, proven per layer above: layers whose
+        #: verified shifts are None stay on the general gather.
+        self.structure = PlaneStructure(row_starts, offsets, shifts, signs)
+
+
+#: Live geometries by what determines them.  Weak values: a geometry lives
+#: exactly as long as some view uses it, and the memo never pins one.
+_GEOMETRIES: "weakref.WeakValueDictionary[Tuple, KernelGeometry]" = (
+    weakref.WeakValueDictionary()
+)
+_GEOMETRIES_LOCK = threading.Lock()
+
+
+def kernel_geometry(
+    layouts: Sequence[GroupLayout],
+    keys: Sequence[Optional[SecretKey]],
+    group_size: int,
+) -> KernelGeometry:
+    """The shared :class:`KernelGeometry` of these layers, built on a miss.
+
+    Keyed by layout *identity* plus each layer's key bits and the group
+    size — exactly what the geometry is computed from, and nothing taken
+    on trust from a config: a store holding a hand-built or subclassed
+    layout never receives another store's geometry, and every miss runs
+    the structure proof again.  Equal-shaped layers of different stores
+    share layout objects (:meth:`SignatureStore.build`), so their
+    geometries coincide.  The geometry pins its layouts, so their ids stay
+    unique while its memo entry exists.
+    """
+    memo_key = (
+        group_size,
+        tuple(
+            (id(layout), None if key is None else key.bits)
+            for layout, key in zip(layouts, keys)
+        ),
+    )
+    with _GEOMETRIES_LOCK:
+        geometry = _GEOMETRIES.get(memo_key)
+        if geometry is None:
+            geometry = KernelGeometry(layouts, keys, group_size)
+            _GEOMETRIES[memo_key] = geometry
+    return geometry
+
+
 class FusedSignatures:
     """Zero-copy scan kernel: vectorized recomputation across all layers.
 
     A :class:`SignatureStore` recomputes signatures layer by layer, each
     time re-gathering the layer's full weight tensor.  This view instead
-    fuses, once per store build, everything recomputation needs into three
-    global arrays under one **global row** numbering (row ``r`` is group
-    ``r - row_start`` of its owning layer):
+    reads everything recomputation needs from three global arrays under
+    one **global row** numbering (row ``r`` is group ``r - row_start`` of
+    its owning layer):
 
-    * an int8 **weight plane** — all layers' flat weights, concatenated;
+    * an int8 **weight plane** — all layers' flat weights, concatenated
+      (this view's own);
     * one **gather-index matrix** ``(total_groups, group_size)`` into that
       plane (padding redirected to an in-layer slot);
     * one int8 **sign mask** of the same shape — ``+1``/``-1`` from the
       secret masking key, ``0`` on padded slots — so masking and padding
       cost nothing beyond the multiply already fused into the sum.
 
-    Verifying any row set is then a stack of one through the scan kernel
-    (:func:`stacked_mismatched_rows`), accumulated in int16 (exact modulo
-    2**16, which covers every signature bit), with all workspaces reused
-    from a :class:`ScanScratch` across passes.  Wide contiguous ranges of
-    interleaved layers sum over strided views of the plane against sign
-    bands cut once from the sign mask (:class:`PlaneStructure`), with no
-    gather at all; everything else is one int8 gather plus one masked-sum
-    ``einsum``.  Both matrices are stored slot-major (``group_size ×
-    total_groups``) so the einsum reduces over the short axis and streams
-    rows contiguously.  There is no per-group Python loop, no per-row
-    ``searchsorted`` dispatch, and no materialized ``gathered * mask``
-    product matrix.
+    The two matrices, stored slot-major (``group_size × total_groups``) so
+    the einsum reduces over the short axis and streams rows contiguously,
+    belong to the shared :class:`KernelGeometry` of the view's plane
+    shape, fetched on first kernel use.  Verifying any row set is then a
+    stack of one through the scan kernel (:func:`stacked_mismatched_rows`),
+    accumulated in int16 (exact modulo 2**16, which covers every signature
+    bit), with all workspaces reused from a :class:`ScanScratch` across
+    passes.  Wide contiguous ranges of interleaved layers sum over strided
+    views of the plane against the geometry's sign bands
+    (:class:`PlaneStructure`), with no gather at all; everything else is
+    one int8 gather plus one masked-sum ``einsum``.  There is no per-group
+    Python loop, no per-row ``searchsorted`` dispatch, and no materialized
+    ``gathered * mask`` product matrix.
 
     Weights reach the plane one of two ways:
 
@@ -647,62 +809,35 @@ class FusedSignatures:
         self._positions: Dict[str, int] = {
             name: position for position, name in enumerate(self.layer_names)
         }
-        group_size = self.config.group_size
-        self._indices: List[np.ndarray] = []
-        self._sign_masks: List[np.ndarray] = []
-        self._num_weights: List[int] = []
-        for entry in entries:
-            groups = entry.layout.groups
-            valid = groups != PAD_INDEX
-            signs = (
-                entry.key.signs(group_size)
-                if entry.key is not None
-                else np.ones(group_size, dtype=np.int64)
-            )
-            mask = np.where(valid, signs[None, :], 0).astype(np.int8)
-            self._indices.append(np.where(valid, groups, 0))
-            self._sign_masks.append(mask)
-            self._num_weights.append(entry.layout.num_weights)
-        row_starts = store.row_starts()
-        self._row_starts = row_starts
+        # What the shared geometry is built from (kernel_geometry); the
+        # view keeps no reference to the store, which owns it.
+        self._layouts = tuple(entry.layout for entry in entries)
+        self._keys = tuple(entry.key for entry in entries)
+        self._num_weights: List[int] = [layout.num_weights for layout in self._layouts]
+        # Plain ints: bisected and indexed on every scan, where NumPy scalar
+        # dispatch would cost more than the lookup itself.
+        self._row_starts: List[int] = store.row_starts().tolist()
         self.golden = np.concatenate([entry.golden for entry in entries]).astype(np.uint8)
-        self.total_groups = int(row_starts[-1])
+        self.total_groups = self._row_starts[-1]
         # Shared empty per-layer arrays for the clean-scan fast path of
         # rows_to_layer_groups (never mutated; reports treat them read-only).
         self._empty_groups: Dict[str, np.ndarray] = {
             name: np.empty(0, dtype=np.int64) for name in self.layer_names
         }
-        self._structure_key: Optional[Tuple] = None
         self._kernel_key: Tuple[int, int] = (
             self.config.group_size,
             self.config.signature_bits,
         )
-
-        # -- fused kernel state (built lazily by _ensure_kernel: callers that
-        # only translate rows never pay for the global matrices or the
-        # weight plane) ----------------------------------------------------------
         offsets = np.zeros(len(entries) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum(self._num_weights)
-        self._weight_offsets = offsets
+        self._weight_offsets: List[int] = offsets.tolist()
         self.total_weights = int(offsets[-1])
-        # Rotated-arange structure, detected (and proven) once at fuse
-        # time: layers whose verified shifts are None stay on the general
-        # gather; the others run on sign bands cut at first use.
-        self._structure = PlaneStructure(
-            row_starts,
-            offsets,
-            [
-                _verified_slot_shifts(
-                    entry.layout, self._indices[position], self._sign_masks[position]
-                )
-                for position, entry in enumerate(entries)
-            ],
-        )
+
+        # -- kernel state (built lazily by _ensure_kernel: callers that only
+        # translate rows never pay for the geometry or the weight plane) ----
+        self._geometry: Optional[KernelGeometry] = None
         self._scratch = ScanScratch()
-        self._kernel_indices: Optional[np.ndarray] = None
-        self._kernel_signs: Optional[np.ndarray] = None
         self._plane: Optional[np.ndarray] = None
-        self._all_rows: Optional[np.ndarray] = None
         # Adoption state: the layer objects whose qweight buffers are views
         # of the plane, and those views themselves (identity-checked per
         # scan; see prepared_plane).
@@ -719,35 +854,24 @@ class FusedSignatures:
         self._cached_layer_map: Optional[Dict[str, Module]] = None
 
     def _ensure_kernel(self) -> None:
-        """Build the global kernel arrays on first kernel use (idempotent).
+        """Fetch the shared geometry and allocate the plane on first kernel use.
 
-        Per-layer local indices already send pad slots to 0, so shifting by
-        the layer offset keeps every index (pads included) inside its own
-        layer's plane segment.  The global matrices are stored TRANSPOSED —
-        ``(group_size, total_groups)``, slot-major — so the masked-sum
-        einsum reduces over the short slot axis while streaming contiguously
-        along the row axis (SIMD-friendly: ~2x the row-major reduction), and
-        a row slice is one ``axis=1`` take.
+        Idempotent.  The geometry comes from :func:`kernel_geometry`: built
+        once per plane shape, so this view's own kernel state is only its
+        goldens, its plane and the adoption registry.
         """
-        if self._kernel_indices is not None:
+        if self._geometry is not None:
             return
-        index_dtype = (
-            np.int32 if self.total_weights <= np.iinfo(np.int32).max else np.int64
-        )
-        self._kernel_indices = np.ascontiguousarray(
-            np.concatenate(
-                [
-                    local + self._weight_offsets[position]
-                    for position, local in enumerate(self._indices)
-                ]
-            ).T
-        ).astype(index_dtype)
-        self._kernel_signs = np.ascontiguousarray(
-            np.concatenate(self._sign_masks).T
+        self._geometry = kernel_geometry(
+            self._layouts, self._keys, self.config.group_size
         )
         self._plane = np.empty(self.total_weights, dtype=np.int8)
-        # The row slice of a full scan.
-        self._all_rows = np.arange(self.total_groups, dtype=np.int64)
+
+    @property
+    def geometry(self) -> KernelGeometry:
+        """The shared scan geometry of this view's plane shape."""
+        self._ensure_kernel()
+        return self._geometry
 
     @property
     def adopted(self) -> bool:
@@ -756,8 +880,8 @@ class FusedSignatures:
 
     @property
     def structure(self) -> PlaneStructure:
-        """The fuse-time rotated-arange detection verdict for this plane."""
-        return self._structure
+        """The verified rotated-arange structure of this view's plane."""
+        return self.geometry.structure
 
     @property
     def structured(self) -> bool:
@@ -766,36 +890,7 @@ class FusedSignatures:
         Such layers can run on the band path; whether a given layer or
         slice does also depends on its width (:data:`MIN_WEIGHTS_PER_BAND`).
         """
-        return self._structure.fully_structured
-
-    def structure_key(self) -> Tuple:
-        """Hashable fingerprint of everything that determines this view's
-        gather indices, sign masks and row numbering.
-
-        Two stores with equal structure keys — same :class:`RadarConfig`
-        grouping/masking parameters over the same layer names and weight
-        counts — produce *identical* ``GroupLayout`` index matrices and
-        secret-key sign masks (both are deterministic functions of these
-        fields), so one row slice can be verified for all of them through
-        the kernel's shared index/sign broadcast (``homogeneous`` in
-        :func:`stacked_mismatched_rows`).  Golden signatures are NOT
-        part of the key: they depend on each model's weights and stay
-        per-view.
-        """
-        if self._structure_key is None:
-            config = self.config
-            self._structure_key = (
-                config.group_size,
-                config.signature_bits,
-                config.use_interleave,
-                config.interleave_offset,
-                config.use_masking,
-                config.key_bits,
-                config.secret_seed,
-                tuple(self.layer_names),
-                tuple(self._num_weights),
-            )
-        return self._structure_key
+        return self.geometry.structure.fully_structured
 
     def kernel_key(self) -> Tuple[int, int]:
         """The coarser fingerprint bucketed stacking coalesces on.
@@ -812,7 +907,7 @@ class FusedSignatures:
     def row_range(self, layer_name: str) -> Tuple[int, int]:
         """``[start, end)`` global row range of one layer's groups."""
         position = self._position_of(layer_name)
-        return int(self._row_starts[position]), int(self._row_starts[position + 1])
+        return self._row_starts[position], self._row_starts[position + 1]
 
     def _position_of(self, layer_name: str) -> int:
         position = self._positions.get(layer_name)
@@ -909,7 +1004,7 @@ class FusedSignatures:
             elif base is not owner:
                 return None
             address = qweight.__array_interface__["data"][0]
-            if address != owner_address + int(self._weight_offsets[position]):
+            if address != owner_address + self._weight_offsets[position]:
                 return None
         return owner
 
@@ -948,9 +1043,9 @@ class FusedSignatures:
         rows = np.asarray(rows)
         if rows.size == 0:
             return ()
-        # bisect on the structure's plain-list starts: a per-scan
-        # np.searchsorted cost more than the rest of a narrow slice's setup.
-        starts = self._structure.row_starts
+        # bisect on plain-list starts: a per-scan np.searchsorted cost more
+        # than the rest of a narrow slice's setup.
+        starts = self._row_starts
         inner = len(starts) - 1
         first = bisect.bisect_right(starts, int(rows.min()), 1, inner) - 1
         last = bisect.bisect_right(starts, int(rows.max()), 1, inner) - 1
@@ -1047,7 +1142,9 @@ class FusedSignatures:
         and :meth:`~repro.core.scheduler.ScanScheduler.step`.
         """
         plane = self.prepared_plane(self._layer_map(model), rows)
-        return self.verify_rows(plane, self._all_rows if rows is None else rows)
+        return self.verify_rows(
+            plane, self._geometry.all_rows if rows is None else rows
+        )
 
     def verify_rows(
         self, plane: np.ndarray, rows: np.ndarray, scratch: Optional[ScanScratch] = None
@@ -1060,17 +1157,18 @@ class FusedSignatures:
         :class:`~repro.core.runtime.ProtectedInference`).  Concurrent
         callers must each pass their own scratch.
         """
+        geometry = self._geometry
         return stacked_mismatched_rows(
             [plane],
-            [self._kernel_indices],
-            [self._kernel_signs],
+            [geometry.indices],
+            [geometry.signs],
             [self.golden],
             [rows],
             self.config.group_size,
             self.config.signature_bits,
             self._scratch if scratch is None else scratch,
             True,
-            [self._structure],
+            [geometry.structure],
         )[0]
 
     def rows_to_layer_groups(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
@@ -1343,10 +1441,11 @@ class StackedVerifier:
 
     The fleet engine re-verifies the *same* views with the same layer maps
     every tick; only the row slices change.  Construction validates the
-    kernel keys, builds every view's kernel arrays and, when the goldens
-    share one length, prestacks them into one ``(num_models, total_groups)``
-    matrix so a homogeneous contiguous slice compares against a *view* of
-    it in one vectorized pass.  Goldens are never rewritten in place (a
+    kernel keys, fetches every view's shared geometry (noting whether all
+    views share one, which the broadcast branch needs) and, when the
+    goldens share one length, prestacks them into one ``(num_models,
+    total_groups)`` matrix so a homogeneous contiguous slice compares
+    against a *view* of it in one vectorized pass.  Goldens are never rewritten in place (a
     re-sign builds a new view), so the stack stays valid; the engine
     rebuilds the verifier when bucket *membership* changes, which it
     detects by view identity.
@@ -1370,11 +1469,17 @@ class StackedVerifier:
                     "bucketed stacking needs matching (group_size, "
                     "signature_bits) kernel keys"
                 )
-        for view in views:
-            view._ensure_kernel()
+        geometries = [view.geometry for view in views]
         self.views = list(views)
         self.layer_maps = list(layer_maps)
-        self._structures = [view._structure for view in views]
+        #: Whether every view reads one geometry object: identical index
+        #: and sign matrices, so equal row slices may share them.
+        self.shared_geometry = all(
+            geometry is geometries[0] for geometry in geometries
+        )
+        self._indices = [geometry.indices for geometry in geometries]
+        self._signs = [geometry.signs for geometry in geometries]
+        self._structures = [geometry.structure for geometry in geometries]
         goldens = [view.golden for view in views]
         self._goldens = (
             np.stack(goldens) if len({golden.size for golden in goldens}) == 1 else goldens
@@ -1388,9 +1493,10 @@ class StackedVerifier:
     ) -> List[np.ndarray]:
         """Flagged-row arrays for one tick's per-model row slices.
 
-        ``homogeneous`` is the caller's promise that every view shares one
-        structure key and every slice the same rows (see
-        :func:`stacked_mismatched_rows`).
+        ``homogeneous`` is the caller's promise that every slice holds the
+        same rows; it takes the kernel's broadcast branch (see
+        :func:`stacked_mismatched_rows`) only when the views also share
+        one geometry.
         """
         views = self.views
         if len(rows_list) != len(views):
@@ -1403,14 +1509,14 @@ class StackedVerifier:
                 view.prepared_plane(layer_map, rows)
                 for view, layer_map, rows in zip(views, self.layer_maps, rows_list)
             ],
-            [view._kernel_indices for view in views],
-            [view._kernel_signs for view in views],
+            self._indices,
+            self._signs,
             self._goldens,
             rows_list,
             config.group_size,
             config.signature_bits,
             scratch,
-            homogeneous,
+            homogeneous and self.shared_geometry,
             self._structures,
         )
 
@@ -1440,14 +1546,14 @@ def stacked_mismatched_rows(
     mismatching rows in slice order.
 
     ``homogeneous=True`` is a caller-supplied promise that every model
-    shares one structure key *and* one row slice (the engine knows; the
-    kernel cannot cheaply verify), enabling the shared index/sign
+    reads identical index and sign matrices *and* one row slice
+    (:class:`StackedVerifier` checks the first by geometry identity; the
+    kernel cannot cheaply verify either), enabling the shared index/sign
     broadcast; a 2-D ``goldens`` array then compares the whole stack at
     once.  ``structures`` optionally carries each model's
     :class:`PlaneStructure` (or ``None``) so wide contiguous slices of
-    structured planes sum over strided band views instead of gathering;
-    the structure caches its bands, so callers pass the same object every
-    call.  Contiguous slices also compare against a view of their golden
+    structured planes sum over strided band views instead of gathering.
+    Contiguous slices also compare against a view of their golden
     rows.  Neither choice changes a verdict.
     """
     num_models = len(planes)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import RadarConfig
 from repro.core.fleet import VerificationEngine
 from repro.core.recovery import RecoveryPolicy
@@ -34,7 +36,8 @@ from repro.quant.layers import quantize_model
 # larger fleet shows best.  The CI floor (--min-speedup 2.0) is held by the
 # best >= 4-model row.
 DEFAULT_MODEL_COUNTS = (2, 4, 8, 16, 32)
-TIMING_REPEATS = 5
+#: Alternating sequential/batched block pairs per fleet size.
+TIMING_PAIRS = 15
 
 
 def _build_engine(
@@ -86,22 +89,34 @@ def _batched_tick(engine: VerificationEngine, budget_s: Optional[float]) -> int:
     return sum(outcome.scan.groups_checked for outcome in outcomes.values())
 
 
-def _time_ticks(tick, ticks: int, repeats: int) -> Tuple[float, int]:
-    """Best mean seconds-per-tick over ``repeats`` blocks, plus groups/tick."""
-    groups = tick()  # warm-up; also captures the per-tick group count
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(ticks):
-            tick()
-        best = min(best, (time.perf_counter() - started) / ticks)
-    return best, groups
+def _paired_ticks(
+    sequential, batched, ticks: int, pairs: int
+) -> Tuple[List[float], List[float], int, int]:
+    """Per-block mean seconds-per-tick of both paths, timed in alternation.
+
+    Each pair times one block of ``ticks`` sequential ticks and one of
+    batched ticks back to back, the order flipping every pair, so a slow
+    spell of a shared host lands on both sides of a ratio rather than on
+    one path's whole measurement.  Also returns each path's groups/tick.
+    """
+    groups_sequential = sequential()  # warm-up; also the per-tick group count
+    groups_batched = batched()
+    timings: Tuple[List[float], List[float]] = ([], [])
+    paths = (sequential, batched)
+    for pair in range(pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            tick = paths[side]
+            started = time.perf_counter()
+            for _ in range(ticks):
+                tick()
+            timings[side].append((time.perf_counter() - started) / ticks)
+    return timings[0], timings[1], groups_sequential, groups_batched
 
 
 def fleet_throughput(
     model_counts: Sequence[int] = DEFAULT_MODEL_COUNTS,
     ticks: int = 40,
-    repeats: int = TIMING_REPEATS,
+    pairs: int = TIMING_PAIRS,
     group_size: int = 16,
     num_shards: int = 16,
     hidden_dims: Tuple[int, ...] = (96, 48),
@@ -116,6 +131,12 @@ def fleet_throughput(
     tick verifies the same groups.  With ``budgeted=True`` both paths split
     one fleet-wide budget — sized to fund exactly one slice per model — via
     the same urgency-ordered allocation.
+
+    The two paths are timed in alternating block pairs (:func:`_paired_ticks`).
+    ``speedup`` is the median over pairs of sequential over batched
+    seconds-per-tick, reported with the interquartile range of those
+    ratios (``speedup_iqr``) and the pair count; the per-path figures are
+    the medians of each path's blocks.
     """
     rows: List[Dict] = []
     config = RadarConfig(group_size=group_size)
@@ -135,12 +156,18 @@ def fleet_throughput(
             ]
             per_group = reference.get(reference.names()[0]).cost_model.pass_cost_s(1)
             budget_s = sum(slice_costs) + per_group
-        sequential_s, groups_sequential = _time_ticks(
-            lambda: _sequential_tick(engines[0], budget_s), ticks, repeats
+        sequential_blocks, batched_blocks, groups_sequential, groups_batched = (
+            _paired_ticks(
+                lambda: _sequential_tick(engines[0], budget_s),
+                lambda: _batched_tick(engines[1], budget_s),
+                ticks,
+                pairs,
+            )
         )
-        batched_s, groups_batched = _time_ticks(
-            lambda: _batched_tick(engines[1], budget_s), ticks, repeats
-        )
+        sequential_s = float(np.median(sequential_blocks))
+        batched_s = float(np.median(batched_blocks))
+        ratios = np.asarray(sequential_blocks) / np.asarray(batched_blocks)
+        low, high = np.percentile(ratios, [25, 75])
         if groups_sequential != groups_batched:
             raise AssertionError(
                 f"paths verified different work: sequential {groups_sequential} "
@@ -157,7 +184,9 @@ def fleet_throughput(
                 "batched_ms_per_tick": batched_s * 1e3,
                 "sequential_groups_per_s": groups_sequential / sequential_s,
                 "batched_groups_per_s": groups_batched / batched_s,
-                "speedup": sequential_s / batched_s,
+                "speedup": float(np.median(ratios)),
+                "speedup_iqr": float(high - low),
+                "pairs": int(pairs),
             }
         )
     return rows

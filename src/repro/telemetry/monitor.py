@@ -40,10 +40,43 @@ from repro.core.fleet import (
     VerificationEngine,
 )
 from repro.errors import ProtectionError
-from repro.telemetry.metrics import MetricRegistry
+from repro.telemetry.metrics import Gauge, MetricRegistry, RingHistogram
 
 #: ``perf_counter`` timestamp plus engine tick index of one injection.
 _Injection = Tuple[float, int]
+
+
+class _TickSeries:
+    """One model's per-tick series, each resolved from the registry once.
+
+    A registry lookup builds and sorts the series' label key; at one
+    lookup per series per model per tick that was a visible share of a
+    fleet tick.  Series other than ``groups_checked_total`` are created on
+    their first observation, exactly as direct lookups would, so the
+    exposition lists the same series either way.
+    """
+
+    __slots__ = ("registry", "model", "groups_checked", "_histograms", "_price")
+
+    def __init__(self, registry: MetricRegistry, model: str) -> None:
+        self.registry = registry
+        self.model = model
+        self.groups_checked = registry.counter("groups_checked_total", model=model)
+        self._histograms: Dict[str, RingHistogram] = {}
+        self._price: Optional[Gauge] = None
+
+    def get(self, name: str) -> RingHistogram:
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = self.registry.histogram(
+                name, model=self.model
+            )
+        return histogram
+
+    def price(self) -> Gauge:
+        if self._price is None:
+            self._price = self.registry.gauge("seconds_per_group", model=self.model)
+        return self._price
 
 
 class FleetTelemetry:
@@ -72,6 +105,8 @@ class FleetTelemetry:
         #: ``perf_counter`` stamp of the last unresolved detection, per
         #: model — the start of the detection→reprotect span.
         self._detection_started: Dict[str, float] = {}
+        #: Each model's per-tick series, resolved once (observe_tick).
+        self._series: Dict[str, _TickSeries] = {}
 
     # -- wiring -----------------------------------------------------------------
     @property
@@ -169,14 +204,13 @@ class FleetTelemetry:
             # sample-for-sample.
             self.registry.histogram("tick_duration_s").observe(tick_s)
         for name, outcome in outcomes.items():
-            self.registry.counter("groups_checked_total", model=name).inc(
-                outcome.scan.groups_checked
-            )
+            series = self._series.get(name)
+            if series is None:
+                series = self._series[name] = _TickSeries(self.registry, name)
+            series.groups_checked.inc(outcome.scan.groups_checked)
             if outcome.batch_width > 0:
-                self.registry.histogram("batch_size", model=name).observe(
-                    float(outcome.batch_size)
-                )
-                self.registry.histogram("stacking_fill", model=name).observe(
+                series.get("batch_size").observe(float(outcome.batch_size))
+                series.get("stacking_fill").observe(
                     outcome.scan.groups_checked / outcome.batch_width
                 )
             if (
@@ -184,7 +218,7 @@ class FleetTelemetry:
                 and outcome.budget_s > 0
                 and outcome.measured_s is not None
             ):
-                self.registry.histogram("budget_utilization", model=name).observe(
+                series.get("budget_utilization").observe(
                     outcome.measured_s / outcome.budget_s
                 )
             if engine is not None and name in engine:
@@ -192,7 +226,7 @@ class FleetTelemetry:
                     engine.get(name).cost_model, "seconds_per_group", None
                 )
                 if price is not None:
-                    self.registry.gauge("seconds_per_group", model=name).set(price)
+                    series.price().set(price)
 
     # -- defense feedback ---------------------------------------------------------
     def tune_jitter(self) -> Dict[str, float]:

@@ -466,6 +466,63 @@ class TestStateDirPersistence:
         assert "resumed calibration" in out
 
 
+class TestSeedFlag:
+    """``--seed`` makes a run reproducible and picks the injected flips."""
+
+    @staticmethod
+    def _rows(capsys, tmp_path, argv, seed):
+        output = tmp_path / f"seed-{seed}-{len(list(tmp_path.iterdir()))}.json"
+        assert main([*argv, "--seed", str(seed), "--output", str(output)]) == 0
+        capsys.readouterr()
+        return json.loads(output.read_text())["rows"]
+
+    def test_scan_seed(self, tiny_setup, tmp_path, capsys):
+        argv = [
+            "scan",
+            "--setup", tiny_setup,
+            "--group-size", "16",
+            "--num-shards", "4",
+            "--passes", "4",
+            "--inject-flips", "6",
+            "--inject-at-pass", "0",
+        ]
+        first = self._rows(capsys, tmp_path, argv, 3)
+        assert self._rows(capsys, tmp_path, argv, 3) == first
+        other = self._rows(capsys, tmp_path, argv, 4)
+        assert [row["flagged_groups"] for row in other] != [
+            row["flagged_groups"] for row in first
+        ]
+
+    def test_serve_demo_seed(self, tmp_path, capsys):
+        argv = [
+            "serve-demo",
+            "--models", "2",
+            "--num-shards", "4",
+            "--passes", "4",
+            "--attack-at-pass", "1",
+            "--num-flips", "6",
+        ]
+        first = self._rows(capsys, tmp_path, argv, 3)
+        assert self._rows(capsys, tmp_path, argv, 3) == first
+        other = self._rows(capsys, tmp_path, argv, 4)
+        flips = [(row["flagged_groups"], row["recovered_weights"]) for row in first]
+        assert [
+            (row["flagged_groups"], row["recovered_weights"]) for row in other
+        ] != flips
+
+    def test_infer_demo_seed(self, tmp_path, capsys):
+        # infer-demo injects nothing; its check timings and the cadence
+        # they calibrate are wall-clock, so only the seeded fields compare.
+        argv = ["infer-demo", "--batches", "6", "--batch-size", "4"]
+        seeded = ("batches", "detections", "warm_start")
+        first = self._rows(capsys, tmp_path, argv, 3)
+        again = self._rows(capsys, tmp_path, argv, 3)
+        assert [{key: row[key] for key in seeded} for row in again] == [
+            {key: row[key] for key in seeded} for row in first
+        ]
+        assert first[0]["detections"] == 0
+
+
 class TestSlaReportCommand:
     def test_sla_report_prints_percentiles(self, tmp_path, capsys):
         output = tmp_path / "sla.json"

@@ -270,10 +270,10 @@ class TestPlaneAdoption:
         store.current_signatures(model)
         store.mismatched_rows(model)
         store.mismatched_rows(model, np.array([0, store.total_groups() - 1]))
-        assert fused._kernel_indices is None and fused._plane is None
+        assert fused._geometry is None and fused._plane is None
         # The first plane scan builds it on demand.
         fused.mismatched_rows(model)
-        assert fused._kernel_indices is not None
+        assert fused._geometry is not None
 
 
 class TestScanScratch:
@@ -954,3 +954,229 @@ class TestBandPath:
                 assert flagged.tolist() == [2]
                 flat[index] = np.int8(int(flat[index]) ^ -128)
             assert (fused.structure._bands is not None) == band_path
+
+
+class TestSharedGeometry:
+    """Geometry per shape, state per model.
+
+    Views of equal-shaped models read one write-locked
+    :class:`~repro.core.signature.KernelGeometry`; anything that changes
+    the index or sign matrices — the secret seed, the group size, a layer
+    name (it keys the masking signs) or a hand-built layout — gets its
+    own.  Sharing must never change a verdict.
+    """
+
+    @staticmethod
+    def _engine(count, config=None, policy=None, **kwargs):
+        engine = VerificationEngine(
+            config or RadarConfig(group_size=8),
+            num_shards=4,
+            recovery_policy=RecoveryPolicy.NONE,
+            **({} if policy is None else {"policy": policy}),
+        )
+        for index in range(count):
+            model = quantize_model(MLP(24, 4, (16,), seed=index, **kwargs))
+            engine.register(f"m{index}", model)
+        return engine
+
+    @staticmethod
+    def _geometry(config, model):
+        protector = ModelProtector(config)
+        protector.protect(model)
+        return protector.store.fused().geometry
+
+    def test_identical_registrations_share_one_geometry(self):
+        engine = self._engine(2)
+        first, second = (engine.get(name) for name in ("m0", "m1"))
+        assert first.scheduler.fused is not second.scheduler.fused
+        assert first.scheduler.fused.geometry is second.scheduler.fused.geometry
+        for a, b in zip(first.protector.store, second.protector.store):
+            assert a.layout is b.layout
+        # Goldens and planes stay per model.
+        assert first.scheduler.fused.golden is not second.scheduler.fused.golden
+        assert not np.shares_memory(
+            first.scheduler.fused._plane, second.scheduler.fused._plane
+        )
+
+    def test_equal_layers_share_a_layout_within_a_model(self):
+        model = _layer_stack([640, 640, 300], seed=3)
+        protector = ModelProtector(RadarConfig(group_size=8))
+        protector.protect(model)
+        layouts = [entry.layout for entry in protector.store]
+        assert layouts[0] is layouts[1] and layouts[0] is not layouts[2]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            RadarConfig(group_size=8, secret_seed=12345),
+            RadarConfig(group_size=16),
+        ],
+        ids=["secret_seed", "group_size"],
+    )
+    def test_different_key_or_grouping_do_not_share(self, other):
+        base = RadarConfig(group_size=8)
+        model = quantize_model(MLP(24, 4, (16,), seed=0))
+        twin = quantize_model(MLP(24, 4, (16,), seed=1))
+        geometry = self._geometry(base, model)
+        assert self._geometry(base, twin) is geometry
+        assert self._geometry(other, twin) is not geometry
+
+    def test_different_layer_names_do_not_share(self):
+        rng = new_rng(("names", 0))
+        flat = Sequential(QuantLinear(64, 4, rng=rng), QuantLinear(64, 4, rng=rng))
+        nested = Sequential(
+            Sequential(QuantLinear(64, 4, rng=rng), QuantLinear(64, 4, rng=rng))
+        )
+        quantize_model(flat)
+        quantize_model(nested)
+        config = RadarConfig(group_size=8)
+        assert self._geometry(config, flat) is not self._geometry(config, nested)
+
+    def test_foreign_layout_never_receives_a_shared_geometry(self):
+        from repro.core.checksum import compute_signatures
+        from repro.core.interleave import GroupLayout
+        from repro.core.signature import LayerSignatures
+
+        class CopiedLayout(GroupLayout):
+            """Same index matrix as the shared layout, different object."""
+
+        model, protector = _protected_mlp(seed=4)
+        twin, twin_protector = _protected_mlp(seed=5)
+        shared = protector.store.fused().geometry
+        assert twin_protector.store.fused().geometry is shared
+        store = twin_protector.store
+        layer_map = dict(quantized_layers(twin))
+        for name in store.layer_names():
+            entry = store.layer(name)
+            foreign = CopiedLayout(
+                num_weights=entry.layout.num_weights,
+                group_size=entry.layout.group_size,
+                use_interleave=entry.layout.use_interleave,
+                interleave_offset=entry.layout.interleave_offset,
+            )
+            store._layers[name] = LayerSignatures(
+                layer_name=name,
+                layout=foreign,
+                key=entry.key,
+                golden=compute_signatures(
+                    layer_map[name].qweight.reshape(-1),
+                    foreign,
+                    entry.key,
+                    store.config.signature_bits,
+                ),
+            )
+        store._fused = None
+        fused = store.fused()
+        assert fused.geometry is not shared
+        np.testing.assert_array_equal(fused.geometry.indices, shared.indices)
+        _flip(twin, 1, 3)
+        np.testing.assert_array_equal(
+            fused.mismatched_rows(twin), store.mismatched_rows(twin)
+        )
+
+    def test_shared_arrays_are_write_locked(self):
+        model = _layer_stack([40000, 40000], seed=2)
+        protector = ModelProtector(RadarConfig(group_size=16))
+        protector.protect(model)
+        geometry = protector.store.fused().geometry
+        bands = [
+            band.signs
+            for layer in geometry.structure._bands
+            if layer is not None
+            for band in layer.bands
+        ]
+        assert bands
+        layout = next(iter(protector.store)).layout
+        for array in [
+            geometry.indices,
+            geometry.signs,
+            geometry.all_rows,
+            layout.index_matrix,
+            *bands,
+        ]:
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[0] = 1
+
+    def test_resign_reuses_the_geometry(self):
+        engine = self._engine(1, config=RadarConfig(group_size=8))
+        managed = engine.get("m0")
+        geometry = managed.scheduler.fused.geometry
+        view = managed.scheduler.fused
+        engine.reprotect("m0")
+        assert managed.scheduler.fused is not view
+        assert managed.scheduler.fused.geometry is geometry
+
+    def test_geometry_dies_with_its_last_view(self):
+        import gc
+        import weakref
+
+        engine = self._engine(3)
+        engine.tick()
+        geometry = weakref.ref(engine.get("m0").scheduler.fused.geometry)
+        layout = weakref.ref(next(iter(engine.get("m0").protector.store)).layout)
+        for name in engine.names():
+            engine.unregister(name)
+        gc.collect()
+        assert geometry() is None
+        assert layout() is None
+        # A later registration of the same shape builds a fresh one.
+        engine.register("again", quantize_model(MLP(24, 4, (16,), seed=9)))
+        assert engine.get("again").scheduler.fused.geometry is not None
+
+    def test_shared_geometry_fleet_matches_the_oracle(self):
+        from repro.core import ScanPolicy
+
+        engine = self._engine(4, policy=ScanPolicy.FULL)
+        views = [engine.get(name).scheduler.fused for name in engine.names()]
+        assert all(view.geometry is views[0].geometry for view in views)
+        rng = new_rng(("shared-fleet", 0))
+        for index, name in enumerate(engine.names()):
+            model = engine.get(name).model
+            for _ in range(index):  # 0..3 flips per model, different sites
+                _flip(model, int(rng.integers(2)), int(rng.integers(64)))
+        outcomes = engine.tick()
+        for name, outcome in outcomes.items():
+            _assert_oracle_verdict(engine.get(name), outcome)
+        assert not outcomes["m0"].attack_detected
+        assert outcomes["m3"].attack_detected
+
+    def test_concurrent_runtimes_of_one_shape(self):
+        import threading
+
+        from repro.core import ProtectedInference
+
+        config = RadarConfig(group_size=16)
+        runtimes = [
+            ProtectedInference(
+                quantize_model(MLP(48, 4, (37, 24), seed=seed)), config
+            )
+            for seed in range(2)
+        ]
+        views = [runtime.protector.store.fused() for runtime in runtimes]
+        assert views[0].geometry is views[1].geometry
+        images = np.random.default_rng(0).standard_normal((2, 48)).astype(np.float32)
+        errors = []
+        mismatches = []
+
+        def drive(position):
+            runtime = runtimes[position]
+            store = runtime.protector.store
+            try:
+                for step in range(20):
+                    if step % 5 == 0:
+                        _flip(runtime.model, step % 3, 3 + step + position)
+                    expected = store.mismatched_rows(runtime.model).size
+                    outcome = runtime.forward(images)
+                    if outcome.flagged_groups != expected:
+                        mismatches.append((position, step, outcome.flagged_groups))
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert mismatches == []
+        assert all(runtime.log.detections > 0 for runtime in runtimes)

@@ -244,6 +244,71 @@ class TestFleetTelemetryWiring:
             price = telemetry.registry.gauge("seconds_per_group", model=name)
             assert price.value > 0
 
+    def test_cached_series_expose_what_direct_lookups_would(self):
+        """The per-model series handles of ``observe_tick`` change no
+        ``/metrics`` byte: replaying the same ticks through plain registry
+        lookups renders identical exposition text, with models joining and
+        leaving and budgeted and unbudgeted ticks mixed."""
+        from repro.telemetry.exposition import render_prometheus
+
+        engine = _fleet(measured=True)
+        telemetry = FleetTelemetry().attach(engine)
+        ticks = []
+
+        def run(budgeted):
+            budget = None
+            if budgeted:
+                budget = sum(
+                    engine.get(name).scheduler.planned_slice_cost_s()
+                    for name in engine.names()
+                ) + engine.get(engine.names()[0]).cost_model.pass_cost_s(1)
+            outcomes = engine.tick(budget_s=budget)
+            prices = {
+                name: engine.get(name).cost_model.seconds_per_group
+                for name in outcomes
+            }
+            ticks.append((engine.last_tick_duration_s, outcomes, prices))
+
+        for tick in range(8):
+            if tick == 3:
+                engine.register(
+                    "late",
+                    quantize_model(MLP(64, 4, (48, 24), seed=9)),
+                    keep_golden_weights=True,
+                )
+            if tick == 5:
+                engine.unregister("model-1")
+            run(budgeted=tick % 2 == 0)
+
+        reference = MetricRegistry()
+        for duration, outcomes, prices in ticks:
+            reference.counter("ticks_total").inc()
+            reference.histogram("tick_duration_s").observe(duration)
+            for name, outcome in outcomes.items():
+                reference.counter("groups_checked_total", model=name).inc(
+                    outcome.scan.groups_checked
+                )
+                if outcome.batch_width > 0:
+                    reference.histogram("batch_size", model=name).observe(
+                        float(outcome.batch_size)
+                    )
+                    reference.histogram("stacking_fill", model=name).observe(
+                        outcome.scan.groups_checked / outcome.batch_width
+                    )
+                if (
+                    outcome.budget_s is not None
+                    and outcome.budget_s > 0
+                    and outcome.measured_s is not None
+                ):
+                    reference.histogram("budget_utilization", model=name).observe(
+                        outcome.measured_s / outcome.budget_s
+                    )
+                reference.gauge("seconds_per_group", model=name).set(prices[name])
+        assert telemetry.registry.find_histogram(
+            "budget_utilization", model="late"
+        ) is not None
+        assert render_prometheus(telemetry.registry) == render_prometheus(reference)
+
     def test_sla_report_rows_per_model(self):
         engine = _fleet()
         telemetry = FleetTelemetry().attach(engine)
