@@ -16,8 +16,12 @@ Knobs (environment variables):
 * ``REPRO_RESULTS_DIR`` — where fresh artifacts are written (default
   ``.bench/`` at the repo root, untracked).  The committed baselines under
   ``results/`` are never rewritten by a run; updating one is an explicit
-  ``scripts/check_perf_regression.py ... --promote``, which copies the
-  fresh artifact only when its gate passed.
+  ``scripts/check_perf_regression.py --promote .bench/<name>.json``, which
+  copies the fresh artifact only when it matches its baseline.
+
+A benchmark that owns acceptance floors prints its table with
+:func:`emit`, asserts its floors, and only then writes its artifact with
+:func:`save`: a fresh artifact always holds floors that held.
 """
 
 from __future__ import annotations
@@ -50,7 +54,14 @@ def bench_models():
 def emit(
     title: str, rows, columns=None, filename: str = None, deterministic: bool = False
 ) -> None:
-    """Print a table and persist it under :data:`RESULTS_DIR`.
+    """Print a table and, given a ``filename``, :func:`save` its rows."""
+    print("\n" + reporting.render_table(rows, columns=columns, title=title))
+    if filename:
+        save(rows, filename, deterministic=deterministic)
+
+
+def save(rows, filename: str, deterministic: bool = False) -> None:
+    """Persist ``rows`` as ``filename`` under :data:`RESULTS_DIR`.
 
     ``deterministic=True`` is for artifacts that must be byte-identical
     across reruns (the campaign JSONs): rows should already be projected
@@ -59,15 +70,12 @@ def emit(
     (:func:`~repro.experiments.reporting.host_stamp`) naming the host it
     was measured on.
     """
-    text = reporting.render_table(rows, columns=columns, title=title)
-    print("\n" + text)
-    if filename:
-        reporting.save_results(
-            rows,
-            RESULTS_DIR / filename,
-            metadata=None if deterministic else {"host": reporting.host_stamp()},
-            deterministic=deterministic,
-        )
+    reporting.save_results(
+        rows,
+        RESULTS_DIR / filename,
+        metadata=None if deterministic else {"host": reporting.host_stamp()},
+        deterministic=deterministic,
+    )
 
 
 @pytest.fixture(scope="session")

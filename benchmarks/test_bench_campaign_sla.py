@@ -9,9 +9,10 @@ cadences) against engine-managed fleets with the full
 detect → recover → reprotect lifecycle and asserts the SLA acceptance
 bar: **every** scenario's injections are detected (nothing missed) with
 **finite** p99 detection latency in both serving ticks and wall-clock.
-``results/campaign_sla.json`` is the committed artifact;
-``scripts/check_perf_regression.py --kind campaign`` gates CI on a fresh
-run of it.
+The artifact is written only after the SLA holds;
+``results/campaign_sla.json`` is the committed artifact, and
+``scripts/check_perf_regression.py`` requires a fresh run's rows to equal
+it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, save
 from repro.experiments.campaign import (
     default_scenarios,
     deterministic_rows,
@@ -33,13 +34,11 @@ def test_campaign_reports_finite_detection_sla(benchmark):
     rows = run_campaign(seed=0)
     # The committed artifact keeps only machine-independent fields (tick
     # latencies, counts, structure) so reruns are byte-identical; the live
-    # rows keep wall-clock for the assertions below and the printed table.
+    # rows keep wall-clock for the assertions below.
     emit(
         "Attack-campaign SLA — per-scenario detection latency percentiles "
         "(serving ticks) under the engine lifecycle",
         deterministic_rows(rows),
-        filename="campaign_sla.json",
-        deterministic=True,
     )
 
     scenarios = {scenario.name for scenario in default_scenarios()}
@@ -62,6 +61,7 @@ def test_campaign_reports_finite_detection_sla(benchmark):
         )
         # Detection can never precede the tick that scans the flip.
         assert row["p99_detection_ticks"] >= 1
+    save(deterministic_rows(rows), "campaign_sla.json", deterministic=True)
 
     # Register the single-scenario run with pytest-benchmark for trends.
     scenario = default_scenarios()[0]

@@ -12,11 +12,11 @@ check computed layer by layer) — on a ResNet-20 full scan and scheduler
 shard slice, and on a ResNet-18 ``G = 512`` full check (the paper's
 headline configuration) — and asserts the acceptance bar: the kernel is
 at least 4× the oracle on a structured full scan and 5× on the sliced
-scan.  Timing takes
-the best of ``ATTEMPTS`` full study reruns per mode: one noisy block on a
-loaded CI host should not fail the floor.  ``results/scan_kernel.json`` is the committed
-baseline the CI perf gate (``scripts/check_perf_regression.py --kind
-kernel``) compares fresh runs against.
+scan.  Each speedup is the median of alternating oracle/kernel timing
+pairs, so one noisy round on a loaded CI host does not fail the floor.
+The artifact is written only after the floors hold;
+``results/scan_kernel.json`` is the committed baseline
+``scripts/check_perf_regression.py`` compares fresh runs against.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, save
 from repro.core import ModelProtector, RadarConfig
 from repro.experiments.kernel import scan_kernel_throughput
 from repro.models.resnet_cifar import resnet20
@@ -37,33 +37,17 @@ from repro.quant.layers import quantize_model, quantized_layers
 #: the general gather and only owes the pre-structure 2x bar.
 STRUCTURED_FLOORS = {"full": 4.0, "slice": 5.0, "full-r18": 4.0}
 UNSTRUCTURED_FLOOR = 2.0
-#: Best-of-N study attempts, mirroring test_bench_fleet_throughput: each
-#: attempt already interleaves oracle/kernel blocks, so a handful of
-#: attempts suffices to shake off scheduler noise.
-ATTEMPTS = 3
-
-
-def _best_rows() -> list:
-    """Best-speedup row per mode across ``ATTEMPTS`` study runs."""
-    best = {}
-    for _ in range(ATTEMPTS):
-        for row in scan_kernel_throughput():
-            incumbent = best.get(row["mode"])
-            if incumbent is None or row["speedup"] > incumbent["speedup"]:
-                best[row["mode"]] = row
-    return [best[mode] for mode in STRUCTURED_FLOORS]
 
 
 @pytest.mark.benchmark(group="scan-kernel")
 def test_kernel_beats_the_oracle(benchmark):
-    rows = _best_rows()
+    rows = scan_kernel_throughput()
     emit(
         "Scan kernel — fused gather plane + narrow accumulation vs the "
         "per-layer checksum oracle (verified groups/s; full scan and one "
         "scheduler shard slice of ResNet-20 at G=8; full check of ResNet-18 "
         "at G=512)",
         rows,
-        filename="scan_kernel.json",
     )
     # Register the kernel full scan with pytest-benchmark for trend tracking.
     model = resnet20(seed=7)
@@ -87,6 +71,7 @@ def test_kernel_beats_the_oracle(benchmark):
             f"kernel only reached {row['speedup']:.2f}x on the {mode} scan "
             f"(floor {floor}x, structured={row['structured']})"
         )
+    save(rows, "scan_kernel.json")
 
 
 @pytest.mark.benchmark(group="scan-kernel")

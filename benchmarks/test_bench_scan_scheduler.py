@@ -11,30 +11,21 @@ scan does.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, save
 from repro.core import ModelProtector, RadarConfig
+from repro.experiments.reporting import pair_ratio, paired_timings
 from repro.models.small import MLP
 from repro.quant.layers import quantize_model, quantized_layers
 
 SHARD_COUNTS = (4, 8, 16)
-TIMING_REPEATS = 5
+#: Alternating timing rounds over both full scans and every shard count.
+TIMING_ROUNDS = 15
 TIMING_ITERATIONS = 3
-
-
-def _best_of(fn, repeats: int = TIMING_REPEATS, iterations: int = TIMING_ITERATIONS) -> float:
-    """Minimum per-call seconds over ``repeats`` timed blocks."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iterations)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -50,23 +41,34 @@ def protected_model():
 @pytest.mark.benchmark(group="scan-scheduler")
 def test_amortized_pass_is_cheaper_than_full_scan(protected_model, benchmark):
     model, protector = protected_model
-    full_s = _best_of(lambda: protector.scan(model))
-    fused_s = _best_of(lambda: protector.scan_fused(model))
+    schedulers = [
+        protector.scheduler(num_shards=num_shards) for num_shards in SHARD_COUNTS
+    ]
+    full, fused, *passes = paired_timings(
+        partial(protector.scan, model),
+        partial(protector.scan_fused, model),
+        *[partial(scheduler.step, model) for scheduler in schedulers],
+        rounds=TIMING_ROUNDS,
+        iterations=TIMING_ITERATIONS,
+    )
 
     rows = []
-    for num_shards in SHARD_COUNTS:
-        scheduler = protector.scheduler(num_shards=num_shards)
-        pass_s = _best_of(lambda: scheduler.step(model))
+    for num_shards, scheduler, pass_s in zip(SHARD_COUNTS, schedulers, passes):
+        speedup_vs_full, speedup_vs_full_iqr = pair_ratio(full, pass_s)
+        speedup_vs_fused, speedup_vs_fused_iqr = pair_ratio(fused, pass_s)
         rows.append(
             {
                 "num_shards": num_shards,
                 "groups": scheduler.total_groups,
                 "groups_per_pass": scheduler.total_groups // num_shards,
-                "full_scan_ms": full_s * 1e3,
-                "fused_scan_ms": fused_s * 1e3,
-                "per_pass_ms": pass_s * 1e3,
-                "speedup_vs_full": full_s / pass_s,
-                "speedup_vs_fused": fused_s / pass_s,
+                "full_scan_ms": float(np.median(full)) * 1e3,
+                "fused_scan_ms": float(np.median(fused)) * 1e3,
+                "per_pass_ms": float(np.median(pass_s)) * 1e3,
+                "speedup_vs_full": speedup_vs_full,
+                "speedup_vs_full_iqr": speedup_vs_full_iqr,
+                "speedup_vs_fused": speedup_vs_fused,
+                "speedup_vs_fused_iqr": speedup_vs_fused_iqr,
+                "pairs": TIMING_ROUNDS,
                 "worst_case_lag_passes": scheduler.worst_case_lag_passes,
             }
         )
@@ -79,7 +81,6 @@ def test_amortized_pass_is_cheaper_than_full_scan(protected_model, benchmark):
         "Scan scheduler — full-scan vs amortized per-pass latency "
         "(per-pass cost must amortize; detection lag = one rotation)",
         rows,
-        filename="scan_scheduler.json",
     )
     by_shards = {row["num_shards"]: row for row in rows}
     # The acceptance bar: with >= 8 shards one amortized pass costs at least
@@ -88,6 +89,7 @@ def test_amortized_pass_is_cheaper_than_full_scan(protected_model, benchmark):
     assert by_shards[16]["speedup_vs_fused"] >= 3.0
     # More shards => cheaper passes (allowing generous timing noise).
     assert by_shards[16]["per_pass_ms"] <= by_shards[4]["per_pass_ms"] * 1.5
+    save(rows, "scan_scheduler.json")
 
 
 @pytest.mark.benchmark(group="scan-scheduler")
@@ -155,7 +157,7 @@ def test_detection_lag_tradeoff(protected_model):
     emit(
         "Scan scheduler — detection lag for a flip in the last-scanned shard",
         rows,
-        filename="scan_scheduler_lag.json",
     )
     # Worst-placed flip waits the full rotation under round-robin.
     assert all(row["detection_lag_passes"] == row["worst_case_lag_passes"] for row in rows)
+    save(rows, "scan_scheduler_lag.json")

@@ -84,11 +84,6 @@ class RadarDetector:
         fused = self.store.fused()
         return report_from_fused_rows(fused, fused.mismatched_rows(model))
 
-    def scan_layer(self, model: Module, layer_name: str) -> np.ndarray:
-        """Flagged group indices for a single layer, from a full oracle :meth:`scan`."""
-        report = self.scan(model)
-        return report.flagged_groups.get(layer_name, np.empty(0, dtype=np.int64))
-
 
 def report_from_fused_rows(fused, flagged_rows: np.ndarray) -> DetectionReport:
     """Wrap flagged global rows of a fused view into a :class:`DetectionReport`.

@@ -84,6 +84,12 @@ from repro.nn.module import Module
 from repro.quant.layers import quantized_layers
 from repro.telemetry.trace import NULL_SPAN, NULL_TRACER
 
+#: Width-disparity guard for bucketed padded stacking: a kernel bucket
+#: whose per-slice padding waste would exceed this is sub-split into
+#: separate stacked passes; see
+#: :func:`~repro.core.signature.split_by_padding_waste`.
+MAX_PADDING_WASTE = 0.5
+
 
 class ProtectionState(str, Enum):
     """Where a managed model sits in the detect → recover → reprotect loop."""
@@ -325,7 +331,6 @@ class VerificationEngine:
         recovery_policy: RecoveryPolicy = RecoveryPolicy.ZERO,
         auto_reprotect: bool = True,
         event_history: int = 256,
-        max_padding_waste: Optional[float] = 0.5,
     ) -> None:
         if num_shards < 1:
             raise ProtectionError(f"num_shards must be >= 1, got {num_shards}")
@@ -338,10 +343,6 @@ class VerificationEngine:
             )
         if budget_s is not None and not budget_s > 0:
             raise ProtectionError(f"budget_s must be positive, got {budget_s}")
-        if max_padding_waste is not None and not 0 <= max_padding_waste < 1:
-            raise ProtectionError(
-                f"max_padding_waste must be in [0, 1) or None, got {max_padding_waste}"
-            )
         self.default_config = default_config or RadarConfig()
         self.num_shards = num_shards
         self.policy = ScanPolicy(policy)
@@ -349,11 +350,6 @@ class VerificationEngine:
         self.budget_s = budget_s
         self.recovery_policy = RecoveryPolicy(recovery_policy)
         self.auto_reprotect = auto_reprotect
-        #: Width-disparity guard for bucketed padded stacking: kernel
-        #: buckets whose padding-waste ratio would exceed this are sub-split
-        #: into separate stacked passes (``None`` disables the guard); see
-        #: :func:`~repro.core.signature.split_by_padding_waste`.
-        self.max_padding_waste = max_padding_waste
         self.bus = EventBus(history=event_history)
         #: Optional per-tick observer (duck-typed: needs ``observe_tick``).
         #: :meth:`repro.telemetry.monitor.FleetTelemetry.attach` sets this —
@@ -661,13 +657,9 @@ class VerificationEngine:
             # wasteful when one model's row count dwarfs the rest, so such a
             # bucket is sub-split into separately stacked passes, each with
             # its own scratch.
-            if self.max_padding_waste is not None and len(batch) > 1:
-                parts = split_by_padding_waste(
-                    [planned.rows.size for planned in batch],
-                    self.max_padding_waste,
-                )
-            else:
-                parts = [list(range(len(batch)))]
+            parts = split_by_padding_waste(
+                [planned.rows.size for planned in batch], MAX_PADDING_WASTE
+            )
             for sub_index, part in enumerate(parts):
                 scratch = self._scratch.setdefault((key, sub_index), ScanScratch())
                 sub_batch = [batch[index] for index in part]

@@ -27,9 +27,9 @@ studies).  This driver measures the claim itself as an SLA, in two forms:
 
 :func:`smoke_matrix` is the deterministic CI subset
 (``benchmarks/test_bench_campaign_matrix.py`` regenerates
-``results/campaign_matrix.json`` from it and
-``scripts/check_perf_regression.py --kind campaign`` gates per-cell
-finiteness, the bound, and the exploit/defense margins);
+``results/campaign_matrix.json`` from it after asserting per-cell
+finiteness, the bound, and the exploit/defense margins, and
+``scripts/check_perf_regression.py`` requires a fresh run to equal it);
 :func:`full_matrix` is the offline sweep behind
 ``repro-radar sla-report --matrix --full``.  Committed artifacts pass
 through :func:`deterministic_rows`, which drops wall-clock fields so

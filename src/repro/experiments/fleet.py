@@ -14,12 +14,13 @@ slice, allocated in urgency order by both paths) and reports
 verified-groups-per-second.  ``results/fleet_throughput.json`` is the
 committed baseline; ``benchmarks/test_bench_fleet_throughput.py`` asserts
 the acceptance bar (batched ≥ 2× sequential at the best ≥ 4-model fleet)
-and ``scripts/check_perf_regression.py --kind fleet`` gates CI on it.
+before it writes a fresh artifact, and ``scripts/check_perf_regression.py``
+compares that artifact against the baseline.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,14 +28,15 @@ import numpy as np
 from repro.core.config import RadarConfig
 from repro.core.fleet import VerificationEngine
 from repro.core.recovery import RecoveryPolicy
+from repro.experiments.reporting import pair_ratio, paired_timings
 from repro.models.small import MLP
 from repro.quant.layers import quantize_model
 
 # The 16- and 32-model rows exist because the zero-copy kernel sped the
 # *sequential* baseline up too (every ScanScheduler.step now runs the
 # kernel), so the batched win is mostly dispatch amortization — which a
-# larger fleet shows best.  The CI floor (--min-speedup 2.0) is held by the
-# best >= 4-model row.
+# larger fleet shows best.  The benchmark's 2x acceptance floor is held by
+# the best >= 4-model row.
 DEFAULT_MODEL_COUNTS = (2, 4, 8, 16, 32)
 #: Alternating sequential/batched block pairs per fleet size.
 TIMING_PAIRS = 15
@@ -89,30 +91,6 @@ def _batched_tick(engine: VerificationEngine, budget_s: Optional[float]) -> int:
     return sum(outcome.scan.groups_checked for outcome in outcomes.values())
 
 
-def _paired_ticks(
-    sequential, batched, ticks: int, pairs: int
-) -> Tuple[List[float], List[float], int, int]:
-    """Per-block mean seconds-per-tick of both paths, timed in alternation.
-
-    Each pair times one block of ``ticks`` sequential ticks and one of
-    batched ticks back to back, the order flipping every pair, so a slow
-    spell of a shared host lands on both sides of a ratio rather than on
-    one path's whole measurement.  Also returns each path's groups/tick.
-    """
-    groups_sequential = sequential()  # warm-up; also the per-tick group count
-    groups_batched = batched()
-    timings: Tuple[List[float], List[float]] = ([], [])
-    paths = (sequential, batched)
-    for pair in range(pairs):
-        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-            tick = paths[side]
-            started = time.perf_counter()
-            for _ in range(ticks):
-                tick()
-            timings[side].append((time.perf_counter() - started) / ticks)
-    return timings[0], timings[1], groups_sequential, groups_batched
-
-
 def fleet_throughput(
     model_counts: Sequence[int] = DEFAULT_MODEL_COUNTS,
     ticks: int = 40,
@@ -132,7 +110,8 @@ def fleet_throughput(
     one fleet-wide budget — sized to fund exactly one slice per model — via
     the same urgency-ordered allocation.
 
-    The two paths are timed in alternating block pairs (:func:`_paired_ticks`).
+    The two paths are timed in alternating block pairs of ``ticks`` ticks
+    (:func:`~repro.experiments.reporting.paired_timings`).
     ``speedup`` is the median over pairs of sequential over batched
     seconds-per-tick, reported with the interquartile range of those
     ratios (``speedup_iqr``) and the pair count; the per-path figures are
@@ -156,18 +135,15 @@ def fleet_throughput(
             ]
             per_group = reference.get(reference.names()[0]).cost_model.pass_cost_s(1)
             budget_s = sum(slice_costs) + per_group
-        sequential_blocks, batched_blocks, groups_sequential, groups_batched = (
-            _paired_ticks(
-                lambda: _sequential_tick(engines[0], budget_s),
-                lambda: _batched_tick(engines[1], budget_s),
-                ticks,
-                pairs,
-            )
+        sequential = partial(_sequential_tick, engines[0], budget_s)
+        batched = partial(_batched_tick, engines[1], budget_s)
+        groups_sequential, groups_batched = sequential(), batched()
+        sequential_blocks, batched_blocks = paired_timings(
+            sequential, batched, rounds=pairs, iterations=ticks
         )
         sequential_s = float(np.median(sequential_blocks))
         batched_s = float(np.median(batched_blocks))
-        ratios = np.asarray(sequential_blocks) / np.asarray(batched_blocks)
-        low, high = np.percentile(ratios, [25, 75])
+        speedup, speedup_iqr = pair_ratio(sequential_blocks, batched_blocks)
         if groups_sequential != groups_batched:
             raise AssertionError(
                 f"paths verified different work: sequential {groups_sequential} "
@@ -184,8 +160,8 @@ def fleet_throughput(
                 "batched_ms_per_tick": batched_s * 1e3,
                 "sequential_groups_per_s": groups_sequential / sequential_s,
                 "batched_groups_per_s": groups_batched / batched_s,
-                "speedup": float(np.median(ratios)),
-                "speedup_iqr": float(high - low),
+                "speedup": speedup,
+                "speedup_iqr": speedup_iqr,
                 "pairs": int(pairs),
             }
         )

@@ -14,7 +14,7 @@ detection proved a rotated-arange structure) or one int8 gather plus one
 ``einsum`` (everywhere else), with every workspace reused across passes
 and — for adopted models — zero weight copies.  Each result row records
 whether the measured plane was fully ``structured`` plus the host's
-``available_cpus``, so the CI floor can be structure- and
+``available_cpus``, so the acceptance floor can be structure- and
 environment-aware.
 
 This experiment measures verified-groups-per-second of both paths over the
@@ -24,47 +24,27 @@ scheduler-planned shard **slice** (the amortized hot path) of ResNet-20 at
 (``full-r18``), and reports the speedup.  ``results/scan_kernel.json`` is
 the committed baseline; ``benchmarks/test_bench_scan_kernel.py`` asserts
 the acceptance bar (kernel ≥ 4× the oracle on full scans, ≥ 5× sliced, on
-structured layouts) and ``scripts/check_perf_regression.py --kind kernel``
-gates CI on it.
+structured layouts) before it writes a fresh artifact, and
+``scripts/check_perf_regression.py`` compares that artifact against the
+baseline.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
+
+import numpy as np
 
 from repro.core.config import RadarConfig
 from repro.core.protector import ModelProtector
+from repro.experiments.reporting import host_stamp, pair_ratio, paired_timings
 from repro.models.resnet_cifar import resnet20
 from repro.models.resnet_imagenet import resnet18
 from repro.quant.layers import quantize_model, quantized_layers
 
-TIMING_REPEATS = 5
+#: Alternating oracle/kernel timing pairs per mode.
+TIMING_ROUNDS = 15
 TIMING_ITERATIONS = 3
-
-
-def _best_of_pair(
-    first, second, repeats: int = TIMING_REPEATS, iterations: int = TIMING_ITERATIONS
-) -> Tuple[float, float]:
-    """Minimum per-call seconds of two workloads, timed in alternating blocks.
-
-    Interleaving the blocks (instead of timing one workload to completion
-    and then the other) keeps clock-frequency drift and background load
-    from landing entirely on one side of the resulting ratio.
-    """
-    first()  # warm-up: grows scratch buffers, primes caches
-    second()
-    bests = [float("inf"), float("inf")]
-    for _ in range(repeats):
-        for position, fn in enumerate((first, second)):
-            start = time.perf_counter()
-            for _ in range(iterations):
-                fn()
-            bests[position] = min(
-                bests[position], (time.perf_counter() - start) / iterations
-            )
-    return bests[0], bests[1]
 
 
 def _protected(model, group_size: int):
@@ -78,16 +58,18 @@ def _protected(model, group_size: int):
 
 
 def _row(
-    mode, protector, fused, model, rows_arg, num_shards, available_cpus, repeats, iterations
+    mode, protector, fused, model, rows_arg, num_shards, available_cpus, rounds, iterations
 ) -> Dict:
     """One study row: oracle vs kernel on ``rows_arg`` (``None`` = full scan)."""
     checked = fused.total_groups if rows_arg is None else int(rows_arg.size)
-    reference_s, kernel_s = _best_of_pair(
+    reference, kernel = paired_timings(
         lambda: protector.store.mismatched_rows(model, rows_arg),
         lambda: fused.mismatched_rows(model, rows_arg),
-        repeats,
-        iterations,
+        rounds=rounds,
+        iterations=iterations,
     )
+    reference_s, kernel_s = float(np.median(reference)), float(np.median(kernel))
+    speedup, speedup_iqr = pair_ratio(reference, kernel)
     return {
         "mode": mode,
         "groups": int(fused.total_groups),
@@ -99,14 +81,16 @@ def _row(
         "kernel_ms": kernel_s * 1e3,
         "reference_groups_per_s": checked / reference_s,
         "kernel_groups_per_s": checked / kernel_s,
-        "speedup": reference_s / kernel_s,
+        "speedup": speedup,
+        "speedup_iqr": speedup_iqr,
+        "pairs": int(rounds),
     }
 
 
 def scan_kernel_throughput(
     group_size: int = 8,
     num_shards: int = 8,
-    repeats: int = TIMING_REPEATS,
+    rounds: int = TIMING_ROUNDS,
     iterations: int = TIMING_ITERATIONS,
     seed: int = 7,
 ) -> List[Dict]:
@@ -117,25 +101,25 @@ def scan_kernel_throughput(
     22 quantized layers, the regime where the per-layer oracle pays its
     gather dispatch 22 times per scan.  The ``full-r18`` row is a full
     check of ResNet-18 (ImageNet, 1000 classes, ~11.7M weights) at the
-    paper's ``G = 512``, timed with one iteration per block (the oracle
+    paper's ``G = 512``, timed with one iteration per round (the oracle
     alone takes over 100 ms there).  Weights are
     freshly initialized (scan cost is content-independent, so no
     pretrained zoo is needed).  The kernel is measured in the fleet
     engine's steady state (model adopted into the weight plane, scratch
     warm) against the per-layer oracle, on a full scan and on the slice a
     ``num_shards``-shard :class:`~repro.core.scheduler.ScanScheduler`
-    plans per pass.
+    plans per pass.  Oracle and kernel are timed in ``rounds`` alternating
+    pairs (:func:`~repro.experiments.reporting.paired_timings`);
+    ``speedup`` is the median pair ratio, reported with its interquartile
+    range (``speedup_iqr``) and the pair count.
     """
-    try:
-        available_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        available_cpus = os.cpu_count() or 1
+    available_cpus = host_stamp()["available_cpus"]
     model = resnet20(seed=seed)
     protector, fused = _protected(model, group_size)
     scheduler = protector.scheduler(num_shards=num_shards)
     slice_rows = scheduler.slice_rows(scheduler.plan())
     rows: List[Dict] = [
-        _row("full", protector, fused, model, None, 1, available_cpus, repeats, iterations),
+        _row("full", protector, fused, model, None, 1, available_cpus, rounds, iterations),
         _row(
             "slice",
             protector,
@@ -144,13 +128,13 @@ def scan_kernel_throughput(
             slice_rows,
             num_shards,
             available_cpus,
-            repeats,
+            rounds,
             iterations,
         ),
     ]
     model = resnet18(seed=seed)
     protector, fused = _protected(model, 512)
     rows.append(
-        _row("full-r18", protector, fused, model, None, 1, available_cpus, repeats, 1)
+        _row("full-r18", protector, fused, model, None, 1, available_cpus, rounds, 1)
     )
     return rows

@@ -1,8 +1,10 @@
-"""Plain-text table rendering and result persistence for the harnesses.
+"""Plain-text table rendering, result persistence and timing for the harnesses.
 
 Every experiment returns a list of row dictionaries; :func:`render_table`
 prints them in the same layout as the corresponding paper table/figure so
-the benchmark output can be pasted directly into EXPERIMENTS.md.
+the benchmark output can be pasted directly into EXPERIMENTS.md.  Every
+timed study measures through :func:`paired_timings` and reports its
+ratios as :func:`pair_ratio` medians with their interquartile range.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +83,41 @@ def host_stamp() -> Dict[str, object]:
         "numpy": np.__version__,
         "python": platform.python_version(),
     }
+
+
+def paired_timings(
+    *workloads: Callable[[], object], rounds: int, iterations: int = 1
+) -> List[List[float]]:
+    """Per-round seconds per call of each workload, timed in alternating order.
+
+    Every workload runs once untimed first (scratch buffers, caches).  Each
+    round then times ``iterations`` calls of every workload back to back,
+    in forward order on even rounds and reverse order on odd ones, so a
+    slow spell of a shared host lands on every side of a ratio instead of
+    on one workload's whole measurement.  Returns one list of ``rounds``
+    samples per workload; round ``r`` of two lists is a timing pair.
+    """
+    for workload in workloads:
+        workload()
+    samples: List[List[float]] = [[] for _ in workloads]
+    order = list(range(len(workloads)))
+    for round_index in range(rounds):
+        for side in order if round_index % 2 == 0 else order[::-1]:
+            workload = workloads[side]
+            started = time.perf_counter()
+            for _ in range(iterations):
+                workload()
+            samples[side].append((time.perf_counter() - started) / iterations)
+    return samples
+
+
+def pair_ratio(
+    numerator: Sequence[float], denominator: Sequence[float]
+) -> Tuple[float, float]:
+    """Median and interquartile range of the per-pair ratios of two sample lists."""
+    ratios = np.asarray(numerator) / np.asarray(denominator)
+    low, high = np.percentile(ratios, [25, 75])
+    return float(np.median(ratios)), float(high - low)
 
 
 def _cpu_model() -> str:

@@ -296,16 +296,6 @@ class TimingModel:
             )
         return batches_checked * cycles / config.frequency_hz
 
-    # -- combined -----------------------------------------------------------------
-    def protected_inference_s(
-        self,
-        ops: Sequence[LayerOps],
-        radar_config: RadarConfig,
-        batch_size: int = 1,
-    ) -> float:
-        """Inference latency with RADAR checking embedded (batch loads weights once)."""
-        return self.baseline_inference_s(ops, batch_size) + self.radar_overhead_s(ops, radar_config)
-
     def overhead_percent(self, baseline_s: float, overhead_s: float) -> float:
         if baseline_s <= 0:
             raise SimulationError("baseline time must be positive")

@@ -40,11 +40,6 @@ class _QuantizedWeightMixin:
         self.qweight = quantized
         self.quant_params = params
 
-    def dequantize_to_float(self) -> None:
-        """Fold the (possibly corrupted) int8 weights back into the float weight."""
-        self._require_quantized()
-        self.weight.data = dequantize(self.qweight, self.quant_params)
-
     def set_qweight(self, qweight: np.ndarray) -> None:
         """Replace the stored int8 weights (used by attacks and recovery)."""
         self._require_quantized()

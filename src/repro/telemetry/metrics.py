@@ -237,14 +237,6 @@ class MetricRegistry:
         """The histogram if it has been created (no creation side effect)."""
         return self._histograms.get((name, _labels_key(labels)))
 
-    def find_counter(self, name: str, **labels: object) -> Optional[Counter]:
-        """The counter if it has been created (no creation side effect)."""
-        return self._counters.get((name, _labels_key(labels)))
-
-    def find_gauge(self, name: str, **labels: object) -> Optional[Gauge]:
-        """The gauge if it has been created (no creation side effect)."""
-        return self._gauges.get((name, _labels_key(labels)))
-
     # Deterministic iteration for the Prometheus exposition layer: one
     # (name, labels-dict, metric) triple per series, sorted by key.
     def iter_counters(self) -> List[Tuple[str, Dict[str, str], Counter]]:

@@ -548,6 +548,26 @@ class TestSlaReportCommand:
             assert row["missed"] == 0
             assert row["p99_detection_ticks"] == row["p99_detection_ticks"]  # finite
 
+    def test_seed_fixes_the_injections(self, tmp_path, capsys):
+        """Same ``--seed``: identical tick-space rows; another seed moves the flips."""
+        from repro.experiments.campaign import deterministic_rows
+
+        def report(seed, name):
+            output = tmp_path / name
+            argv = ["sla-report", "--scenario", "random-burst", "--scenario",
+                    "random-trickle", "--seed", str(seed), "--output", str(output)]
+            assert main(argv) == 0
+            return deterministic_rows(json.loads(output.read_text())["rows"])
+
+        first, again, other = report(0, "a.json"), report(0, "b.json"), report(1, "c.json")
+        capsys.readouterr()
+        assert first == again
+        assert [row["injections"] for row in other] == [row["injections"] for row in first]
+        # The flips land elsewhere, so the rotation reaches them after other lags.
+        assert [row["mean_detection_ticks"] for row in other] != [
+            row["mean_detection_ticks"] for row in first
+        ]
+
     def test_unknown_scenario_is_an_error(self, capsys):
         code = main(["sla-report", "--scenario", "no-such-scenario"])
         assert code == 2

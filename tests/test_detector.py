@@ -81,15 +81,6 @@ class TestRadarDetector:
         assert report.num_flagged_groups == 2
         assert len(report.flagged_layers()) == 2
 
-    def test_scan_layer_returns_only_that_layer(self, protected_mlp):
-        model, store = protected_mlp
-        flip = _flip_msb(model, layer_index=0, flat_index=5)
-        detector = RadarDetector(store)
-        flagged = detector.scan_layer(model, flip.layer_name)
-        assert flagged.size == 1
-        other_layers = [name for name in store.layer_names() if name != flip.layer_name]
-        assert detector.scan_layer(model, other_layers[0]).size == 0
-
 
 class TestCountDetectedFlips:
     def test_counts_flips_in_flagged_groups(self, protected_mlp):

@@ -431,15 +431,13 @@ class TestBatchedEquivalence:
     def test_heterogeneous_fleet_shares_one_bucketed_batch(self):
         """Mixed architectures coalesce via padded stacking (same kernel key).
 
-        With the width-disparity guard disabled, even a LeNet slice that
-        dwarfs the MLP slices rides the one stacked pass (the PR-4
-        no-sequential-fallback guarantee in its pure form).
+        The MLPs (~70k weights) are sized within the width-disparity guard
+        of the LeNet (82k), so all three ride one stacked pass with no
+        sequential fallback.
         """
-        engine = VerificationEngine(
-            RadarConfig(group_size=8), num_shards=4, max_padding_waste=None
-        )
-        engine.register("mlp-a", _small_model(1))
-        engine.register("mlp-b", _small_model(2))
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        engine.register("mlp-a", _small_model(1, hidden=(120,), input_dim=576))
+        engine.register("mlp-b", _small_model(2, hidden=(120,), input_dim=576))
         lenet = LeNet5(num_classes=4, seed=3)
         quantize_model(lenet)
         engine.register("lenet", lenet)

@@ -1,9 +1,9 @@
 """Tests for ``scripts/check_perf_regression.py``: pass, fail, promote.
 
-The gate judges a fresh artifact against its committed baseline and ends
-on either the pass line or ``REGRESSION GATE FAILED``.  ``--promote``
-copies a fresh artifact over its baseline only after a pass, never after
-a failure.
+The gate judges fresh artifacts against the committed baselines of the
+same names and ends on either the pass line or ``REGRESSION GATE
+FAILED``.  ``--promote`` copies fresh artifacts over their baselines only
+after a pass, and never from a host with fewer CPUs than the baseline's.
 """
 
 from __future__ import annotations
@@ -31,84 +31,129 @@ def gate():
     return module
 
 
-def _rows(speedups=(0.9, 1.3, 2.4)):
-    """A ``--kind fleet`` artifact (``results/fleet_throughput.json`` shape)."""
-    return {
+def _fleet(speedups=(0.9, 1.3, 2.4), cpus=None, groups=68):
+    """A ``fleet_throughput.json`` artifact, optionally host-stamped."""
+    payload = {
         "rows": [
             {
                 "num_models": num_models,
-                "groups_per_tick": 68 * num_models,
+                "groups_per_tick": groups * num_models,
                 "speedup": speedup,
             }
             for num_models, speedup in zip((2, 4, 16), speedups)
         ]
     }
+    if cpus is not None:
+        payload["metadata"] = {"host": {"available_cpus": cpus}}
+    return payload
 
 
-def _gate_args(tmp_path, baseline, fresh):
-    baseline_path = tmp_path / "baseline.json"
-    fresh_path = tmp_path / "fresh.json"
-    baseline_path.write_text(json.dumps(baseline))
-    fresh_path.write_text(json.dumps(fresh))
-    return [
-        "--kind", "fleet",
-        "--baseline", str(baseline_path),
-        "--fresh", str(fresh_path),
-        "--tolerance", "0.5",
-        "--min-speedup", "2.0",
-    ]
+def _campaign(p99=3.0):
+    """A ``campaign_sla.json`` artifact (deterministic rows)."""
+    row = {"case": "burst:model-0", "missed": 0, "p99_detection_ticks": p99}
+    return {"rows": [row]}
 
 
-def _run(gate, tmp_path, capsys, baseline, fresh):
-    status = gate.main(_gate_args(tmp_path, baseline, fresh))
-    return status, capsys.readouterr().out.strip().splitlines()
+def _run(gate, tmp_path, capsys, artifacts, promote=False):
+    """Gate ``{name: (baseline, fresh)}``; returns status, output lines, texts."""
+    fresh_paths = []
+    for directory in ("baseline", "fresh"):
+        (tmp_path / directory).mkdir(exist_ok=True)
+    for name, (baseline, fresh) in artifacts.items():
+        (tmp_path / "baseline" / f"{name}.json").write_text(json.dumps(baseline))
+        fresh_paths.append(tmp_path / "fresh" / f"{name}.json")
+        fresh_paths[-1].write_text(json.dumps(fresh))
+    args = [str(path) for path in fresh_paths]
+    args += ["--baseline-dir", str(tmp_path / "baseline")]
+    status = gate.main(args + (["--promote"] if promote else []))
+    lines = capsys.readouterr().out.strip().splitlines()
+    baselines = {
+        name: (tmp_path / "baseline" / f"{name}.json").read_text() for name in artifacts
+    }
+    return status, lines, baselines
 
 
 def test_a_passing_run_gets_a_real_verdict(gate, tmp_path, capsys):
-    status, lines = _run(gate, tmp_path, capsys, _rows(), _rows((0.8, 1.2, 2.3)))
+    artifacts = {
+        "fleet_throughput": (_fleet(), _fleet((0.8, 1.2, 2.3))),
+        "campaign_sla": (_campaign(), _campaign()),
+    }
+    status, lines, _ = _run(gate, tmp_path, capsys, artifacts)
     assert status == 0
-    assert any(line.startswith("acceptance floor: best fleet speedup") for line in lines)
+    assert "fleet_throughput num_models=16: speedup 2.30x (baseline 2.40x)" in lines
+    assert "campaign_sla: 1 rows compared with the baseline" in lines
     assert lines[-1].startswith("regression gate passed")
 
 
 def test_a_regression_fails_the_gate(gate, tmp_path, capsys):
-    # The 4-model ratio halves past the tolerance and the best row drops
-    # under the absolute floor: both are reported.
-    status, lines = _run(gate, tmp_path, capsys, _rows(), _rows((0.8, 0.6, 1.9)))
+    # The 4-model ratio halves past the floor; nothing else moved.
+    artifacts = {"fleet_throughput": (_fleet(), _fleet((0.9, 0.6, 2.4)))}
+    status, lines, _ = _run(gate, tmp_path, capsys, artifacts)
     assert status == 1
-    assert any("num_models=4: speedup fell to 0.60x" in line for line in lines)
-    assert any("below the 2.00x acceptance floor" in line for line in lines)
-    assert any("REGRESSION GATE FAILED" in line for line in lines)
+    assert any("num_models=4: speedup fell to 0.6 " in line for line in lines)
+    assert "REGRESSION GATE FAILED:" in lines
+    assert len([line for line in lines if line.startswith("  - ")]) == 1
 
 
-def _promote(gate, tmp_path, capsys, fresh):
-    baseline_text = json.dumps(_rows())
-    args = _gate_args(tmp_path, _rows(), fresh)
-    status = gate.main(args + ["--promote"])
-    lines = capsys.readouterr().out.strip().splitlines()
-    baseline_after = (tmp_path / "baseline.json").read_text()
-    fresh_text = (tmp_path / "fresh.json").read_text()
-    return status, lines, baseline_text, baseline_after, fresh_text
+@pytest.mark.parametrize(
+    "name, baseline, fresh, expected",
+    [
+        ("fleet_throughput", _fleet(), _fleet(groups=64), "groups_per_tick changed"),
+        ("fleet_throughput", _fleet(), {"rows": _fleet()["rows"][:2]}, "values differ"),
+        ("campaign_sla", _campaign(), _campaign(p99=4.0), "p99_detection_ticks"),
+        ("scan_overview", _fleet(), _fleet(), "scan_overview: no gate declared"),
+    ],
+    ids=["structural-field", "missing-key", "campaign-row", "undeclared-artifact"],
+)
+def test_a_changed_artifact_fails_the_gate(
+    gate, tmp_path, capsys, name, baseline, fresh, expected
+):
+    status, lines, _ = _run(gate, tmp_path, capsys, {name: (baseline, fresh)})
+    assert status == 1
+    assert any(expected in line for line in lines), lines
+    assert "REGRESSION GATE FAILED:" in lines
 
 
 def test_promote_copies_fresh_over_baseline_on_a_pass(gate, tmp_path, capsys):
-    status, lines, _, baseline_after, fresh_text = _promote(
-        gate, tmp_path, capsys, _rows((0.8, 1.2, 2.3))
+    # An unstamped baseline is promotable from any host.
+    fresh = _fleet((0.8, 1.2, 2.3), cpus=2)
+    status, lines, baselines = _run(
+        gate, tmp_path, capsys, {"fleet_throughput": (_fleet(), fresh)}, promote=True
     )
     assert status == 0
-    assert baseline_after == fresh_text
+    assert json.loads(baselines["fleet_throughput"]) == fresh
     assert lines[-1].startswith("promoted")
-    assert "baseline.json" in lines[-1]
+    assert lines[-1].endswith("fleet_throughput.json")
 
 
 def test_promote_refuses_after_a_failure(gate, tmp_path, capsys):
-    status, lines, baseline_before, baseline_after, _ = _promote(
-        gate, tmp_path, capsys, _rows((0.8, 1.2, 1.5))
+    status, lines, baselines = _run(
+        gate,
+        tmp_path,
+        capsys,
+        {"fleet_throughput": (_fleet(), _fleet((0.8, 0.6, 2.3)))},
+        promote=True,
     )
     assert status == 1
-    assert baseline_after == baseline_before
-    assert any("REGRESSION GATE FAILED" in line for line in lines)
-    assert lines[-1].startswith("not promoted")
+    assert json.loads(baselines["fleet_throughput"]) == _fleet()
+    assert "REGRESSION GATE FAILED:" in lines
+    assert lines[-1].startswith("not promoted: the gate failed")
+
+
+def test_promote_refuses_from_a_weaker_host(gate, tmp_path, capsys):
+    baseline = _fleet(cpus=4)
+    status, lines, baselines = _run(
+        gate,
+        tmp_path,
+        capsys,
+        {"fleet_throughput": (baseline, _fleet((0.9, 1.3, 2.4), cpus=2))},
+        promote=True,
+    )
+    assert status == 1
+    assert json.loads(baselines["fleet_throughput"]) == baseline
+    assert lines[-2].startswith("regression gate passed")
+    assert lines[-1].startswith("not promoted:")
+    assert "2 CPUs, its baseline on 4" in lines[-1]
 
 
 def test_fresh_artifact_carries_the_host_stamp(gate, tmp_path, monkeypatch):
@@ -120,10 +165,13 @@ def test_fresh_artifact_carries_the_host_stamp(gate, tmp_path, monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     bench.emit("timed", [{"mode": "a", "ms": 1.25}], filename="timed.json")
-    bench.emit("campaign", [{"mode": "a"}], filename="campaign.json", deterministic=True)
+    bench.save([{"mode": "a"}], "campaign.json", deterministic=True)
     host = json.loads((tmp_path / "timed.json").read_text())["metadata"]["host"]
     assert host["available_cpus"] >= 1
     assert host["cpu_model"] and host["numpy"] and host["python"]
+    assert gate.available_cpus(tmp_path / "timed.json") == host["available_cpus"]
     assert "metadata" not in json.loads((tmp_path / "campaign.json").read_text())
+    assert gate.available_cpus(tmp_path / "campaign.json") is None
     # The gate reads only the rows.
-    assert gate.load_rows(tmp_path / "timed.json", "mode") == {"a": {"mode": "a", "ms": 1.25}}
+    rows = gate.load_rows(tmp_path / "timed.json", "mode")
+    assert rows == {"a": {"mode": "a", "ms": 1.25}}

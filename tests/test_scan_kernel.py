@@ -410,24 +410,23 @@ class TestHeterogeneousEngine:
     def test_mixed_architecture_fleet_coalesces_and_detects(self):
         """>= 4 models of mixed structure run as ONE stacked bucketed pass.
 
-        ``max_padding_waste=None`` disables the width-disparity guard so
-        the assertion pins the pure PR-4 coalescing guarantee; the default
-        guard's sub-splitting behaviour is covered separately.
+        The MLPs are sized so every slice is within the width-disparity
+        guard of the LeNet's (~70-80k weights each against its 82k), so the
+        guard keeps the whole bucket coalesced; its sub-splitting of a
+        dwarfing slice is covered separately.
         """
-        engine = VerificationEngine(
-            RadarConfig(group_size=8), num_shards=4, max_padding_waste=None
-        )
-        engine.register("mlp-a", self._mlp(0, (16,)))
-        engine.register("mlp-b", self._mlp(1, (16,)))
-        engine.register("wide", self._mlp(2, (24, 12)))
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        engine.register("mlp-a", self._mlp(0, (120,)))
+        engine.register("mlp-b", self._mlp(1, (120,)))
+        engine.register("wide", self._mlp(2, (120, 84)))
         lenet = LeNet5(num_classes=4, seed=3)
         quantize_model(lenet)
         engine.register("lenet", lenet)
 
         reference = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
-        reference.register("mlp-a", self._mlp(0, (16,)))
-        reference.register("mlp-b", self._mlp(1, (16,)))
-        reference.register("wide", self._mlp(2, (24, 12)))
+        reference.register("mlp-a", self._mlp(0, (120,)))
+        reference.register("mlp-b", self._mlp(1, (120,)))
+        reference.register("wide", self._mlp(2, (120, 84)))
         lenet_ref = LeNet5(num_classes=4, seed=3)
         quantize_model(lenet_ref)
         reference.register("lenet", lenet_ref)
@@ -458,7 +457,7 @@ class TestHeterogeneousEngine:
 
     @staticmethod
     def _mlp(seed, hidden):
-        model = MLP(input_dim=32, num_classes=4, hidden_dims=hidden, seed=seed)
+        model = MLP(input_dim=576, num_classes=4, hidden_dims=hidden, seed=seed)
         quantize_model(model)
         return model
 
@@ -584,12 +583,8 @@ class TestWidthDisparityGuard:
             quantize_model(lenet)
             register_into.register("lenet", lenet)
 
-        guarded = VerificationEngine(
-            RadarConfig(group_size=8), num_shards=4, max_padding_waste=0.5
-        )
-        sequential = VerificationEngine(
-            RadarConfig(group_size=8), num_shards=4, max_padding_waste=0.5
-        )
+        guarded = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        sequential = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
         build(guarded)
         build(sequential)
         # Corrupt two models (the dwarf and a small one) in both fleets.
@@ -615,10 +610,6 @@ class TestWidthDisparityGuard:
                 if outcome.attack_detected:
                     detected.add(name)
         assert detected == {"lenet", "mlp-0"}
-
-    def test_engine_rejects_invalid_guard_threshold(self):
-        with pytest.raises(ProtectionError, match="max_padding_waste"):
-            VerificationEngine(RadarConfig(group_size=8), max_padding_waste=1.5)
 
 
 class TestStructureDetectionEdgeCases:
