@@ -30,7 +30,7 @@ import pytest
 
 from benchmarks.conftest import emit, save
 from repro.core import RadarConfig, RecoveryPolicy, VerificationEngine
-from repro.experiments.reporting import paired_timings
+from repro.experiments.reporting import pair_ratio, paired_timings
 from repro.models.small import MLP
 from repro.quant.layers import quantize_model
 from repro.telemetry.trace import NULL_TRACER, FlightRecorder, SpanTracer
@@ -114,14 +114,18 @@ def test_tracing_overhead_stays_inside_budget():
 
     enabled_pct = tracer_cost_s / baseline_tick_s * 100.0
     # Disabled: the call sites are compiled in; price them directly.
-    disabled_pct = (
-        _null_site_cost_s() * spans_per_tick / baseline_tick_s * 100.0
-    )
+    sites_s = _null_site_cost_s() * spans_per_tick
+    disabled_pct = sites_s / baseline_tick_s * 100.0
+    # Each share's spread over the timed pairs, in percentage points.
+    _, enabled_iqr = pair_ratio(np.subtract(traced_ticks, null_ticks), null_ticks)
+    _, disabled_iqr = pair_ratio(np.full(len(null_ticks), sites_s), null_ticks)
 
     rows = [
         {
             "mode": "disabled",
             "overhead_pct": disabled_pct,
+            "overhead_pct_iqr": disabled_iqr * 100.0,
+            "pairs": MEASURE_ROUNDS,
             "max_overhead_pct": DISABLED_BUDGET_PCT,
             "spans_per_tick": spans_per_tick,
             "tick_ms": baseline_tick_s * 1e3,
@@ -129,6 +133,8 @@ def test_tracing_overhead_stays_inside_budget():
         {
             "mode": "enabled",
             "overhead_pct": enabled_pct,
+            "overhead_pct_iqr": enabled_iqr * 100.0,
+            "pairs": MEASURE_ROUNDS,
             "max_overhead_pct": ENABLED_BUDGET_PCT,
             "spans_per_tick": spans_per_tick,
             "tick_ms": enabled_tick_s * 1e3,

@@ -104,9 +104,8 @@ def compute_group_sums(
     # fallback keeps pathological group sizes exact.
     accum = accumulator_dtype(layout.group_size)
     if groups is None:
-        gathered = layout.gather(qweight_flat, dtype=np.int8)
-    else:
-        gathered = layout.gather_rows(qweight_flat, groups, dtype=np.int8)
+        groups = np.arange(layout.num_groups)
+    gathered = layout.gather_rows(qweight_flat, groups, dtype=np.int8)
     if key is not None:
         signs = key.signs(layout.group_size, dtype=np.int8)
         sums = np.einsum("ij,j->i", gathered, signs, dtype=accum)

@@ -19,7 +19,8 @@ back to real weights during recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +29,13 @@ from repro.errors import ProtectionError
 PAD_INDEX = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupLayout:
-    """The mapping between original weight indices and checksum groups."""
+    """The mapping between original weight indices and checksum groups.
+
+    A closed form with no per-weight array.  Frozen: equal-shaped layers
+    share one layout (:func:`~repro.core.signature.shared_layout`).
+    """
 
     num_weights: int
     group_size: int
@@ -42,51 +47,56 @@ class GroupLayout:
             raise ProtectionError(f"num_weights must be positive, got {self.num_weights}")
         if self.group_size < 2:
             raise ProtectionError(f"group_size must be >= 2, got {self.group_size}")
-        self.num_groups = int(np.ceil(self.num_weights / self.group_size))
-        self.padded_size = self.num_groups * self.group_size
-        self._group_of_index = self._build_group_assignment()
-        self._groups = self._build_groups()
-        # Equal-shaped layers share one layout (see SignatureStore), so its
-        # maps are write-locked: a stray in-place write would otherwise
-        # regroup every store holding it.
-        self._group_of_index.setflags(write=False)
-        self._groups.setflags(write=False)
 
-    # -- construction --------------------------------------------------------
-    def _build_group_assignment(self) -> np.ndarray:
-        indices = np.arange(self.padded_size, dtype=np.int64)
-        if not self.use_interleave or self.num_groups == 1:
-            return indices // self.group_size
-        rows = indices // self.num_groups
-        columns = indices % self.num_groups
-        return (columns - rows * self.interleave_offset) % self.num_groups
+    @cached_property
+    def num_groups(self) -> int:
+        return -(-self.num_weights // self.group_size)
 
-    def _build_groups(self) -> np.ndarray:
-        """(num_groups, group_size) matrix of original indices (PAD_INDEX for padding).
+    @cached_property
+    def padded_size(self) -> int:
+        return self.num_groups * self.group_size
 
-        Every block of ``num_groups`` consecutive indices assigns exactly one
-        member to each group (the t-interleave is a per-row rotation), so a
-        stable sort by group id yields exactly ``group_size`` members per
-        group and the reshape below is well-defined.
+    @cached_property
+    def _slot_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Write-locked ``(G, 1)`` columns: group 0's member at slot ``r``
+        and the end of its row, ``(r + 1) * N``; int32 when the layer fits."""
+        slots = np.arange(self.group_size, dtype=np.int64)[:, None]
+        n = self.num_groups
+        first = slots * n + slots * self.interleave_offset % n if self.use_interleave else slots
+        dtype = np.int32 if self.padded_size <= np.iinfo(np.int32).max else np.int64
+        bounds = (first.astype(dtype), ((slots + 1) * n).astype(dtype))
+        for bound in bounds:
+            bound.setflags(write=False)
+        return bounds
+
+    # -- the closed form -------------------------------------------------------
+    def slot_indices(self, group_indices: np.ndarray) -> np.ndarray:
+        """``(k, group_size)`` original indices of the given groups' slots.
+
+        Contiguous group ``g`` holds ``g * G + r`` at slot ``r``;
+        t-interleaved group ``g`` holds ``r * N + (g + r * t) mod N``, its
+        one member in each row of ``N = num_groups`` weights.  Padded slots
+        read :data:`PAD_INDEX`.  Every index query, and the scan kernel's
+        structure proof, goes through this method.
         """
-        order = np.argsort(self._group_of_index, kind="stable")
-        groups = order.reshape(self.num_groups, self.group_size)
-        return np.where(groups < self.num_weights, groups, PAD_INDEX)
+        first, stop = self._slot_bounds
+        groups = np.asarray(group_indices).astype(first.dtype, copy=False)
+        # Built slot-major, so every ufunc streams along the long group axis.
+        if self.use_interleave:
+            indices = first + groups
+            # g + s_r < 2N, so "mod N" is one conditional subtraction.
+            np.subtract(indices, self.num_groups, out=indices, where=indices >= stop)
+        else:
+            indices = first + groups * self.group_size
+        if self.padded_size > self.num_weights:
+            indices[indices >= self.num_weights] = PAD_INDEX
+        return indices.T
 
     # -- queries --------------------------------------------------------------
     @property
     def groups(self) -> np.ndarray:
-        """Copy of the (num_groups, group_size) index matrix."""
-        return self._groups.copy()
-
-    @property
-    def index_matrix(self) -> np.ndarray:
-        """The write-locked (num_groups, group_size) index matrix itself.
-
-        :attr:`groups` without the copy, for callers that only read it
-        (the scan kernel builds its geometry from it).
-        """
-        return self._groups
+        """The (num_groups, group_size) index matrix, computed afresh."""
+        return self.slot_indices(np.arange(self.num_groups))
 
     def group_of(self, flat_index: int) -> int:
         """Group id of an original weight index."""
@@ -94,7 +104,11 @@ class GroupLayout:
             raise ProtectionError(
                 f"flat_index {flat_index} out of range for layer of {self.num_weights} weights"
             )
-        return int(self._group_of_index[flat_index])
+        flat_index = int(flat_index)
+        if not self.use_interleave:
+            return flat_index // self.group_size
+        n = self.num_groups
+        return (flat_index % n - (flat_index // n) * self.interleave_offset) % n
 
     def members_of(self, group_index: int) -> np.ndarray:
         """Original weight indices belonging to ``group_index`` (padding removed)."""
@@ -102,8 +116,7 @@ class GroupLayout:
             raise ProtectionError(
                 f"group_index {group_index} out of range ({self.num_groups} groups)"
             )
-        members = self._groups[group_index]
-        return members[members != PAD_INDEX].copy()
+        return self.member_indices(np.array([group_index]))
 
     def gather(self, flat_values: np.ndarray, dtype=np.int64) -> np.ndarray:
         """Arrange ``flat_values`` into the (num_groups, group_size) layout.
@@ -114,15 +127,7 @@ class GroupLayout:
         narrow-accumulation checksum path gathers int8 weights as int8 and
         defers widening to the accumulator.
         """
-        flat_values = np.asarray(flat_values)
-        if flat_values.shape != (self.num_weights,):
-            raise ProtectionError(
-                f"Expected a flat array of {self.num_weights} values, got shape {flat_values.shape}"
-            )
-        gathered = np.zeros((self.num_groups, self.group_size), dtype=dtype)
-        valid = self._groups != PAD_INDEX
-        gathered[valid] = flat_values[self._groups[valid]]
-        return gathered
+        return self.gather_rows(flat_values, np.arange(self.num_groups), dtype)
 
     def gather_rows(
         self, flat_values: np.ndarray, group_indices: np.ndarray, dtype=np.int64
@@ -145,10 +150,11 @@ class GroupLayout:
             raise ProtectionError(
                 f"group indices out of range ({self.num_groups} groups)"
             )
-        rows = self._groups[group_indices]
-        valid = rows != PAD_INDEX
-        gathered = np.zeros(rows.shape, dtype=dtype)
-        gathered[valid] = flat_values[rows[valid]]
+        rows = self.slot_indices(group_indices)
+        # A padded slot's PAD_INDEX (-1) reads the last weight; zero it after.
+        gathered = flat_values.take(rows).astype(dtype, copy=False)
+        if self.padded_size > self.num_weights:
+            gathered[rows == PAD_INDEX] = 0
         return gathered
 
     def member_indices(self, group_indices: np.ndarray) -> np.ndarray:
@@ -166,39 +172,23 @@ class GroupLayout:
             raise ProtectionError(
                 f"group indices out of range ({self.num_groups} groups)"
             )
-        members = self._groups[group_indices].reshape(-1)
+        members = self.slot_indices(group_indices).reshape(-1)
         return members[members != PAD_INDEX]
 
     def slot_shifts(self) -> Optional[np.ndarray]:
-        """Per-slot rotations of the rotated-arange gather structure, if any.
+        """Per-slot rotations ``s_r = (r * t) % N`` of an interleaved layout.
 
-        For a t-interleaved layout, group ``g``'s member at slot ``r`` sits
-        at original index ``r * N + (g + s_r) % N`` with ``N = num_groups``
-        and ``s_r = (r * t) % N`` — i.e. slot ``r``'s gather column over all
-        groups is the contiguous block ``[r * N, (r + 1) * N)`` rotated left
-        by ``s_r``.  Equivalently, slot ``r`` of group ``g`` sits at
-        ``r * (N + t) + g - m * N`` with ``m = (r * t + g) // N``: for each
-        wrap count ``m`` a uniform-strided view of the weights.  That is
-        what lets the scan kernel replace the fancy gather with einsums over
-        strided views (:class:`~repro.core.signature.PlaneStructure`).
-
-        Returns the ``(group_size,)`` int64 shift vector, or ``None`` for
-        layouts the detector deliberately does not claim and the kernel
-        serves through the general gather instead: contiguous layouts (slot
-        columns are stride-``G`` sequences, not rotations), single-group
-        layouts (one group per slot row — nothing a strided view would
-        batch), and zero-rotation interleaves (``t % N == 0``: every shift
-        collapses to 0 — the detector is deliberately conservative and only
-        claims proper rotations, so degenerate edge cases ride the
-        always-correct general gather instead of a special branch).
-        Offsets *not coprime*
-        with ``N`` are still proper rotations (``s_r`` just cycles through
-        ``gcd(t, N)``-step values) and are claimed — real layer sizes are
-        routinely divisible by the paper's ``t = 3``.
+        Slot ``r``'s members over all groups are the block ``[r * N, (r +
+        1) * N)`` rotated left by ``s_r``, so for each wrap count ``m = (r *
+        t + g) // N`` they form a uniform-strided view of the weights at
+        ``r * (N + t) + g - m * N``: what the scan kernel's band path
+        (:class:`~repro.core.signature.PlaneStructure`) sums without a
+        gather.  ``None`` for the layouts it deliberately leaves to the
+        general gather: contiguous ones, and interleaves with no rotation
+        (``t % N == 0``, which includes a single group).  Offsets sharing a
+        factor with ``N`` are still proper rotations and are claimed.
         """
-        if not self.use_interleave or self.num_groups == 1:
-            return None
-        if self.interleave_offset % self.num_groups == 0:
+        if not self.use_interleave or self.interleave_offset % self.num_groups == 0:
             return None
         return (
             np.arange(self.group_size, dtype=np.int64) * self.interleave_offset

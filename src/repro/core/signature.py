@@ -12,20 +12,20 @@ The store's per-layer recomputation (:meth:`SignatureStore.current_signatures`,
 The run-time side of this module is the **zero-copy scan kernel**,
 :func:`stacked_mismatched_rows`, over the fused views of
 :class:`FusedSignatures`: all layers fused into one contiguous int8 weight
-plane, read through a single global gather-index matrix and a single int8
-sign mask.  Verifying a wide contiguous range of an interleaved plane is a
+plane.  Verifying a wide contiguous range of an interleaved plane is a
 few int16 ``einsum`` calls per layer over strided views of the plane
 itself (:class:`PlaneStructure`); any other row set is one int8 gather
-plus one int16 ``einsum``.  Neither path has a per-group Python loop or a
-materialized product matrix, and (for engine-adopted models) neither
-copies a weight.  Every verification path — one model, an engine bucket
-(:class:`StackedVerifier`) — is a thin caller of that one kernel.
+plus one int16 ``einsum``, with no per-group Python loop and (for
+engine-adopted models) no weight copy.  Every verification path — one
+model, an engine bucket (:class:`StackedVerifier`) — is a thin caller of
+that one kernel.
 
-**Geometry per shape, state per model.**  The index and sign matrices,
-the layer offsets and the band structure depend only on the layers'
-layouts, secret keys and group size, never on the weights.  They live in
-a write-locked :class:`KernelGeometry` that :func:`kernel_geometry` builds
-once per plane shape and shares; layouts are shared the same way
+**Geometry per shape, state per model.**  The gather columns, the layer
+offsets and the band structure depend only on the layers' layouts, secret
+keys and group size, never on the weights.  They live in a write-locked
+:class:`KernelGeometry` that :func:`kernel_geometry` builds once per plane
+shape and shares, holding gather columns only where a gather reads them;
+layouts are closed forms with no per-weight arrays, shared the same way
 (:func:`shared_layout`).  A view itself holds only its goldens, its plane
 and the adoption registry, so a fleet of equal-shaped models — or a model
 re-signed over new weights — pays for its geometry once.
@@ -86,8 +86,8 @@ def shared_layout(
 ) -> GroupLayout:
     """The one live :class:`GroupLayout` with these parameters (built on a miss).
 
-    A layout is a pure function of its parameters and its maps are
-    write-locked, so equal-shaped layers share one — across the models of
+    A layout is a pure function of its parameters and frozen, so
+    equal-shaped layers share one — across the models of
     a fleet and within a model (ResNets repeat their conv shapes) — and
     views over them share one :class:`KernelGeometry`.  Two threads racing
     on a miss may each build one; either is correct.
@@ -379,28 +379,28 @@ class PlaneStructure:
     Built once per plane shape by :class:`KernelGeometry` after
     *numerically verifying* each layer's analytic
     :meth:`~repro.core.interleave.GroupLayout.slot_shifts` hint against the
-    layer's actual index matrix (see :func:`_verified_slot_shifts`).
+    layout's own index computation (see :func:`_verified_slot_shifts`).
 
-    :meth:`band_sums` computes the masked sums of a contiguous global-row
-    range without gathering.  On a structured layer of ``N`` groups with
-    interleave ``t``, slot ``r`` of group ``g`` sits at plane offset
-    ``base + r*N + (g + r*t) mod N``.  Splitting the slot-by-group grid by
-    the wrap count ``m = (r*t + g) // N`` turns each part into a
-    uniform-strided view of the plane — ``base - m*N + r*(N + t) + g`` —
-    so the layer's sums are ``Σ_m einsum(view_m, band_m)``, where
-    ``band_m`` is the layer's slot-major sign mask zeroed outside the
-    band's staircase.  Bands are trimmed to their bounding boxes (at most
-    ~2× the layer's area), cut once at construction from the kernel's sign
-    matrix and write-locked; views are built per call with
-    ``np.ndarray(buffer=plane, ...)``, which bounds-checks every one.  Positions a box covers outside the
-    staircase (other wraps, padded slots, the next layer's weights) carry
-    sign 0, so the sums equal the general gather's exactly modulo 2**16.
-    Layers that are unstructured, too small for the per-band dispatch to
-    pay off (:data:`MIN_WEIGHTS_PER_BAND`) or whose boxes would leave the
-    plane stay on the general ``np.take`` gather.
+    On a structured layer of ``N`` groups with interleave ``t``, slot ``r``
+    of group ``g`` sits at plane offset ``base + r*N + (g + r*t) mod N``.
+    Splitting the slot-by-group grid by the wrap count ``m = (r*t + g) //
+    N`` turns each part into a uniform-strided view of the plane —
+    ``base - m*N + r*(N + t) + g`` — so the layer's sums are ``Σ_m
+    einsum(view_m, band_m)`` (:meth:`KernelGeometry.band_sums`), where
+    ``band_m`` holds slot ``r``'s key sign on the band's staircase and 0
+    elsewhere.  Bands are trimmed to their bounding boxes (at most ~2× the
+    layer's area), cut once at construction from each layer's ``(G,)`` key
+    vector and write-locked; views are built per call with
+    ``np.ndarray(buffer=plane, ...)``, which bounds-checks every one.
+    Positions a box covers outside the staircase (other wraps, padded
+    slots, the next layer's weights) carry sign 0, so the sums equal the
+    general gather's exactly modulo 2**16.  Layers that are unstructured,
+    too small for the per-band dispatch to pay off
+    (:data:`MIN_WEIGHTS_PER_BAND`) or whose boxes would leave the plane
+    are left unbanded, for the general ``np.take`` gather.
     """
 
-    def __init__(self, row_starts, weight_offsets, shifts, signs: np.ndarray) -> None:
+    def __init__(self, row_starts, weight_offsets, shifts, layer_signs) -> None:
         self.row_starts: List[int] = [int(value) for value in row_starts]
         self.weight_offsets: List[int] = [int(value) for value in weight_offsets]
         self.shifts: List[Optional[List[int]]] = [
@@ -415,7 +415,7 @@ class PlaneStructure:
         # in it may change after construction.  ``None`` when no layer
         # qualifies for the band path.
         bands = [
-            self._banded_layer(position, signs)
+            self._banded_layer(position, layer_signs[position])
             for position in range(self.num_layers)
         ]
         self._bands: Optional[List[Optional[_BandedLayer]]] = (
@@ -436,22 +436,20 @@ class PlaneStructure:
         """Whether every layer has a verified rotated-arange structure."""
         return self.structured_layers == self.num_layers
 
-    def _banded_layer(
-        self, position: int, signs: np.ndarray
-    ) -> Optional[_BandedLayer]:
+    def _banded_layer(self, position: int, key: np.ndarray) -> Optional[_BandedLayer]:
         """Cut one layer's sign bands, or ``None`` to keep it on ``np.take``."""
         shifts = self.shifts[position]
         if shifts is None or len(shifts) < 2:
             return None
         group_size = len(shifts)
-        col_base = self.row_starts[position]
-        n = self.row_starts[position + 1] - col_base
+        n = self.row_starts[position + 1] - self.row_starts[position]
         t = shifts[1]  # verified: shifts[r] == (r * t) % n
         wraps = ((group_size - 1) * t + n - 1) // n + 1
         if group_size * n < MIN_WEIGHTS_PER_BAND * wraps:
             return None
         stride = n + t
         base = self.weight_offsets[position]
+        size = self.weight_offsets[position + 1] - base
         bands = []
         for m in range(wraps):
             # Bounding box of {(r, g): m*n <= r*t + g < (m+1)*n}.
@@ -463,79 +461,17 @@ class PlaneStructure:
             end = offset + (row1 - row0 - 1) * stride + (col1 - col0)
             if end > self.weight_offsets[-1]:
                 return None  # the view would leave the plane
-            first = m * n - np.arange(row0, row1, dtype=np.int64)[:, None] * t
+            rows = np.arange(row0, row1, dtype=np.int64)[:, None]
+            first = m * n - rows * t
+            # Column g of the staircase holds weight r*n + g - first; from
+            # the layer's size on, that slot is padding and signs 0.
+            stop = np.minimum(first + n, size - rows * n + first)
             columns = np.arange(col0, col1, dtype=np.int64)[None, :]
-            staircase = (columns >= first) & (columns < first + n)
-            block = signs[row0:row1, col_base + col0 : col_base + col1] * staircase
-            block = block.astype(np.int8, copy=False)
+            block = ((columns >= first) & (columns < stop)).astype(np.int8)
+            block *= key[row0:row1, None]
             block.setflags(write=False)
             bands.append(_Band(m, row0, col0, offset, block))
         return _BandedLayer(n, t, tuple(bands))
-
-    def band_sums(
-        self,
-        plane: np.ndarray,
-        indices: np.ndarray,
-        signs: np.ndarray,
-        start: int,
-        stop: int,
-        out: np.ndarray,
-        scratch: ScanScratch,
-    ) -> bool:
-        """Fill ``out`` with the masked sums of global rows ``[start, stop)``.
-
-        ``indices`` and ``signs`` are the plane's slot-major kernel
-        matrices (``signs`` is also what the bands were cut from).  Each
-        covered layer wide enough for its bands runs on them; runs of the
-        other layers go through one general ``np.take`` each.  Returns
-        ``False`` without touching ``out`` when no covered layer qualifies
-        — the caller's general gather is then the faster engine.
-        """
-        group_size = signs.shape[0]
-        if (
-            self._bands is None
-            or group_size * (stop - start) < 2 * MIN_WEIGHTS_PER_BAND
-        ):
-            return False
-        row_starts = self.row_starts
-        position = bisect.bisect_right(row_starts, start) - 1
-        # (first row, stop row, banded layer or None for np.take, layer's
-        # first row); adjacent np.take layers merge into one run.
-        plan: List[Tuple[int, int, Optional[_BandedLayer], int]] = []
-        lo = start
-        while lo < stop:
-            layer_start = row_starts[position]
-            hi = min(row_starts[position + 1], stop)
-            layer = self._bands[position]
-            if layer is not None:
-                # Too few of the layer's weights in range to pay for its bands.
-                if group_size * (hi - lo) < MIN_WEIGHTS_PER_BAND * len(layer.bands):
-                    layer = None
-            if layer is None and plan and plan[-1][2] is None:
-                plan[-1] = (plan[-1][0], hi, None, 0)
-            else:
-                plan.append((lo, hi, layer, layer_start))
-            lo = hi
-            position += 1
-        if all(layer is None for _, _, layer, _ in plan):
-            return False
-        for lo, hi, layer, layer_start in plan:
-            target = out[lo - start : hi - start]
-            if layer is None:
-                gathered = scratch.take("band-gather", (group_size, hi - lo), np.int8)
-                plane.take(indices[:, lo:hi], out=gathered, mode="clip")
-                np.einsum(
-                    "gr,gr->r",
-                    gathered,
-                    signs[:, lo:hi],
-                    dtype=KERNEL_ACCUMULATOR,
-                    out=target,
-                )
-            else:
-                _layer_band_sums(
-                    plane, layer, lo - layer_start, hi - layer_start, target, scratch
-                )
-        return True
 
 
 def _layer_band_sums(
@@ -588,31 +524,28 @@ def _layer_band_sums(
             np.add(target, summed, out=target)
 
 
-def _verified_slot_shifts(
-    layout: GroupLayout, local: np.ndarray, pads: np.ndarray
-) -> Optional[np.ndarray]:
-    """The layout's rotated-arange shifts, proven against its index matrix.
+def _verified_slot_shifts(layout: GroupLayout) -> Optional[np.ndarray]:
+    """The layout's rotated-arange shifts, proven against its own indices.
 
     The analytic :meth:`~repro.core.interleave.GroupLayout.slot_shifts`
-    hint is re-derived from layout *parameters*; the kernel must not trust
-    it blindly — a foreign or subclassed layout could change the assignment
-    while keeping the flags.  This verifies, entry by entry over the
-    non-padded slots, that the layer's actual slot-major ``(group_size,
-    num_groups)`` index matrix ``local`` equals ``r * N + (g + s_r) % N``;
-    any disagreement demotes the layer to the general gather (returns
-    ``None``).  ``pads`` marks the padded slots, which are not compared.
+    hint comes from layout *parameters*, and a subclassed layout could
+    change the assignment while keeping them.  So the layout's own
+    :meth:`~repro.core.interleave.GroupLayout.slot_indices` must equal
+    ``r * N + (g + s_r) % N`` (``PAD_INDEX`` from the layer's size on)
+    entry by entry, or the layer is demoted to the general gather
+    (``None``).  One layer at a time, in the layout's index dtype.
     """
     hint = layout.slot_shifts()
     if hint is None:
         return None
-    group_size, num_groups = local.shape
-    expected = np.arange(num_groups, dtype=np.int64)[None, :] + hint[:, None]
+    num_groups = layout.num_groups
+    actual = layout.slot_indices(np.arange(num_groups))
+    dtype = actual.dtype
+    expected = np.add.outer(np.arange(num_groups, dtype=dtype), hint.astype(dtype))
     np.remainder(expected, num_groups, out=expected)
-    expected += np.arange(group_size, dtype=np.int64)[:, None] * num_groups
-    # Padding is rare (the tail of the last groups): copy the actual
-    # entries over it rather than compare through two masked copies.
-    expected[pads] = local[pads]
-    if not np.array_equal(local, expected):
+    expected += np.arange(layout.group_size, dtype=dtype) * num_groups
+    expected[expected >= layout.num_weights] = PAD_INDEX
+    if not np.array_equal(actual, expected):
         return None
     return hint
 
@@ -649,20 +582,29 @@ def _locked(array: np.ndarray) -> np.ndarray:
     return array
 
 
+#: Serializes the lazy global-column builds (:meth:`KernelGeometry.gather_columns`).
+_COLUMNS_LOCK = threading.Lock()
+
+
 class KernelGeometry:
     """The scan geometry of one plane shape, shared by every view of it.
 
     Everything the kernel reads besides a model's weights and goldens: the
-    slot-major ``(group_size, total_groups)`` gather-index matrix into the
-    plane (int32 when the plane fits, padding redirected to the layer's
-    first weight), the int8 sign matrix of the same shape (``+1``/``-1``
-    from each layer's secret key, ``0`` on padded slots), the full-scan
-    row array and the verified :class:`PlaneStructure` (each layer's row
-    and weight offsets, its proven shifts and its sign bands).  All of it is a pure function of the layers' layouts,
-    their key bits and the group size, so fleets of equal-shaped models —
-    and a model re-signed over new weights — need it once.  Build it with
-    :func:`kernel_geometry`, which memoizes it; every array is write-locked
-    because other views may be reading it.
+    layer offsets, the full-scan row array, the verified
+    :class:`PlaneStructure` (proven shifts, sign bands) and slot-major
+    ``(group_size, rows)`` **gather columns** — int32 indices into the
+    plane when it fits (padding redirected to the layer's first weight)
+    and int8 signs (the layer's key, ``0`` on padded slots).  All of it is
+    a pure function of the layers' layouts, key bits and group size, so
+    fleets of equal-shaped models — and a re-signed model — need it once.
+
+    Gather columns exist only where a gather reads them.  Those of the
+    layers the structure does not band are built eagerly, numbered
+    compactly: they serve a full check's ``np.take`` runs and any
+    contiguous range inside such layers.  Every other gather reads the
+    global matrices (:meth:`gather_columns`), built on the first such
+    call.  Build it with :func:`kernel_geometry`, which memoizes it; every
+    array is write-locked because other views may be reading it.
     """
 
     def __init__(
@@ -674,43 +616,167 @@ class KernelGeometry:
         #: Pinned so the layout ids in the memo key cannot be reused while
         #: this geometry is alive.
         self.layouts: Tuple[GroupLayout, ...] = tuple(layouts)
+        self.group_size = group_size
         row_starts = np.zeros(len(layouts) + 1, dtype=np.int64)
         row_starts[1:] = np.cumsum([layout.num_groups for layout in layouts])
         offsets = np.zeros(len(layouts) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum([layout.num_weights for layout in layouts])
-        total_groups = int(row_starts[-1])
-        index_dtype = (
-            np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
+        # Plain ints: bisected on every gather that resolves its columns.
+        self._row_starts: List[int] = row_starts.tolist()
+        self._weight_offsets: List[int] = offsets.tolist()
+        self._layer_signs = [
+            np.ones(group_size, np.int8) if key is None else key.signs(group_size, np.int8)
+            for key in keys
+        ]
+        #: The row slice of a full scan.
+        self.all_rows = _locked(np.arange(row_starts[-1], dtype=np.int64))
+        #: Rotated-arange structure, proven per layer: layers whose
+        #: verified shifts are None stay on the general gather.
+        self.structure = PlaneStructure(
+            row_starts,
+            offsets,
+            [_verified_slot_shifts(layout) for layout in layouts],
+            self._layer_signs,
         )
-        # Slot-major, so the masked-sum einsum reduces over the short slot
-        # axis while streaming contiguously along the rows (~2x the
-        # row-major reduction), and a row slice is one ``axis=1`` take.
-        # Filled in place, one layer's block at a time.
-        indices = np.empty((group_size, total_groups), dtype=index_dtype)
-        signs = np.empty((group_size, total_groups), dtype=np.int8)
-        shifts = []
-        for position, (layout, key) in enumerate(zip(layouts, keys)):
-            lo, hi = row_starts[position], row_starts[position + 1]
-            local = layout.index_matrix.T
+        bands = self.structure._bands or [None] * len(layouts)
+        unbanded = [position for position, layer in enumerate(bands) if layer is None]
+        self._take_indices, self._take_signs = self._columns_of(unbanded)
+        #: Per layer: its first compact column minus its first global row,
+        #: or None for a banded layer.
+        self._take_shift: List[Optional[int]] = [None] * len(layouts)
+        column = 0
+        for position in unbanded:
+            self._take_shift[position] = column - self._row_starts[position]
+            column += layouts[position].num_groups
+        #: The global (indices, signs) matrices, once built; a plane with no
+        #: banded layer has one set of columns, which serves as both.
+        self._columns: Optional[Tuple[np.ndarray, np.ndarray]] = (
+            None if self.structure._bands else (self._take_indices, self._take_signs)
+        )
+
+    def _columns_of(self, positions: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Write-locked slot-major index and sign columns of these layers, in order.
+
+        Slot-major, so the masked-sum einsum reduces over the short slot
+        axis while streaming contiguously along the rows (~2x the
+        row-major reduction), and a row slice is one ``axis=1`` take.
+        Filled one layer at a time: its index block is the only temporary.
+        """
+        width = sum(self.layouts[position].num_groups for position in positions)
+        fits = self._weight_offsets[-1] <= np.iinfo(np.int32).max
+        indices = np.empty((self.group_size, width), np.int32 if fits else np.int64)
+        signs = np.empty((self.group_size, width), dtype=np.int8)
+        column = 0
+        for position in positions:
+            layout = self.layouts[position]
+            span = slice(column, column + layout.num_groups)
+            local = layout.slot_indices(np.arange(layout.num_groups)).T
             pads = local == PAD_INDEX
-            block = indices[:, lo:hi]
             # PAD_INDEX is -1: clamping sends padded slots to the layer's
             # first weight, inside its own plane segment.
-            np.maximum(local, 0, out=block, casting="unsafe")
-            block += offsets[position]
-            sign_block = signs[:, lo:hi]
-            sign_block[...] = (
-                1 if key is None else key.signs(group_size, dtype=np.int8)[:, None]
-            )
-            sign_block[pads] = 0
-            shifts.append(_verified_slot_shifts(layout, local, pads))
-        self.indices = _locked(indices)
-        self.signs = _locked(signs)
-        #: The row slice of a full scan.
-        self.all_rows = _locked(np.arange(total_groups, dtype=np.int64))
-        #: Rotated-arange structure, proven per layer above: layers whose
-        #: verified shifts are None stay on the general gather.
-        self.structure = PlaneStructure(row_starts, offsets, shifts, signs)
+            np.maximum(local, 0, out=indices[:, span], casting="unsafe")
+            indices[:, span] += self._weight_offsets[position]
+            signs[:, span] = self._layer_signs[position][:, None]
+            signs[:, span][pads] = 0
+            column = span.stop
+        return _locked(indices), _locked(signs)
+
+    def gather_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The global ``(group_size, total_groups)`` index and sign matrices.
+
+        Built on the first call, under a lock (verifier threads share the
+        geometry), and kept: sliced scans read them on every pass.
+        """
+        columns = self._columns
+        if columns is None:
+            with _COLUMNS_LOCK:
+                if self._columns is None:
+                    self._columns = self._columns_of(range(len(self.layouts)))
+                columns = self._columns
+        return columns
+
+    def gather_source(
+        self, start: Optional[int], size: int
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+        """``(indices, signs, first column)`` a gather of ``size`` rows reads.
+
+        ``start`` is a contiguous range's first row, or ``None`` for a
+        scattered row set (taken from the global matrices by row number).
+        A range inside unbanded layers reads the compact columns only.
+        """
+        columns = self._columns
+        if columns is None:
+            if start is not None:
+                starts, shifts = self._row_starts, self._take_shift
+                shift = shifts[bisect.bisect_right(starts, start) - 1]
+                if shift is not None and shift == shifts[
+                    bisect.bisect_right(starts, start + size - 1) - 1
+                ]:
+                    return self._take_indices, self._take_signs, start + shift
+            columns = self.gather_columns()
+        return columns[0], columns[1], start
+
+    def band_sums(
+        self,
+        plane: np.ndarray,
+        start: int,
+        stop: int,
+        out: np.ndarray,
+        scratch: ScanScratch,
+    ) -> bool:
+        """Fill ``out`` with the masked sums of global rows ``[start, stop)``.
+
+        Each covered layer wide enough for its bands runs on them; runs of
+        the other layers go through one general ``np.take`` each
+        (:meth:`gather_source`).  Returns ``False`` without touching
+        ``out`` when no covered layer qualifies — the caller's general
+        gather is then the faster engine.
+        """
+        bands = self.structure._bands
+        group_size = self.group_size
+        if bands is None or group_size * (stop - start) < 2 * MIN_WEIGHTS_PER_BAND:
+            return False
+        row_starts = self._row_starts
+        position = bisect.bisect_right(row_starts, start) - 1
+        # (first row, stop row, banded layer or None for np.take, layer's
+        # first row); adjacent np.take layers merge into one run.
+        plan: List[Tuple[int, int, Optional[_BandedLayer], int]] = []
+        lo = start
+        while lo < stop:
+            layer_start = row_starts[position]
+            hi = min(row_starts[position + 1], stop)
+            layer = bands[position]
+            if layer is not None:
+                # Too few of the layer's weights in range to pay for its bands.
+                if group_size * (hi - lo) < MIN_WEIGHTS_PER_BAND * len(layer.bands):
+                    layer = None
+            if layer is None and plan and plan[-1][2] is None:
+                plan[-1] = (plan[-1][0], hi, None, 0)
+            else:
+                plan.append((lo, hi, layer, layer_start))
+            lo = hi
+            position += 1
+        if all(layer is None for _, _, layer, _ in plan):
+            return False
+        for lo, hi, layer, layer_start in plan:
+            target = out[lo - start : hi - start]
+            if layer is None:
+                indices, signs, column = self.gather_source(lo, hi - lo)
+                columns = slice(column, column + hi - lo)
+                gathered = scratch.take("band-gather", (group_size, hi - lo), np.int8)
+                plane.take(indices[:, columns], out=gathered, mode="clip")
+                np.einsum(
+                    "gr,gr->r",
+                    gathered,
+                    signs[:, columns],
+                    dtype=KERNEL_ACCUMULATOR,
+                    out=target,
+                )
+            else:
+                _layer_band_sums(
+                    plane, layer, lo - layer_start, hi - layer_start, target, scratch
+                )
+        return True
 
 
 #: Live geometries by what determines them.  Weak values: a geometry lives
@@ -757,31 +823,17 @@ class FusedSignatures:
 
     A :class:`SignatureStore` recomputes signatures layer by layer, each
     time re-gathering the layer's full weight tensor.  This view instead
-    reads everything recomputation needs from three global arrays under
-    one **global row** numbering (row ``r`` is group ``r - row_start`` of
-    its owning layer):
-
-    * an int8 **weight plane** — all layers' flat weights, concatenated
-      (this view's own);
-    * one **gather-index matrix** ``(total_groups, group_size)`` into that
-      plane (padding redirected to an in-layer slot);
-    * one int8 **sign mask** of the same shape — ``+1``/``-1`` from the
-      secret masking key, ``0`` on padded slots — so masking and padding
-      cost nothing beyond the multiply already fused into the sum.
-
-    The two matrices, stored slot-major (``group_size × total_groups``) so
-    the einsum reduces over the short axis and streams rows contiguously,
-    belong to the shared :class:`KernelGeometry` of the view's plane
-    shape, fetched on first kernel use.  Verifying any row set is then a
-    stack of one through the scan kernel (:func:`stacked_mismatched_rows`),
+    fuses all layers' flat int8 weights into one **weight plane** (its
+    own) under one **global row** numbering (row ``r`` is group ``r -
+    row_start`` of its owning layer), and reads the gather-index and sign
+    columns of the shared :class:`KernelGeometry` of its plane shape,
+    fetched on first kernel use.  Verifying any row set is then a stack of
+    one through the scan kernel (:func:`stacked_mismatched_rows`),
     accumulated in int16 (exact modulo 2**16, which covers every signature
     bit), with all workspaces reused from a :class:`ScanScratch` across
-    passes.  Wide contiguous ranges of interleaved layers sum over strided
-    views of the plane against the geometry's sign bands
-    (:class:`PlaneStructure`), with no gather at all; everything else is
-    one int8 gather plus one masked-sum ``einsum``.  There is no per-group
-    Python loop, no per-row ``searchsorted`` dispatch, and no materialized
-    ``gathered * mask`` product matrix.
+    passes: strided band views where the layout is structured, one int8
+    gather plus one masked-sum ``einsum`` elsewhere, and no per-group
+    Python loop or materialized ``gathered * mask`` product matrix.
 
     Weights reach the plane one of two ways:
 
@@ -1157,18 +1209,14 @@ class FusedSignatures:
         :class:`~repro.core.runtime.ProtectedInference`).  Concurrent
         callers must each pass their own scratch.
         """
-        geometry = self._geometry
         return stacked_mismatched_rows(
             [plane],
-            [geometry.indices],
-            [geometry.signs],
+            [self._geometry],
             [self.golden],
             [rows],
-            self.config.group_size,
             self.config.signature_bits,
             self._scratch if scratch is None else scratch,
             True,
-            [geometry.structure],
         )[0]
 
     def rows_to_layer_groups(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
@@ -1243,25 +1291,22 @@ def split_by_padding_waste(
 
 def _stacked_sums(
     planes: Sequence[np.ndarray],
-    indices_list: Sequence[np.ndarray],
-    signs_list: Sequence[np.ndarray],
+    geometries: Sequence[KernelGeometry],
     rows_list: Sequence[np.ndarray],
     sizes: Sequence[int],
     starts: Sequence[Optional[int]],
     width: int,
-    group_size: int,
     scratch: ScanScratch,
     homogeneous: bool,
-    structures: Sequence[Optional[PlaneStructure]],
 ) -> np.ndarray:
     """The masked-sum core of :func:`stacked_mismatched_rows`.
 
     ``starts[i]`` is the first row of model *i*'s slice when that slice is
-    one contiguous ascending run, else ``None``.  A contiguous slice of a
-    structured plane first tries its structure's gather-free band path
-    (:meth:`PlaneStructure.band_sums`, one einsum per band per model);
-    every other model goes through the general gather
-    (:func:`_gathered_sums`).  Both yield the same sums modulo 2**16.
+    one contiguous ascending run, else ``None``.  A contiguous slice first
+    tries its geometry's gather-free band path
+    (:meth:`KernelGeometry.band_sums`); every other model goes through the
+    general gather (:func:`_gathered_sums`) over the columns its geometry
+    resolves.  Both yield the same sums modulo 2**16.
 
     Returns the ``(num_models, width)`` sums view into ``scratch``.
     """
@@ -1269,43 +1314,28 @@ def _stacked_sums(
     sums = scratch.take("stacked-sums", (num_models, width), KERNEL_ACCUMULATOR)
     gathered = []
     for index in range(num_models):
-        structure, start, size = structures[index], starts[index], sizes[index]
-        if (
-            start is None
-            or structure is None
-            or not structure.band_sums(
-                planes[index],
-                indices_list[index],
-                signs_list[index],
-                start,
-                start + size,
-                sums[index, :size],
-                scratch,
-            )
+        start, size = starts[index], sizes[index]
+        if start is None or not geometries[index].band_sums(
+            planes[index], start, start + size, sums[index, :size], scratch
         ):
             gathered.append(index)
     if not gathered:
         return sums
     out = sums
     if len(gathered) < num_models:
-        planes, indices_list, signs_list, rows_list, sizes, starts = (
+        planes, geometries, rows_list, sizes, starts = (
             [values[index] for index in gathered]
-            for values in (planes, indices_list, signs_list, rows_list, sizes, starts)
+            for values in (planes, geometries, rows_list, sizes, starts)
         )
         out = scratch.take("gathered-sums", (len(gathered), width), KERNEL_ACCUMULATOR)
-    _gathered_sums(
-        planes,
-        indices_list,
-        signs_list,
-        rows_list,
-        sizes,
-        starts,
-        width,
-        group_size,
-        scratch,
-        homogeneous,
-        out,
-    )
+    # A homogeneous stack reads model 0's columns for every model.
+    sources = [
+        geometry.gather_source(start, size)
+        for geometry, start, size in zip(
+            geometries[:1] if homogeneous else geometries, starts, sizes
+        )
+    ]
+    _gathered_sums(planes, sources, rows_list, sizes, width, scratch, homogeneous, out)
     if out is not sums:
         sums[gathered] = out
     return sums
@@ -1313,33 +1343,32 @@ def _stacked_sums(
 
 def _gathered_sums(
     planes: Sequence[np.ndarray],
-    indices_list: Sequence[np.ndarray],
-    signs_list: Sequence[np.ndarray],
+    sources: Sequence[Tuple[np.ndarray, np.ndarray, Optional[int]]],
     rows_list: Sequence[np.ndarray],
     sizes: Sequence[int],
-    starts: Sequence[Optional[int]],
     width: int,
-    group_size: int,
     scratch: ScanScratch,
     homogeneous: bool,
     sums: np.ndarray,
 ) -> None:
     """The general gather: ``np.take`` from each plane, then one einsum.
 
-    The width axis is processed in cache-blocked tiles
-    (:func:`_stacked_tile_width`): the per-tile gathered stack and sign
-    stack stay L2-resident while the einsum that immediately consumes them
-    re-reads every byte, instead of streaming a whole padded bucket through
-    cache twice.  Contiguous slices read plain index/sign *views*; arbitrary
-    row sets take their index and sign columns first.  Fills ``sums``.
+    ``sources[i]`` is model *i*'s ``(indices, signs, first column)``
+    (:meth:`KernelGeometry.gather_source`; a ``None`` first column means
+    a scattered slice, taken by row number).  The width axis is processed
+    in cache-blocked tiles (:func:`_stacked_tile_width`): the per-tile
+    gathered stack and sign stack stay L2-resident while the einsum that
+    immediately consumes them re-reads every byte, instead of streaming a
+    whole padded bucket through cache twice.  Contiguous slices read plain
+    index/sign *views*; arbitrary row sets take their index and sign
+    columns first.  Fills ``sums``.
     """
     num_models = len(planes)
+    group_size = sources[0][0].shape[0]
     tile = _stacked_tile_width(num_models, group_size, width)
     if homogeneous:
         rows0 = rows_list[0]
-        start0 = starts[0]
-        indices0 = indices_list[0]
-        signs0 = signs_list[0]
+        indices0, signs0, start0 = sources[0]
         for w0 in range(0, width, tile):
             w1 = w0 + tile
             if w1 > width:
@@ -1384,23 +1413,23 @@ def _gathered_sums(
                 continue
             if valid > span:
                 valid = span
-            start = starts[index]
+            all_indices, all_signs, start = sources[index]
             if start is not None:
                 lo = start + w0
                 hi = lo + valid
                 planes[index].take(
-                    indices_list[index][:, lo:hi],
+                    all_indices[:, lo:hi],
                     out=stacked[index][:, :valid],
                     mode="clip",
                 )
-                np.copyto(signs[index][:, :valid], signs_list[index][:, lo:hi])
+                np.copyto(signs[index][:, :valid], all_signs[:, lo:hi])
             else:
                 block = rows_list[index][w0 : w0 + valid]
                 indices = scratch.take(
-                    "bucket-indices", (group_size, valid), indices_list[index].dtype
+                    "bucket-indices", (group_size, valid), all_indices.dtype
                 )
-                np.take(indices_list[index], block, axis=1, out=indices)
-                np.take(signs_list[index], block, axis=1, out=signs[index][:, :valid])
+                np.take(all_indices, block, axis=1, out=indices)
+                np.take(all_signs, block, axis=1, out=signs[index][:, :valid])
                 np.take(
                     planes[index], indices, out=stacked[index][:, :valid], mode="clip"
                 )
@@ -1443,12 +1472,10 @@ class StackedVerifier:
     every tick; only the row slices change.  Construction validates the
     kernel keys, fetches every view's shared geometry (noting whether all
     views share one, which the broadcast branch needs) and, when the
-    goldens share one length, prestacks them into one ``(num_models,
-    total_groups)`` matrix so a homogeneous contiguous slice compares
-    against a *view* of it in one vectorized pass.  Goldens are never rewritten in place (a
-    re-sign builds a new view), so the stack stays valid; the engine
-    rebuilds the verifier when bucket *membership* changes, which it
-    detects by view identity.
+    goldens share one length, prestacks them so a homogeneous contiguous
+    slice compares against a *view* of the stack.  Goldens are never
+    rewritten in place (a re-sign builds a new view), and the engine
+    rebuilds the verifier when bucket membership (view identity) changes.
     """
 
     def __init__(
@@ -1477,9 +1504,7 @@ class StackedVerifier:
         self.shared_geometry = all(
             geometry is geometries[0] for geometry in geometries
         )
-        self._indices = [geometry.indices for geometry in geometries]
-        self._signs = [geometry.signs for geometry in geometries]
-        self._structures = [geometry.structure for geometry in geometries]
+        self._geometries = geometries
         goldens = [view.golden for view in views]
         self._goldens = (
             np.stack(goldens) if len({golden.size for golden in goldens}) == 1 else goldens
@@ -1509,29 +1534,23 @@ class StackedVerifier:
                 view.prepared_plane(layer_map, rows)
                 for view, layer_map, rows in zip(views, self.layer_maps, rows_list)
             ],
-            self._indices,
-            self._signs,
+            self._geometries,
             self._goldens,
             rows_list,
-            config.group_size,
             config.signature_bits,
             scratch,
             homogeneous and self.shared_geometry,
-            self._structures,
         )
 
 
 def stacked_mismatched_rows(
     planes: Sequence[np.ndarray],
-    indices_list: Sequence[np.ndarray],
-    signs_list: Sequence[np.ndarray],
+    geometries: Sequence[KernelGeometry],
     goldens: Sequence[np.ndarray],
     rows_list: Sequence[np.ndarray],
-    group_size: int,
     signature_bits: int,
     scratch: Optional[ScanScratch] = None,
     homogeneous: bool = False,
-    structures: Optional[Sequence[Optional[PlaneStructure]]] = None,
 ) -> List[np.ndarray]:
     """The scan kernel: flagged global rows of a stack of models.
 
@@ -1539,36 +1558,26 @@ def stacked_mismatched_rows(
     (:meth:`FusedSignatures.mismatched_rows`, a stack of one) and the
     engine's buckets (:class:`StackedVerifier`).  It takes no ``Module``
     objects and no :class:`FusedSignatures`, just each model's weight
-    plane, slot-major gather-index and sign matrices and golden
-    signatures.  Model *i*'s rows ``rows_list[i]`` are summed under the
+    plane, its shared :class:`KernelGeometry` (all of one group size) and
+    its golden signatures.  Model *i*'s rows ``rows_list[i]`` are summed under the
     sign mask in int16 (:data:`KERNEL_ACCUMULATOR`, :func:`_stacked_sums`),
     binarized and compared with ``goldens[i]``; the result lists the
     mismatching rows in slice order.
 
     ``homogeneous=True`` is a caller-supplied promise that every model
-    reads identical index and sign matrices *and* one row slice
-    (:class:`StackedVerifier` checks the first by geometry identity; the
-    kernel cannot cheaply verify either), enabling the shared index/sign
-    broadcast; a 2-D ``goldens`` array then compares the whole stack at
-    once.  ``structures`` optionally carries each model's
-    :class:`PlaneStructure` (or ``None``) so wide contiguous slices of
-    structured planes sum over strided band views instead of gathering.
-    Contiguous slices also compare against a view of their golden
-    rows.  Neither choice changes a verdict.
+    reads one geometry *and* one row slice (:class:`StackedVerifier`
+    checks the first by geometry identity; the kernel cannot cheaply
+    verify either), enabling the shared index/sign broadcast; a 2-D
+    ``goldens`` array then compares the whole stack at once.  Wide
+    contiguous slices of structured planes sum over strided band views
+    instead of gathering, and contiguous slices compare against a view of
+    their golden rows.  Neither choice changes a verdict.
     """
     num_models = len(planes)
-    if not (
-        num_models == len(indices_list) == len(signs_list) == len(goldens) == len(rows_list)
-    ):
+    if not num_models == len(geometries) == len(goldens) == len(rows_list):
         raise ProtectionError("stacked_mismatched_rows arguments disagree on model count")
     if num_models == 0:
         return []
-    if structures is None:
-        structures = [None] * num_models
-    elif len(structures) != num_models:
-        raise ProtectionError(
-            f"got {num_models} planes but {len(structures)} structures"
-        )
     rows_list = [np.asarray(rows, dtype=np.int64) for rows in rows_list]
     sizes = [int(rows.size) for rows in rows_list]
     width = max(sizes)
@@ -1583,16 +1592,13 @@ def stacked_mismatched_rows(
         starts *= num_models
     sums = _stacked_sums(
         planes,
-        indices_list,
-        signs_list,
+        geometries,
         rows_list,
         sizes,
         starts,
         width,
-        group_size,
         scratch if scratch is not None else ScanScratch(),
         homogeneous,
-        structures,
     )
     shift, mask = signature_shift_mask(signature_bits)
     np.right_shift(sums, shift, out=sums)

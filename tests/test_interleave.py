@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interleave import PAD_INDEX, GroupLayout
+from repro.core.signature import shared_layout
 from repro.errors import ProtectionError
 
 
@@ -35,6 +38,26 @@ class TestConstruction:
         layout = GroupLayout(num_weights=10, group_size=64, use_interleave=True)
         assert layout.num_groups == 1
         assert layout.members_of(0).size == 10
+
+    def test_shared_layout_is_immutable(self):
+        """Every store and geometry of a shape holds one layout object, so
+        an assignment would regroup them all: it must raise instead."""
+        layout = shared_layout(1000, 16, True, 3)
+        other_holder = shared_layout(1000, 16, True, 3)
+        assert other_holder is layout
+        for field, value in [
+            ("group_size", 8),
+            ("num_weights", 10),
+            ("use_interleave", False),
+            ("interleave_offset", 0),
+            ("num_groups", 125),
+            ("padded_size", 1000),
+        ]:
+            with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+                setattr(layout, field, value)
+        assert other_holder.group_size == 16
+        assert other_holder.num_groups == 63
+        assert other_holder.groups.shape == (63, 16)
 
     def test_describe_keys(self):
         layout = GroupLayout(num_weights=64, group_size=8, use_interleave=True)
@@ -286,3 +309,74 @@ class TestSlotShiftDetection:
         matrix = layout.groups
         valid = matrix != PAD_INDEX
         np.testing.assert_array_equal(matrix[valid], expected[valid])
+
+
+def _reference_layout(num_weights, group_size, use_interleave, offset):
+    """The argsort construction the closed form replaced: per-weight group
+    ids, and the (num_groups, group_size) matrix their stable sort gives."""
+    num_groups = -(-num_weights // group_size)
+    indices = np.arange(num_groups * group_size, dtype=np.int64)
+    if not use_interleave or num_groups == 1:
+        group_of = indices // group_size
+    else:
+        rows, columns = indices // num_groups, indices % num_groups
+        group_of = (columns - rows * offset) % num_groups
+    groups = np.argsort(group_of, kind="stable").reshape(num_groups, group_size)
+    return group_of[:num_weights], np.where(groups < num_weights, groups, PAD_INDEX)
+
+
+class TestClosedFormAgainstReference:
+    """Every query of the closed-form layout against the argsort reference,
+    over every layer size 1..70, five group sizes, both layouts and offsets
+    0, 1, 3, ``N`` and ``N + 3``."""
+
+    @pytest.mark.parametrize("use_interleave", [False, True])
+    @pytest.mark.parametrize("group_size", [2, 3, 4, 8, 16])
+    def test_every_query_matches_the_reference(self, group_size, use_interleave):
+        rng = np.random.default_rng(group_size)
+        for num_weights in range(1, 71):
+            num_groups = -(-num_weights // group_size)
+            values = rng.integers(-128, 128, size=num_weights).astype(np.int8)
+            for offset in sorted({0, 1, 3, num_groups, num_groups + 3}):
+                layout = GroupLayout(num_weights, group_size, use_interleave, offset)
+                group_of, groups = _reference_layout(
+                    num_weights, group_size, use_interleave, offset
+                )
+                case = (num_weights, offset)
+                assert layout.num_groups == num_groups, case
+                assert layout.padded_size == num_groups * group_size, case
+                np.testing.assert_array_equal(layout.groups, groups, err_msg=str(case))
+                assert [layout.group_of(index) for index in range(num_weights)] == (
+                    group_of.tolist()
+                ), case
+                for group in range(num_groups):
+                    members = groups[group]
+                    np.testing.assert_array_equal(
+                        layout.members_of(group), members[members != PAD_INDEX]
+                    )
+                picked = rng.integers(0, num_groups, size=3)
+                expected = groups[np.unique(picked)].reshape(-1)
+                np.testing.assert_array_equal(
+                    layout.member_indices(picked), expected[expected != PAD_INDEX]
+                )
+                gathered = np.where(groups != PAD_INDEX, values[groups], 0)
+                for dtype in (np.int8, np.int64):
+                    full = layout.gather(values, dtype=dtype)
+                    assert full.dtype == dtype
+                    np.testing.assert_array_equal(full, gathered)
+                    np.testing.assert_array_equal(
+                        layout.gather_rows(values, picked, dtype=dtype), gathered[picked]
+                    )
+                shifts = layout.slot_shifts()
+                if not use_interleave or num_groups == 1 or offset % num_groups == 0:
+                    assert shifts is None, case
+                    continue
+                np.testing.assert_array_equal(
+                    shifts, np.arange(group_size) * offset % num_groups
+                )
+                rotated = (
+                    np.arange(group_size)[None, :] * num_groups
+                    + (np.arange(num_groups)[:, None] + shifts[None, :]) % num_groups
+                )
+                valid = groups != PAD_INDEX
+                np.testing.assert_array_equal(groups[valid], rotated[valid])

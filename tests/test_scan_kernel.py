@@ -701,11 +701,14 @@ class TestStructureDetectionEdgeCases:
         from repro.core.signature import LayerSignatures
 
         class LyingLayout(GroupLayout):
-            def _build_group_assignment(self):
-                indices = np.arange(self.padded_size, dtype=np.int64)
-                rows = indices // self.num_groups
-                columns = indices % self.num_groups
-                return (columns - rows * (self.interleave_offset + 1)) % self.num_groups
+            def slot_indices(self, group_indices):
+                rotated = GroupLayout(
+                    self.num_weights,
+                    self.group_size,
+                    True,
+                    self.interleave_offset + 1,
+                )
+                return rotated.slot_indices(group_indices)
 
         model, protector = _protected_mlp(seed=seed, group_size=8, hidden=(16,))
         store = protector.store
@@ -1059,7 +1062,9 @@ class TestSharedGeometry:
         store._fused = None
         fused = store.fused()
         assert fused.geometry is not shared
-        np.testing.assert_array_equal(fused.geometry.indices, shared.indices)
+        np.testing.assert_array_equal(
+            fused.geometry.gather_columns()[0], shared.gather_columns()[0]
+        )
         _flip(twin, 1, 3)
         np.testing.assert_array_equal(
             fused.mismatched_rows(twin), store.mismatched_rows(twin)
@@ -1079,10 +1084,11 @@ class TestSharedGeometry:
         assert bands
         layout = next(iter(protector.store)).layout
         for array in [
-            geometry.indices,
-            geometry.signs,
+            *geometry.gather_columns(),
             geometry.all_rows,
-            layout.index_matrix,
+            geometry._take_indices,
+            geometry._take_signs,
+            *layout._slot_bounds,
             *bands,
         ]:
             with pytest.raises(ValueError, match="read-only"):
@@ -1171,3 +1177,85 @@ class TestSharedGeometry:
         assert errors == []
         assert mismatches == []
         assert all(runtime.log.detections > 0 for runtime in runtimes)
+
+
+def _resident_bytes(obj, seen=None) -> int:
+    """Bytes of every array reachable from ``obj``'s attributes, each owning
+    buffer counted once (a view counts as its base)."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_resident_bytes(value, seen) for value in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_resident_bytes(value, seen) for value in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(_resident_bytes(value, seen) for value in vars(obj).values())
+    return 0
+
+
+class TestResidentGeometry:
+    """Geometry is a formula: a full check keeps O(layers × G) resident.
+
+    The paper's ResNet-18 signatures take 5.6 KB at ``G = 512``; its scan
+    geometry once took 143 MB (per-weight layout maps plus global index and
+    sign matrices).  Only the sign bands and the gather columns of the
+    unbanded layers may stay resident after a full check.
+    """
+
+    def test_full_check_of_resnet18_keeps_under_20_mb(self):
+        from repro.core import ProtectedInference
+        from repro.models.resnet_imagenet import resnet18
+
+        model = quantize_model(resnet18(num_classes=20, small_input=False, seed=0))
+        runtime = ProtectedInference(model, RadarConfig(group_size=512))
+        images = np.random.default_rng(0).standard_normal((1, 3, 64, 64))
+        outcome = runtime.forward(images.astype(np.float32))
+        assert outcome.flagged_groups == 0
+        store = runtime.protector.store
+        geometry = store.fused().geometry
+        layouts = [entry.layout for entry in store]
+        resident = _resident_bytes([geometry, layouts])
+        assert resident < 20 * 2**20, f"{resident / 2**20:.1f} MiB resident"
+        # A layout keeps O(G) per-slot constants, never a per-weight map.
+        assert all(_resident_bytes(layout) <= 16 * layout.group_size for layout in layouts)
+
+    def test_sliced_scheduler_builds_its_gather_columns_once(self, monkeypatch):
+        from repro.core.signature import KernelGeometry
+        from repro.models.resnet_cifar import resnet20
+
+        model = quantize_model(resnet20(seed=1))
+        protector = ModelProtector(RadarConfig(group_size=8))
+        protector.protect(model)
+        store = protector.store
+        scheduler = protector.scheduler(num_shards=16)
+        fused = scheduler.fused
+        geometry = fused.geometry
+        assert geometry.structure.any_structured
+        builds = []
+        columns_of = KernelGeometry._columns_of
+
+        def counted(self, positions):
+            builds.append(len(positions))
+            return columns_of(self, positions)
+
+        monkeypatch.setattr(KernelGeometry, "_columns_of", counted)
+        rng = new_rng(("sliced-columns", 0))
+        for layer_index in rng.choice(len(store), size=4, replace=False):
+            _flip(model, int(layer_index), int(rng.integers(64)))
+        read = []
+        for _ in range(2):
+            for shard in range(scheduler.num_shards):
+                rows = scheduler.shard_rows(shard)
+                np.testing.assert_array_equal(
+                    fused.mismatched_rows(model, rows), store.mismatched_rows(model, rows)
+                )
+            read.append(geometry.gather_columns())
+        assert builds == [len(store)]
+        assert read[0][0] is read[1][0] and read[0][1] is read[1][1]
