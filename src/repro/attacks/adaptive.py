@@ -110,8 +110,8 @@ class AdaptiveAdversary(ScriptedAdversary):
     """Base class: a scripted cadence plus schedule observations.
 
     Adaptive adversaries need a live handle on the victim — the
-    :class:`~repro.core.fleet.ManagedModel` — because reprotection swaps
-    the victim's scheduler object; the handle is read on every salvo.
+    :class:`~repro.core.fleet.ManagedModel` — whose scheduler is read on
+    every salvo (a re-sign restarts its rotation in place).
     Construction stays engine-free (``build_adversary`` parity with the
     scripted kinds); the campaign runner calls :meth:`bind` after the
     fleet exists and feeds :meth:`observe_scan` /
@@ -151,7 +151,7 @@ class AdaptiveAdversary(ScriptedAdversary):
 
     @property
     def scheduler(self):
-        """The victim's *current* scheduler (reprotection replaces it)."""
+        """The victim's scheduler (a re-sign restarts its rotation in place)."""
         return self.managed.scheduler
 
     @property

@@ -46,6 +46,12 @@ queue of scan slices drawn from all registered models:
   call.  The re-sign is preceded by a
   full-model sweep: the detection slice covered one shard, and re-signing
   with other shards unscanned would accept their corruption as golden.
+  That sweep also proves every other group's golden current, so the
+  re-sign rewrites only the recovered groups' goldens in place
+  (:meth:`~repro.core.signature.SignatureStore.resign`) and restarts the
+  scheduler's rotation (:meth:`~repro.core.scheduler.ScanScheduler.restart`):
+  the store, its fused view and plane, the bucket verifiers and the
+  scheduler object all survive.
 * **Event bus** — ``detection`` / ``recovery`` / ``reprotect`` /
   ``budget_exhausted`` events (:class:`FleetEventType`) are published to an
   :class:`EventBus` with a bounded history, so operators observe the
@@ -180,11 +186,6 @@ class ManagedModel:
     protector: ModelProtector
     scheduler: ScanScheduler
     cost_model: Optional[ScanCostModel] = None
-    keep_golden_weights: bool = False
-    #: Constructor arguments the scheduler was built with, so the
-    #: REPROTECTING step can rebuild an identical one against the re-signed
-    #: store.
-    scheduler_options: Dict = field(default_factory=dict)
     #: Lifecycle position (see :class:`ProtectionState`).
     state: ProtectionState = ProtectionState.PROTECTED
     #: ``{layer_name: quantized layer}`` cache so batched execution does not
@@ -192,8 +193,8 @@ class ManagedModel:
     #: ``qweight`` buffers are mutated in place by attacks and recovery).
     layer_map: Dict[str, Module] = field(default_factory=dict)
     #: ``(scheduler, price, floor)`` memo for :meth:`min_feasible_budget_s` —
-    #: the floor only changes when the scheduler is rebuilt or a measured
-    #: cost model recalibrates, but feasibility is re-checked on every
+    #: the floor only changes when a measured cost model recalibrates (or
+    #: the scheduler is replaced), but feasibility is re-checked on every
     #: budgeted tick.
     _min_feasible_memo: Optional[Tuple[ScanScheduler, Optional[float], float]] = None
 
@@ -374,10 +375,11 @@ class VerificationEngine:
         self._scratch: Dict[Tuple, ScanScratch] = {}
         # Precompiled stacked passes per (kernel key, sub-bucket): rebuilt
         # whenever the bucket's membership changes (checked by fused-view
-        # identity each tick — a re-sign replaces the view object).
+        # identity each tick).  A re-sign keeps the view and refreshes the
+        # verifiers' prestacked goldens instead (_resign).
         self._verifiers: Dict[Tuple, StackedVerifier] = {}
         # Feasibility-check memo (see _require_feasible): bumped by
-        # register/unregister and by re-signs, which replace a scheduler.
+        # register/unregister.
         self._models_version = 0
         self._feasible_for: Optional[Tuple[float, int]] = None
 
@@ -409,15 +411,14 @@ class VerificationEngine:
         resolved_cost_model = cost_model or AnalyticScanCostModel.from_radar_config(
             radar_config
         )
-        scheduler_options = {
-            "num_shards": num_shards if num_shards is not None else self.num_shards,
-            "policy": policy if policy is not None else self.policy,
-            "shards_per_pass": (
+        scheduler = ScanScheduler(
+            protector.store,
+            num_shards=num_shards if num_shards is not None else self.num_shards,
+            policy=policy if policy is not None else self.policy,
+            shards_per_pass=(
                 shards_per_pass if shards_per_pass is not None else self.shards_per_pass
             ),
-        }
-        scheduler = ScanScheduler(
-            protector.store, cost_model=resolved_cost_model, **scheduler_options
+            cost_model=resolved_cost_model,
         )
         managed = ManagedModel(
             name=name,
@@ -425,8 +426,6 @@ class VerificationEngine:
             protector=protector,
             scheduler=scheduler,
             cost_model=resolved_cost_model,
-            keep_golden_weights=keep_golden_weights,
-            scheduler_options=scheduler_options,
         )
         managed.refresh_layer_map()
         if self.budget_s is not None:
@@ -466,33 +465,47 @@ class VerificationEngine:
     def reprotect(self, name: str) -> ManagedModel:
         """Re-sign a model after a legitimate weight update (or a recovery).
 
-        Rebuilds the golden signatures from the model's *current* weights and
-        replaces its scheduler with a fresh rotation over the re-signed
-        store.  The planner object is carried over (with its rotation cursor
-        reset), so learned per-shard flip rates survive the re-sign — the
-        shard that was just attacked stays a priority.  Emits a
-        ``reprotect`` event and returns the model to PROTECTED.
+        Rewrites every golden signature from the model's *current* weights
+        in place and restarts its scheduler's rotation (see
+        :meth:`_resign`).  The planner keeps its learned per-shard flip
+        rates — the shard that was just attacked stays a priority.  The
+        layers must keep their weight counts; a reshaped model needs
+        registering again.  Emits a ``reprotect`` event and returns the
+        model to PROTECTED.
         """
         managed = self.get(name)
-        self._resign(managed)
+        detail = self._resign(managed)
         managed.state = ProtectionState.PROTECTED
-        self._emit(FleetEventType.REPROTECT, name, {"trigger": "manual"})
+        self._emit(FleetEventType.REPROTECT, name, {"trigger": "manual", **detail})
         return managed
 
-    def _resign(self, managed: ManagedModel) -> None:
-        managed.protector.protect(
-            managed.model, keep_golden_weights=managed.keep_golden_weights
+    def _resign(
+        self,
+        managed: ManagedModel,
+        groups: Optional[Dict[str, np.ndarray]] = None,
+    ) -> Dict[str, object]:
+        """The one re-sign path: rewrite goldens in place, restart the rotation.
+
+        ``groups`` (``{layer: group indices}``) limits the rewrite to the
+        groups a full sweep flagged and recovery rewrote — the sweep proved
+        every other golden current; ``None`` re-signs every group.  The
+        store, its fused view and plane, the layer map and the scheduler
+        object survive, so cached bucket verifiers stay valid once their
+        prestacked copies of the view's goldens are refreshed.  Returns the
+        ``reprotect`` event detail.
+        """
+        started = time.perf_counter()
+        resigned = managed.protector.resign(
+            managed.model, groups, layer_map=managed.layer_map
         )
-        planner = managed.scheduler.planner
-        planner.reset()
-        self._models_version += 1
-        managed.scheduler = ScanScheduler(
-            managed.protector.store,
-            cost_model=managed.cost_model,
-            planner=planner,
-            **managed.scheduler_options,
-        )
-        managed.refresh_layer_map()
+        view = managed.scheduler.fused
+        for verifier in self._verifiers.values():
+            verifier.refresh_golden(view)
+        managed.scheduler.restart()
+        return {
+            "groups_resigned": resigned,
+            "elapsed_s": time.perf_counter() - started,
+        }
 
     # -- budget allocation --------------------------------------------------------
     def allocate_budget(self, budget_s: float) -> Dict[str, float]:
@@ -662,7 +675,11 @@ class VerificationEngine:
             )
             for sub_index, part in enumerate(parts):
                 scratch = self._scratch.setdefault((key, sub_index), ScanScratch())
-                sub_batch = [batch[index] for index in part]
+                # Registration order, not the part's size order: models at
+                # different rotation positions swap places in a size-sorted
+                # part whenever their shards differ by a row, and a reordered
+                # batch misses the verifier cache.
+                sub_batch = [batch[index] for index in sorted(part)]
                 verifier = self._bucket_verifier((key, sub_index), sub_batch)
                 groups.append((sub_batch, scratch, verifier))
         assemble_span.set_attr("buckets", len(groups))
@@ -676,10 +693,9 @@ class VerificationEngine:
         """The precompiled stacked pass for one sub-bucket, rebuilt on change.
 
         Bucket membership is stable tick to tick (same models, same
-        registration order), so the identity sweep below almost always hits;
-        a re-sign replaces a model's fused view object and a
-        ``refresh_layer_map`` rebinds its layer map, either of which misses
-        and recompiles.
+        registration order, and a re-sign keeps a model's view and layer
+        map), so the identity sweep below almost always hits; a change in
+        which models share the sub-bucket misses and recompiles.
         """
         verifier = self._verifiers.get(cache_key)
         if verifier is not None and len(verifier.views) == len(batch):
@@ -790,6 +806,7 @@ class VerificationEngine:
                     recovery = managed.protector.recover(
                         managed.model, sweep, policy=policy, layer_map=managed.layer_map
                     )
+                    recovered_groups = sweep.flagged_groups
                 else:
                     recovery = managed.protector.recover(
                         managed.model,
@@ -814,12 +831,12 @@ class VerificationEngine:
                     # so without this re-sign every later pass would flag
                     # them again forever.
                     move(ProtectionState.REPROTECTING)
-                    self._resign(managed)
+                    detail = self._resign(managed, recovered_groups)
                     reprotected = True
                     self._emit(
                         FleetEventType.REPROTECT,
                         managed.name,
-                        {"trigger": "recovery"},
+                        {"trigger": "recovery", **detail},
                     )
                     move(ProtectionState.PROTECTED)
         else:
@@ -890,10 +907,11 @@ class VerificationEngine:
         silently disable that model's protection forever (every allocation
         would grant it nothing); fail fast instead.
 
-        The verdict only changes when the registry or a model's scheduler
-        does (both bump ``_models_version``) or the budget does, so a
-        passing check is memoized on ``(budget, version)`` — this runs
-        every tick of every budgeted fleet.
+        The verdict only changes when the registry does (which bumps
+        ``_models_version``) or the budget does — a re-sign keeps every
+        scheduler and its shards — so a passing check is memoized on
+        ``(budget, version)``; this runs every tick of every budgeted
+        fleet.
         """
         cache_key = (budget_s, self._models_version)
         if cache_key == self._feasible_for:

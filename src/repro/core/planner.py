@@ -111,13 +111,14 @@ class VerificationPlanner(ABC):
         each scanned shard to the number of flagged groups it produced."""
 
     def reset(self) -> None:
-        """Clear rotation-cursor state ahead of a rebuilt rotation.
+        """Clear rotation-cursor state ahead of a fresh rotation.
 
-        Called when a scheduler is rebuilt over a re-signed store (the
-        engine's REPROTECTING step) while the planner object is carried
-        over.  Only *positional* state should clear; *learned* statistics
-        (e.g. per-shard flip rates) survive on purpose — the shard that was
-        just attacked stays a priority in the fresh rotation.
+        Called by :meth:`~repro.core.scheduler.ScanScheduler.restart` when
+        the engine's REPROTECTING step has re-signed the store in place and
+        the scheduler starts its rotation over.  Only *positional* state
+        should clear; *learned* statistics (e.g. per-shard flip rates)
+        survive on purpose — the shard that was just attacked stays a
+        priority in the fresh rotation.
         """
 
     def state_dict(self) -> Dict[str, object]:

@@ -82,6 +82,32 @@ class ModelProtector:
             self._golden_weights = None
         return store
 
+    def resign(
+        self,
+        model: Module,
+        groups: Optional[Mapping[str, np.ndarray]] = None,
+        layer_map: Optional[Mapping[str, Module]] = None,
+    ) -> int:
+        """Accept the model's current weights as golden, in place.
+
+        Rewrites the goldens of the listed groups (``{layer: group
+        indices}``; every group when ``None``) with the stored keys and
+        layouts (:meth:`SignatureStore.resign`), so the store and its fused
+        view stay the same objects.  A kept golden-weights snapshot is taken
+        again from the current weights, as :meth:`protect` takes it.
+        ``layer_map`` is the caller's cached ``{name: layer}`` map of
+        ``model``.  Returns the number of groups rewritten.
+        """
+        self._require_protected()
+        if layer_map is None:
+            layer_map = dict(quantized_layers(model))
+        resigned = self._store.resign(layer_map, groups)
+        if self._golden_weights is not None:
+            self._golden_weights = {
+                name: layer.qweight.copy() for name, layer in layer_map.items()
+            }
+        return resigned
+
     # -- run time ----------------------------------------------------------------
     def scan(self, model: Module) -> DetectionReport:
         """Detection only."""

@@ -246,30 +246,10 @@ class ScanScheduler:
                     f"({largest} groups, priced {cost * 1e3:.6g} ms); raise the budget, "
                     "increase num_shards, or use ScanScheduler.from_budget"
                 )
-        # Exposure is stored lazily: a shard's effective backlog is
-        # ``_exposure[i] + _exposure_base``.  Every pass bumps the scalar
-        # base once instead of incrementing the whole array (a NumPy
-        # dispatch per model per tick on the fleet path); scanning a shard
-        # writes ``-base`` so its effective exposure returns to zero.
-        self._exposure = np.zeros(self.num_shards, dtype=np.int64)
-        self._exposure_base = 0
-        self._times_scanned = np.zeros(self.num_shards, dtype=np.int64)
-        self._times_flagged = np.zeros(self.num_shards, dtype=np.int64)
-        # Scalar mirrors of ``_exposure.sum()`` / ``_times_flagged.sum()``,
-        # kept in lock-step by apply_scan: fleet urgency ranking reads both
-        # once per model per tick, and a NumPy reduction per read is pure
-        # dispatch overhead next to two int adds.
-        self._exposure_sum = 0
-        self._flagged_sum = 0
-        self._pass_index = 0
-        self._rotation_pending = set(range(self.num_shards))
-        self._rotation_rows: List[np.ndarray] = []
-        # Shard views only change when a pass commits; planning, pricing and
-        # fleet urgency ranking may all consult them several times per tick,
-        # so they are cached between apply_scan calls.  State-blind planners
-        # (``planner.uses_shard_state == False``) get a static tuple built
-        # once — their order() never reads the mutable fields.
-        self._shard_views_cache: Optional[List[ShardView]] = None
+        self._start_rotation()
+        # State-blind planners (``planner.uses_shard_state == False``) get a
+        # static tuple built once — their order() never reads the mutable
+        # fields.
         self._static_views: List[ShardView] = [
             ShardView(
                 index=index,
@@ -310,6 +290,44 @@ class ScanScheduler:
             budget_s=budget_s,
             cost_model=model,
         )
+
+    def restart(self) -> None:
+        """Begin a fresh rotation over the same shards, in place.
+
+        The engine's REPROTECTING step calls this after re-signing the
+        store.  The pass index, exposure, scan and flag counters and the
+        pending rotation clear, and the planner's positional state resets
+        (:meth:`~repro.core.planner.VerificationPlanner.reset`; learned
+        flip rates survive), so the scheduler matches a new one built over
+        the same store and planner.
+        """
+        self._planner.reset()
+        self._start_rotation()
+
+    def _start_rotation(self) -> None:
+        """The per-pass state a new scheduler starts from (see :meth:`restart`)."""
+        # Exposure is stored lazily: a shard's effective backlog is
+        # ``_exposure[i] + _exposure_base``.  Every pass bumps the scalar
+        # base once instead of incrementing the whole array (a NumPy
+        # dispatch per model per tick on the fleet path); scanning a shard
+        # writes ``-base`` so its effective exposure returns to zero.
+        self._exposure = np.zeros(self.num_shards, dtype=np.int64)
+        self._exposure_base = 0
+        self._times_scanned = np.zeros(self.num_shards, dtype=np.int64)
+        self._times_flagged = np.zeros(self.num_shards, dtype=np.int64)
+        # Scalar mirrors of ``_exposure.sum()`` / ``_times_flagged.sum()``,
+        # kept in lock-step by apply_scan: fleet urgency ranking reads both
+        # once per model per tick, and a NumPy reduction per read is pure
+        # dispatch overhead next to two int adds.
+        self._exposure_sum = 0
+        self._flagged_sum = 0
+        self._pass_index = 0
+        self._rotation_pending = set(range(self.num_shards))
+        self._rotation_rows: List[np.ndarray] = []
+        # Shard views only change when a pass commits; planning, pricing and
+        # fleet urgency ranking may all consult them several times per tick,
+        # so they are cached between apply_scan calls.
+        self._shard_views_cache: Optional[List[ShardView]] = None
 
     # -- planning ---------------------------------------------------------------
     @property

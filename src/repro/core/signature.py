@@ -26,9 +26,10 @@ keys and group size, never on the weights.  They live in a write-locked
 :class:`KernelGeometry` that :func:`kernel_geometry` builds once per plane
 shape and shares, holding gather columns only where a gather reads them;
 layouts are closed forms with no per-weight arrays, shared the same way
-(:func:`shared_layout`).  A view itself holds only its goldens, its plane
-and the adoption registry, so a fleet of equal-shaped models — or a model
-re-signed over new weights — pays for its geometry once.
+(:func:`shared_layout`).  A view itself holds only its goldens (the
+store's buffer, which a re-sign rewrites in place), its plane and the
+adoption registry, so a fleet of equal-shaped models — or a model
+protected again over new weights — pays for its geometry once.
 """
 
 from __future__ import annotations
@@ -108,46 +109,107 @@ def shared_layout(
 
 
 class SignatureStore:
-    """Golden signatures for all quantized layers of one model."""
+    """Golden signatures for all quantized layers of one model.
+
+    Every layer's goldens are views of one ``uint8`` buffer
+    (:attr:`golden`, in global-row order), which the store's
+    :class:`FusedSignatures` view reads as its own goldens: an in-place
+    re-sign (:meth:`resign`) updates the oracle and the kernel in one write.
+    """
 
     def __init__(self, config: RadarConfig) -> None:
         self.config = config
         self._layers: Dict[str, LayerSignatures] = {}
         self._fused: Optional["FusedSignatures"] = None
+        self.golden = np.empty(0, dtype=np.uint8)
 
     # -- construction ---------------------------------------------------------
     def build(self, model: Module) -> "SignatureStore":
-        """Compute golden signatures from the model's current (clean) weights."""
+        """Compute golden signatures from the model's current (clean) weights.
+
+        Derives each layer's layout and secret key; :meth:`resign` then
+        fills every golden.
+        """
         layers = quantized_layers(model)
         if not layers:
             raise ProtectionError("Model has no quantized layers to protect")
-        self._layers.clear()
-        self._fused = None
         for name, layer in layers:
             if not layer.is_quantized:
                 raise ProtectionError(
                     f"Layer {name!r} is not quantized; call quantize_model before protecting"
                 )
-            self._layers[name] = self._build_layer(name, layer.qweight)
+        config = self.config
+        entries = [
+            LayerSignatures(
+                layer_name=name,
+                layout=shared_layout(
+                    int(layer.qweight.size),
+                    config.group_size,
+                    config.use_interleave,
+                    config.interleave_offset,
+                ),
+                key=(
+                    SecretKey.generate(config.key_bits, config.secret_seed, name)
+                    if config.use_masking
+                    else None
+                ),
+                golden=np.empty(0, dtype=np.uint8),
+            )
+            for name, layer in layers
+        ]
+        self.golden = np.empty(
+            sum(entry.num_groups for entry in entries), dtype=np.uint8
+        )
+        self._layers.clear()
+        self._fused = None
+        start = 0
+        for entry in entries:
+            entry.golden = self.golden[start : start + entry.num_groups]
+            start += entry.num_groups
+            self._layers[entry.layer_name] = entry
+        self.resign(dict(layers))
         return self
 
-    def _build_layer(self, name: str, qweight: np.ndarray) -> LayerSignatures:
-        config = self.config
-        layout = shared_layout(
-            int(qweight.size),
-            config.group_size,
-            config.use_interleave,
-            config.interleave_offset,
-        )
-        key = (
-            SecretKey.generate(config.key_bits, config.secret_seed, name)
-            if config.use_masking
-            else None
-        )
-        golden = compute_signatures(
-            qweight.reshape(-1), layout, key, config.signature_bits
-        )
-        return LayerSignatures(layer_name=name, layout=layout, key=key, golden=golden)
+    def resign(
+        self,
+        layer_map: Mapping[str, Module],
+        groups: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> int:
+        """Rewrite goldens in place from the layers' current weights.
+
+        ``groups`` maps layer names to the group indices to re-sign (a
+        :class:`~repro.core.detector.DetectionReport`'s ``flagged_groups``
+        fits); layers it does not list keep their goldens.  ``None``
+        re-signs every group of every layer.  Each layer's stored layout
+        and key are reused, so no key is derived again, and the writes land
+        in :attr:`golden`, which the fused view shares.  Returns the number
+        of groups rewritten.
+        """
+        bits = self.config.signature_bits
+        resigned = 0
+        for name, entry in self._layers.items():
+            listed = None
+            if groups is not None:
+                listed = groups.get(name)
+                if listed is None or len(listed) == 0:
+                    continue
+                listed = np.asarray(listed, dtype=np.int64)
+            if name not in layer_map:
+                raise ProtectionError(f"Protected layer {name!r} missing from model")
+            flat = layer_map[name].qweight.reshape(-1)
+            if flat.size != entry.layout.num_weights:
+                raise ProtectionError(
+                    f"Layer {name!r} has {flat.size} weights, expected "
+                    f"{entry.layout.num_weights}; protect the model again to "
+                    "sign a new shape"
+                )
+            signatures = compute_signatures(flat, entry.layout, entry.key, bits, groups=listed)
+            if listed is None:
+                entry.golden[:] = signatures
+            else:
+                entry.golden[listed] = signatures
+            resigned += signatures.size
+        return resigned
 
     # -- access ---------------------------------------------------------------
     def __contains__(self, layer_name: str) -> bool:
@@ -869,7 +931,8 @@ class FusedSignatures:
         # Plain ints: bisected and indexed on every scan, where NumPy scalar
         # dispatch would cost more than the lookup itself.
         self._row_starts: List[int] = store.row_starts().tolist()
-        self.golden = np.concatenate([entry.golden for entry in entries]).astype(np.uint8)
+        # The store's buffer itself, not a copy: a re-sign rewrites it in place.
+        self.golden = store.golden
         self.total_groups = self._row_starts[-1]
         # Shared empty per-layer arrays for the clean-scan fast path of
         # rows_to_layer_groups (never mutated; reports treat them read-only).
@@ -992,10 +1055,13 @@ class FusedSignatures:
         are re-adopted transparently on the next scan.
 
         A model previously adopted by another view with identical geometry
-        (the re-sign path: same layers, same weight counts) already keeps
-        its buffers in one conforming plane — that plane is adopted as-is,
-        with no copy and no rebinding, so weight references taken before a
-        re-protect stay valid.
+        (one protected again with
+        :meth:`~repro.core.protector.ModelProtector.protect`: same layers,
+        same weight counts) already keeps its buffers in one conforming
+        plane — that plane is adopted as-is, with no copy and no rebinding,
+        so weight references taken before the new store stay valid.  The
+        engine's re-sign never gets here: it rewrites goldens in place and
+        keeps the view and its plane.
         """
         self._ensure_kernel()
         for position in range(len(self.layer_names)):
@@ -1473,9 +1539,12 @@ class StackedVerifier:
     kernel keys, fetches every view's shared geometry (noting whether all
     views share one, which the broadcast branch needs) and, when the
     goldens share one length, prestacks them so a homogeneous contiguous
-    slice compares against a *view* of the stack.  Goldens are never
-    rewritten in place (a re-sign builds a new view), and the engine
-    rebuilds the verifier when bucket membership (view identity) changes.
+    slice compares against a *view* of the stack.  That stack is a copy:
+    a re-sign rewrites a view's goldens in place
+    (:meth:`SignatureStore.resign`), so whoever re-signs a member calls
+    :meth:`refresh_golden`.  Unstacked goldens are the views' own buffers
+    and need no refresh.  The engine rebuilds the verifier when bucket
+    membership (view identity) changes.
     """
 
     def __init__(
@@ -1509,6 +1578,13 @@ class StackedVerifier:
         self._goldens = (
             np.stack(goldens) if len({golden.size for golden in goldens}) == 1 else goldens
         )
+
+    def refresh_golden(self, view: "FusedSignatures") -> None:
+        """Copy ``view``'s re-signed goldens into the prestack, if it is a member."""
+        if isinstance(self._goldens, np.ndarray):
+            for index, member in enumerate(self.views):
+                if member is view:
+                    self._goldens[index] = view.golden
 
     def verify(
         self,

@@ -8,7 +8,8 @@ repo could say a flip was caught, not how fast at what percentile.
 
 * the **event bus** (subscription) for lifecycle timing — detection
   latency from corruption injection to the FLAGGED transition, recovery
-  wall-clock, and the detection→reprotect span;
+  wall-clock, the re-sign stage's own wall-clock, and the
+  detection→reprotect span;
 * the **tick hook** (``engine.telemetry``) for per-tick economics that
   never travel over the bus — scan-budget utilisation (measured wall-clock
   against the allocated share) and bucketed-stacking efficiency (own rows
@@ -185,6 +186,11 @@ class FleetTelemetry:
                     float(elapsed)
                 )
         elif event.type is FleetEventType.REPROTECT:
+            elapsed = event.detail.get("elapsed_s")
+            if elapsed is not None:
+                self.registry.histogram("resign_s", model=event.model).observe(
+                    float(elapsed)
+                )
             started = self._detection_started.pop(event.model, None)
             if started is not None:
                 self.registry.histogram("reprotect_s", model=event.model).observe(
@@ -297,6 +303,10 @@ class FleetTelemetry:
                 row[f"{label}_detection_ms"] = value * 1e3
             row["mean_recovery_ms"] = (
                 self.registry.histogram("recovery_s", model=name).summary()["mean"]
+                * 1e3
+            )
+            row["mean_resign_ms"] = (
+                self.registry.histogram("resign_s", model=name).summary()["mean"]
                 * 1e3
             )
             row["mean_reprotect_ms"] = (

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     EventBus,
+    SignatureStore,
     FleetEvent,
     FleetEventType,
     ProtectionState,
@@ -69,6 +70,18 @@ def manual_engine():
     return VerificationEngine(
         RadarConfig(group_size=8), num_shards=4, auto_reprotect=False
     )
+
+
+def _assert_goldens_match_a_fresh_build(managed) -> None:
+    """The store's goldens (and the kernel's) equal signing the model anew."""
+    store = managed.protector.store
+    fresh = SignatureStore(store.config).build(managed.model)
+    np.testing.assert_array_equal(store.golden, fresh.golden)
+    for entry, expected in zip(store, fresh):
+        assert entry.layer_name == expected.layer_name
+        np.testing.assert_array_equal(entry.golden, expected.golden)
+        assert np.shares_memory(entry.golden, store.golden)
+    assert managed.scheduler.fused.golden is store.golden
 
 
 def _detect(engine, budget_s=None):
@@ -586,6 +599,7 @@ class TestLifecycle:
         for (name, layer), original in zip(layers, originals):
             np.testing.assert_array_equal(layer.qweight, original)
         assert not engine.scan_all()["m"].attack_detected
+        _assert_goldens_match_a_fresh_build(managed)
 
     def test_lifecycle_emits_the_full_event_trail(self, engine):
         engine.register("victim", _small_model(1))
@@ -668,6 +682,222 @@ class TestLifecycle:
             planner_before.flip_rate(index) > 0
             for index in range(refreshed.scheduler.num_shards)
         )
+
+
+def _flip_group(managed, layer_index: int, group: int) -> None:
+    """MSB-flip one member of ``group`` of a layer (the group then mismatches)."""
+    name, layer = quantized_layers(managed.model)[layer_index]
+    member = int(managed.protector.store.layer(name).layout.members_of(group)[0])
+    flat = layer.qweight.reshape(-1)
+    flat[member] = np.int8(int(flat[member]) ^ -128)
+
+
+class TestInPlaceResign:
+    """A re-sign rewrites goldens in place and keeps every cached object."""
+
+    #: (layer, group) flips of a 64 -> 32 -> 16 -> 4 MLP at G=8: 328 rows in
+    #: four shards of 82.  Only the first lies in shard 0, which the
+    #: detecting tick scans; the rest sit in shards 2 and 3.
+    FLIPS = ((0, 0), (0, 200), (1, 30), (2, 7))
+
+    @staticmethod
+    def _model(seed: int) -> MLP:
+        return _small_model(seed, hidden=(32, 16), input_dim=64)
+
+    @pytest.mark.parametrize("signature_bits", [2, 3])
+    @pytest.mark.parametrize("use_masking", [True, False])
+    @pytest.mark.parametrize("use_interleave", [True, False])
+    @pytest.mark.parametrize("policy", [RecoveryPolicy.ZERO, RecoveryPolicy.RELOAD])
+    def test_auto_resign_matches_a_fresh_build(
+        self, policy, use_interleave, use_masking, signature_bits
+    ):
+        config = RadarConfig(
+            group_size=8,
+            use_interleave=use_interleave,
+            use_masking=use_masking,
+            signature_bits=signature_bits,
+        )
+        engine = VerificationEngine(config, num_shards=4, recovery_policy=policy)
+        managed = engine.register("m", self._model(1), keep_golden_weights=True)
+        engine.register("bystander", self._model(2), keep_golden_weights=True)
+        for layer_index, group in self.FLIPS:
+            _flip_group(managed, layer_index, group)
+        outcome = engine.tick()["m"]
+        assert outcome.reprotected
+        assert engine.bus.events(FleetEventType.DETECTION)[0].detail["shards"] == [0]
+        recovered = outcome.recovery.groups_recovered
+        assert recovered == len(self.FLIPS)
+        resign = engine.bus.events(FleetEventType.REPROTECT)[0]
+        assert resign.detail["groups_resigned"] == recovered
+        _assert_goldens_match_a_fresh_build(managed)
+        # The golden-weights snapshot is taken again from the current weights.
+        for name, layer in quantized_layers(managed.model):
+            np.testing.assert_array_equal(
+                managed.protector.golden_weights[name], layer.qweight
+            )
+        for _ in range(managed.scheduler.worst_case_lag_passes):
+            assert not any(o.attack_detected for o in engine.tick().values())
+
+    @pytest.mark.parametrize("signature_bits", [2, 3])
+    @pytest.mark.parametrize("use_masking", [True, False])
+    @pytest.mark.parametrize("use_interleave", [True, False])
+    def test_manual_reprotect_matches_a_fresh_build(
+        self, use_interleave, use_masking, signature_bits
+    ):
+        config = RadarConfig(
+            group_size=8,
+            use_interleave=use_interleave,
+            use_masking=use_masking,
+            signature_bits=signature_bits,
+        )
+        engine = VerificationEngine(config, num_shards=4, auto_reprotect=False)
+        managed = engine.register("m", self._model(3))
+        # A legitimate update of every layer, wide enough to move signatures.
+        for _, layer in quantized_layers(managed.model):
+            flat = layer.qweight.reshape(-1)
+            flat[::5] = np.clip(flat[::5].astype(np.int64) + 70, -128, 127).astype(np.int8)
+        assert engine.scan_all()["m"].attack_detected
+        engine.reprotect("m")
+        event = engine.bus.events(FleetEventType.REPROTECT)[0]
+        assert event.detail["trigger"] == "manual"
+        assert event.detail["groups_resigned"] == managed.scheduler.total_groups
+        _assert_goldens_match_a_fresh_build(managed)
+        assert not engine.scan_all()["m"].attack_detected
+
+    def test_reprotect_rejects_a_reshaped_layer(self, manual_engine):
+        managed = manual_engine.register("m", self._model(4))
+        _, layer = quantized_layers(managed.model)[-1]
+        layer.qweight = layer.qweight.reshape(-1)[:-1].copy()
+        with pytest.raises(ProtectionError, match="protect the model again"):
+            manual_engine.reprotect("m")
+
+    @pytest.mark.parametrize("policy", [ScanPolicy.ROUND_ROBIN, ScanPolicy.FULL])
+    def test_homogeneous_bucket_verdicts_after_resign(self, policy):
+        """A verifier's prestacked goldens follow the in-place re-sign.
+
+        The bucket's three same-shaped models stack their goldens into one
+        matrix.  After the victim re-signs, every later tick's verdicts
+        must equal the oracle's for every model — a stale prestack would
+        flag the victim's zeroed groups again.
+        """
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4, policy=policy)
+        for index in range(3):
+            engine.register(f"m{index}", self._model(10 + index))
+        engine.tick()
+        (verifier,) = engine._verifiers.values()
+        assert verifier.shared_geometry and isinstance(verifier._goldens, np.ndarray)
+        victim = engine.get("m1")
+        # Shard 1 (rows 82-163, all in layer 0) is the next slice under
+        # ROUND_ROBIN.  Flip groups whose golden differs from a zeroed
+        # group's, so the ZERO re-sign changes their goldens.
+        golden = victim.protector.store.golden
+        groups = [int(row) for row in np.flatnonzero(golden[82:164]) + 82][:3]
+        assert groups
+        for group in groups:
+            _flip_group(victim, 0, group)
+        outcomes = engine.tick()
+        assert outcomes["m1"].reprotected
+        np.testing.assert_array_equal(verifier._goldens[1], golden)
+        for _ in range(2 * victim.scheduler.worst_case_lag_passes):
+            expected = {
+                name: _oracle_flags(engine.get(name), engine.get(name).scheduler.plan())
+                for name in engine.names()
+            }
+            outcomes = engine.tick()
+            for name, outcome in outcomes.items():
+                _assert_flags_equal(outcome.scan.report.flagged_groups, expected[name])
+                assert not outcome.attack_detected
+        # The same verifier ran every tick: no rebuild restacked the goldens.
+        assert all(cached is verifier for cached in engine._verifiers.values())
+
+    def test_desynchronised_bucket_keeps_its_verifier(self):
+        """Models at different rotation positions keep one cached verifier.
+
+        156 groups in 5 shards leave shard 0 one row longer than the rest,
+        so once re-signs put the models out of phase their slices differ
+        in size on most ticks.  The batch keeps registration order, so the
+        verifier the first tick compiled serves every later tick.
+        """
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=5)
+        for index in range(3):
+            engine.register(f"m{index}", _small_model(40 + index))
+        assert engine.get("m0").scheduler.total_groups == 156
+        engine.tick()
+        engine.reprotect("m1")
+        engine.tick()
+        engine.reprotect("m2")
+        verifiers = list(engine._verifiers.values())
+        for _ in range(10):
+            expected = {
+                name: _oracle_flags(engine.get(name), engine.get(name).scheduler.plan())
+                for name in engine.names()
+            }
+            for name, outcome in engine.tick().items():
+                _assert_flags_equal(outcome.scan.report.flagged_groups, expected[name])
+        cached = list(engine._verifiers.values())
+        assert len(cached) == len(verifiers)
+        assert all(now is before for now, before in zip(cached, verifiers))
+
+    def test_attacked_tick_keeps_every_cached_object(self):
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        for index in range(2):
+            engine.register(f"m{index}", self._model(20 + index))
+        engine.tick()
+        victim = engine.get("m0")
+        view = victim.scheduler.fused
+        kept = {
+            "store": victim.protector.store,
+            "view": view,
+            "golden": view.golden,
+            "plane": view._plane,
+            "geometry": view.geometry,
+            "layer_map": victim.layer_map,
+            "scheduler": victim.scheduler,
+            "planner": victim.scheduler.planner,
+            "verifier": next(iter(engine._verifiers.values())),
+        }
+        version = engine._models_version
+        _flip_group(victim, 0, 100)  # shard 1: the next slice
+        assert engine.tick()["m0"].reprotected
+        now = {
+            "store": victim.protector.store,
+            "view": victim.scheduler.fused,
+            "golden": victim.scheduler.fused.golden,
+            "plane": victim.scheduler.fused._plane,
+            "geometry": victim.scheduler.fused.geometry,
+            "layer_map": victim.layer_map,
+            "scheduler": victim.scheduler,
+            "planner": victim.scheduler.planner,
+            "verifier": next(iter(engine._verifiers.values())),
+        }
+        assert all(now[name] is kept[name] for name in kept), [
+            name for name in kept if now[name] is not kept[name]
+        ]
+        assert engine._models_version == version
+        assert victim.scheduler.passes == 0
+
+    def test_reprotect_events_report_the_resign_stage(self):
+        from repro.telemetry.monitor import FleetTelemetry
+
+        engine = VerificationEngine(RadarConfig(group_size=8), num_shards=4)
+        telemetry = FleetTelemetry().attach(engine)
+        managed = engine.register("m", self._model(30))
+        _flip_group(managed, 0, 0)
+        engine.tick()
+        engine.reprotect("m")
+        auto, manual = engine.bus.events(FleetEventType.REPROTECT)
+        assert auto.detail["trigger"] == "recovery"
+        assert auto.detail["groups_resigned"] == 1
+        assert manual.detail["groups_resigned"] == managed.scheduler.total_groups
+        for event in (auto, manual):
+            assert event.detail["elapsed_s"] > 0
+        histogram = telemetry.registry.histogram("resign_s", model="m")
+        assert histogram.count == 2
+        assert histogram.summary()["mean"] == pytest.approx(
+            (auto.detail["elapsed_s"] + manual.detail["elapsed_s"]) / 2
+        )
+        (row,) = telemetry.sla_report()
+        assert row["mean_resign_ms"] == pytest.approx(histogram.summary()["mean"] * 1e3)
 
 
 class TestBudgetedEngine:

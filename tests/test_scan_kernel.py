@@ -696,7 +696,6 @@ class TestStructureDetectionEdgeCases:
         # verification must catch the lie numerically and route the layer
         # to the general gather (a wrongly believed hint would gather the
         # wrong weights — silently, on the clean path).
-        from repro.core.checksum import compute_signatures
         from repro.core.interleave import GroupLayout
         from repro.core.signature import LayerSignatures
 
@@ -725,13 +724,11 @@ class TestStructureDetectionEdgeCases:
                 layer_name=name,
                 layout=foreign,
                 key=entry.key,
-                golden=compute_signatures(
-                    layer_map[name].qweight.reshape(-1),
-                    foreign,
-                    entry.key,
-                    store.config.signature_bits,
-                ),
+                golden=entry.golden,
             )
+        # Goldens stay views of the store's buffer; sign them under the
+        # replacement layouts.
+        store.resign(layer_map)
         store._fused = None
         fused = store.fused()
         # The inherited hint (offset t) mismatches the actual matrix
@@ -1027,7 +1024,6 @@ class TestSharedGeometry:
         assert self._geometry(config, flat) is not self._geometry(config, nested)
 
     def test_foreign_layout_never_receives_a_shared_geometry(self):
-        from repro.core.checksum import compute_signatures
         from repro.core.interleave import GroupLayout
         from repro.core.signature import LayerSignatures
 
@@ -1052,13 +1048,11 @@ class TestSharedGeometry:
                 layer_name=name,
                 layout=foreign,
                 key=entry.key,
-                golden=compute_signatures(
-                    layer_map[name].qweight.reshape(-1),
-                    foreign,
-                    entry.key,
-                    store.config.signature_bits,
-                ),
+                golden=entry.golden,
             )
+        # Goldens stay views of the store's buffer; sign them under the
+        # replacement layouts.
+        store.resign(layer_map)
         store._fused = None
         fused = store.fused()
         assert fused.geometry is not shared
@@ -1100,7 +1094,7 @@ class TestSharedGeometry:
         geometry = managed.scheduler.fused.geometry
         view = managed.scheduler.fused
         engine.reprotect("m0")
-        assert managed.scheduler.fused is not view
+        assert managed.scheduler.fused is view
         assert managed.scheduler.fused.geometry is geometry
 
     def test_geometry_dies_with_its_last_view(self):

@@ -193,6 +193,47 @@ class TestScanSchedulerRotation:
         assert _reports_equal(report, protector.scan(model))
 
 
+class TestRestart:
+    @pytest.mark.parametrize("policy", list(ScanPolicy))
+    def test_restart_equals_a_new_scheduler(self, protected, policy):
+        import copy
+
+        model, protector = protected
+        scheduler = ScanScheduler(
+            protector.store, num_shards=5, policy=policy, shards_per_pass=2
+        )
+        _flip_msb(model, 0, 3)
+        _flip_msb(model, 2, 7)
+        for _ in range(3):
+            scheduler.step(model)
+        assert scheduler.passes == 3
+        expected_planner = copy.deepcopy(scheduler.planner)
+        expected_planner.reset()
+        scheduler.restart()
+        assert scheduler.planner.state_dict() == expected_planner.state_dict()
+        fresh = ScanScheduler(
+            protector.store,
+            num_shards=5,
+            policy=policy,
+            shards_per_pass=2,
+            planner=copy.deepcopy(scheduler.planner),
+        )
+        assert scheduler.state_dict() == fresh.state_dict()
+        assert scheduler.shard_info() == fresh.shard_info()
+        assert scheduler.passes == fresh.passes == 0
+        assert scheduler.max_exposure_passes == fresh.max_exposure_passes
+        assert scheduler.mean_exposure_passes == fresh.mean_exposure_passes
+        assert scheduler.total_flagged_passes == fresh.total_flagged_passes
+        # And both go on alike through two rotations.
+        for _ in range(2 * scheduler.worst_case_lag_passes):
+            ours, theirs = scheduler.step(model), fresh.step(model)
+            assert ours.shard_indices == theirs.shard_indices
+            assert _reports_equal(ours.report, theirs.report)
+            assert ours.rotation_complete == theirs.rotation_complete
+        assert scheduler.state_dict() == fresh.state_dict()
+        assert scheduler.planner.state_dict() == fresh.planner.state_dict()
+
+
 class TestScanSchedulerDegenerateCases:
     def test_single_shard_degenerates_to_full_scan(self, protected):
         model, protector = protected

@@ -90,6 +90,59 @@ class TestCurrentSignatures:
             store.current_signatures(other)
 
 
+class TestResign:
+    def test_goldens_are_views_of_one_buffer_the_fused_view_shares(self, quantized_mlp):
+        store = SignatureStore(RadarConfig(group_size=16)).build(quantized_mlp)
+        assert store.golden.dtype == np.uint8
+        assert store.golden.size == store.total_groups()
+        starts = store.row_starts()
+        for position, entry in enumerate(store):
+            assert entry.golden.base is store.golden
+            np.testing.assert_array_equal(
+                entry.golden, store.golden[starts[position] : starts[position + 1]]
+            )
+        assert store.fused().golden is store.golden
+
+    def test_listed_groups_only_are_rewritten(self, quantized_mlp):
+        store = SignatureStore(RadarConfig(group_size=16)).build(quantized_mlp)
+        layers = quantized_layers(quantized_mlp)
+        for _, layer in layers:
+            layer.qweight.reshape(-1)[:] = 0
+        first, second = (name for name, _ in layers)
+        before = store.golden.copy()
+        zeroed = store.current_signatures(quantized_mlp)
+        assert store.resign(dict(layers), {first: np.array([1, 3]), second: []}) == 2
+        changed = np.flatnonzero(store.golden != before)
+        assert set(changed) <= {1, 3}
+        np.testing.assert_array_equal(store.layer(first).golden[[1, 3]], zeroed[first][[1, 3]])
+
+    def test_resign_of_every_group_equals_a_fresh_build(self, quantized_mlp):
+        config = RadarConfig(group_size=16)
+        store = SignatureStore(config).build(quantized_mlp)
+        buffer, keys = store.golden, [entry.key for entry in store]
+        for _, layer in quantized_layers(quantized_mlp):
+            flat = layer.qweight.reshape(-1)
+            flat[::3] = flat[::3] ^ np.int8(-128)
+        resigned = store.resign(dict(quantized_layers(quantized_mlp)))
+        assert resigned == store.total_groups()
+        np.testing.assert_array_equal(
+            store.golden, SignatureStore(config).build(quantized_mlp).golden
+        )
+        # In place, with the keys the build derived.
+        assert store.golden is buffer
+        assert all(entry.key is key for entry, key in zip(store, keys))
+
+    def test_resign_rejects_missing_or_reshaped_layers(self, quantized_mlp):
+        store = SignatureStore(RadarConfig(group_size=16)).build(quantized_mlp)
+        with pytest.raises(ProtectionError, match="missing from model"):
+            store.resign({})
+        layer_map = dict(quantized_layers(quantized_mlp))
+        name = store.layer_names()[0]
+        layer_map[name].qweight = layer_map[name].qweight.reshape(-1)[:-1].copy()
+        with pytest.raises(ProtectionError, match="weights, expected"):
+            store.resign(layer_map)
+
+
 class TestStorageAccounting:
     def test_storage_bits_formula(self, quantized_mlp):
         config = RadarConfig(group_size=16, signature_bits=2)
