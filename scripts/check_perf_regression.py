@@ -70,7 +70,7 @@ GATES: Dict[str, GateSpec] = {
         "mode", ("speedup",), ("groups", "rows_per_pass", "num_shards", "structured")
     ),
     "trace_overhead": GateSpec(
-        "mode", structural_fields=("max_overhead_pct", "spans_per_tick")
+        "mode", structural_fields=("max_overhead_pct", "stages_per_tick")
     ),
     "campaign_sla": GateSpec("case", exact=True),
     "campaign_matrix": GateSpec("case", exact=True),

@@ -12,8 +12,8 @@ and Chakrabarti.  The package provides:
 * ``repro.core`` — the RADAR detection and recovery scheme, plus the
   amortized scan scheduler and the fleet verification engine;
 * ``repro.telemetry`` — fleet SLA metrics (detection-latency percentiles),
-  durable persistence of calibrated state across restarts, span tracing
-  of the engine tick, Prometheus text exposition and the read-only
+  durable persistence of calibrated state across restarts, always-on
+  per-stage tick timing, Prometheus text exposition and the read-only
   observability HTTP surface;
 * ``repro.baselines`` — CRC / Hamming / parity comparison codes;
 * ``repro.memsim`` — DRAM, rowhammer and timing simulation;

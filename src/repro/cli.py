@@ -25,9 +25,9 @@ Three subcommands drive the run-time protection machinery directly:
   re-signed* automatically by the engine's
   detect → recover → reprotect lifecycle.  ``--events`` prints the
   engine's event stream (detection / recovery / reprotect /
-  budget_exhausted), ``--http-port`` serves ``/metrics``, ``/healthz``
-  and ``/trace`` while it runs, and ``--trace-dir`` exports the tick
-  spans as JSONL.
+  budget_exhausted), and ``--http-port`` serves ``/metrics`` (with the
+  per-stage ``stage_duration_s`` tick timings) and ``/healthz`` while it
+  runs.
 
 All three accept ``--budget-ms``: instead of fixing the shard structure, the
 slice each pass verifies is sized from a latency budget by the analytic scan
@@ -635,13 +635,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         # Histogram windows merge (persisted samples first), so the SLA
         # percentiles below span restarts of this demo.
         print(f"telemetry metrics restored from {state_store.telemetry_path}")
-    recorder = None
-    if args.trace_dir is not None:
-        from repro.telemetry.trace import FlightRecorder, SpanTracer
-
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
-        recorder = FlightRecorder()
-        engine.tracer = SpanTracer(recorder=recorder)
     server = None
     if args.http_port is not None:
         from repro.telemetry.httpd import ObservabilityServer
@@ -649,7 +642,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         server = ObservabilityServer(
             telemetry=telemetry,
             engine=engine,
-            recorder=recorder,
             port=args.http_port,
         ).start()
         print(f"observability server listening on {server.url}")
@@ -712,13 +704,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         _time.sleep(args.linger_s)
     if server is not None:
         server.close()
-    if recorder is not None:
-        trace_path = args.trace_dir / "trace.jsonl"
-        recorder.dump_jsonl(trace_path)
-        print(
-            f"trace exported: {len(recorder)} span(s) -> {trace_path} "
-            f"(analyze with scripts/trace_analysis.py)"
-        )
     return 0
 
 
@@ -1007,13 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--http-port", type=int, default=None,
         help="serve the observability surface (/metrics Prometheus text, "
-        "/healthz, /trace) on 127.0.0.1; 0 picks an "
-        "ephemeral port and prints it",
-    )
-    serve_parser.add_argument(
-        "--trace-dir", type=Path, default=None,
-        help="enable span tracing of every engine tick; the full trace is "
-        "exported as JSONL here at the end of the run",
+        "/healthz) on 127.0.0.1; 0 picks an ephemeral port and prints it",
     )
     serve_parser.add_argument(
         "--linger-s", type=_positive_float, default=None,

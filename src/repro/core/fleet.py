@@ -56,6 +56,12 @@ queue of scan slices drawn from all registered models:
   ``budget_exhausted`` events (:class:`FleetEventType`) are published to an
   :class:`EventBus` with a bounded history, so operators observe the
   lifecycle instead of polling per-model state.
+* **Stage timing** — every tick takes one ``perf_counter`` delta per stage
+  (:data:`TICK_STAGES`: plan, assemble, kernel, verdict, lifecycle) into
+  :attr:`VerificationEngine.last_stage_durations_s`; an attached
+  :class:`~repro.telemetry.monitor.FleetTelemetry` observes them into the
+  always-on ``stage_duration_s{stage=...}`` histograms that ``/metrics``
+  serves.
 
 Detect-only ticks (``recovery_policy=RecoveryPolicy.NONE``) and
 ``auto_reprotect=False`` leave recovery and re-signing to the caller.
@@ -75,7 +81,7 @@ from repro.core.config import RadarConfig
 from repro.core.cost import AnalyticScanCostModel, ScanCostModel
 from repro.core.detector import DetectionReport
 from repro.core.protector import ModelProtector
-from repro.core.recovery import RecoveryPolicy, RecoveryReport
+from repro.core.recovery import RecoveryPolicy, RecoveryReport, require_golden_weights
 from repro.core.scheduler import ScanPassResult, ScanPolicy, ScanScheduler
 from repro.core.signature import (
     ScanScratch,
@@ -88,13 +94,16 @@ from repro.core.signature import (
 from repro.errors import ProtectionError
 from repro.nn.module import Module
 from repro.quant.layers import quantized_layers
-from repro.telemetry.trace import NULL_SPAN, NULL_TRACER
 
 #: Width-disparity guard for bucketed padded stacking: a kernel bucket
 #: whose per-slice padding waste would exceed this is sub-split into
 #: separate stacked passes; see
 #: :func:`~repro.core.signature.split_by_padding_waste`.
 MAX_PADDING_WASTE = 0.5
+
+#: The stages of one tick, in pipeline order: each is timed once per tick
+#: into :attr:`VerificationEngine.last_stage_durations_s`.
+TICK_STAGES = ("plan", "assemble", "kernel", "verdict", "lifecycle")
 
 
 class ProtectionState(str, Enum):
@@ -185,7 +194,7 @@ class ManagedModel:
     model: Module
     protector: ModelProtector
     scheduler: ScanScheduler
-    cost_model: Optional[ScanCostModel] = None
+    cost_model: ScanCostModel
     #: Lifecycle position (see :class:`ProtectionState`).
     state: ProtectionState = ProtectionState.PROTECTED
     #: ``{layer_name: quantized layer}`` cache so batched execution does not
@@ -212,10 +221,7 @@ class ManagedModel:
         memo = self._min_feasible_memo
         if memo is not None and memo[0] is self.scheduler and memo[1] == price:
             return memo[2]
-        cost_model = self.cost_model or AnalyticScanCostModel.from_radar_config(
-            self.protector.config
-        )
-        floor = cost_model.pass_cost_s(self.scheduler.largest_shard_groups)
+        floor = self.cost_model.pass_cost_s(self.scheduler.largest_shard_groups)
         self._min_feasible_memo = (self.scheduler, price, floor)
         return floor
 
@@ -357,20 +363,16 @@ class VerificationEngine:
         #: lifecycle *events* travel over the bus, but budget utilisation
         #: and stacking efficiency live in tick outcomes, which never do.
         self.telemetry = None
-        #: Span tracer for the tick pipeline (plan → assemble → kernel →
-        #: verdict → lifecycle).  The null tracer makes every span call a
-        #: constant-time no-op; ``serve-demo --trace-dir`` swaps in a
-        #: :class:`~repro.telemetry.trace.SpanTracer` with a flight
-        #: recorder.
-        self.tracer = NULL_TRACER
         #: Wall-clock of the last completed tick (``perf_counter`` diff),
-        #: measured just before telemetry observes the tick so the
-        #: ``tick_duration_s`` histogram and the ``engine.tick`` span
-        #: report the *same* sample.
+        #: stamped before telemetry observes the tick.
         self.last_tick_duration_s: Optional[float] = None
+        #: The last completed tick's wall-clock per stage of
+        #: :data:`TICK_STAGES` (``kernel`` spans every bucket's pass); the
+        #: stages run one after another inside the tick, so they sum to at
+        #: most :attr:`last_tick_duration_s`.
+        self.last_stage_durations_s: Optional[Dict[str, float]] = None
         self._models: Dict[str, ManagedModel] = {}
         self._tick_index = 0
-        self._tick_span_ctx = None
         # Per-bucket kernel workspaces, reused across ticks.
         self._scratch: Dict[Tuple, ScanScratch] = {}
         # Precompiled stacked passes per (kernel key, sub-bucket): rebuilt
@@ -574,6 +576,10 @@ class VerificationEngine:
         is on — re-signed, so the whole
         FLAGGED → RECOVERING → REPROTECTING → PROTECTED loop happens inside
         this call.
+
+        Each stage of :data:`TICK_STAGES` is timed once into
+        :attr:`last_stage_durations_s`, which an attached telemetry
+        observer turns into ``stage_duration_s`` histograms.
         """
         self._require_models()
         policy = (
@@ -581,18 +587,12 @@ class VerificationEngine:
             if recovery_policy is not None
             else self.recovery_policy
         )
+        # RELOAD without a golden snapshot is refused on every tick, not
+        # only on the tick that first has something to recover.
+        for managed in self._models.values():
+            require_golden_weights(policy, managed.protector.golden_weights)
         self._tick_index += 1
-        tracer = self.tracer
         started = time.perf_counter()
-        tick_span = tracer.span(
-            "engine.tick",
-            attrs={"tick": self._tick_index, "models": len(self._models)},
-        )
-        # Kernel batches and lifecycle transitions run in helpers that have
-        # no natural parameter path for the span context; one tick runs at
-        # a time, so an attribute is safe.
-        self._tick_span_ctx = tick_span.context
-        plan_span = tracer.span("tick.plan", parent=tick_span.context)
         plans = self._plan_tick(budget_s)
         slices: List[_PlannedSlice] = []
         for name, managed in self._models.items():
@@ -608,30 +608,37 @@ class VerificationEngine:
                     },
                 )
             slices.append(_PlannedSlice(managed, share, shard_indices, rows))
-        plan_span.finish()
-        self._execute(slices, parent=tick_span.context)
-        verdict_span = tracer.span("tick.verdict", parent=tick_span.context)
-        outcomes: Dict[str, EngineTickOutcome] = {}
-        for planned in slices:
-            scan = planned.managed.scheduler.apply_scan(
+        planned_at = time.perf_counter()
+        passes = self._assemble(slices)
+        assembled_at = time.perf_counter()
+        for batch, scratch, verifier in passes:
+            self._run_batch(batch, scratch, verifier)
+        verified_at = time.perf_counter()
+        scans = [
+            planned.managed.scheduler.apply_scan(
                 planned.shard_indices,
                 planned.flagged_rows,
                 measured_s=planned.measured_s,
                 budget_s=planned.share,
             )
-            outcomes[planned.managed.name] = self._lifecycle(
-                planned, scan, policy
-            )
-        verdict_span.finish()
-        # Stamp the duration *before* telemetry observes it, then close the
-        # tick span with the very same value — the span export and the
-        # tick_duration_s histogram must agree sample for sample.
-        elapsed = time.perf_counter() - started
-        self.last_tick_duration_s = elapsed
+            for planned in slices
+        ]
+        judged_at = time.perf_counter()
+        outcomes: Dict[str, EngineTickOutcome] = {
+            planned.managed.name: self._lifecycle(planned, scan, policy)
+            for planned, scan in zip(slices, scans)
+        }
+        finished = time.perf_counter()
+        self.last_tick_duration_s = finished - started
+        self.last_stage_durations_s = {
+            "plan": planned_at - started,
+            "assemble": assembled_at - planned_at,
+            "kernel": verified_at - assembled_at,
+            "verdict": judged_at - verified_at,
+            "lifecycle": finished - judged_at,
+        }
         if self.telemetry is not None:
             self.telemetry.observe_tick(self._tick_index, outcomes)
-        self._tick_span_ctx = None
-        tick_span.finish(duration_s=elapsed)
         return outcomes
 
     @property
@@ -639,8 +646,10 @@ class VerificationEngine:
         """Ticks run so far (the tick stamp :class:`FleetEvent`\\ s carry)."""
         return self._tick_index
 
-    def _execute(self, slices: List[_PlannedSlice], parent=None) -> None:
-        """Verify every planned slice, coalescing kernel-compatible ones.
+    def _assemble(
+        self, slices: List[_PlannedSlice]
+    ) -> List[Tuple[List[_PlannedSlice], ScanScratch, StackedVerifier]]:
+        """Group the planned slices into stacked kernel passes.
 
         Slices are bucketed by :meth:`FusedSignatures.kernel_key` — the same
         ``(group_size, signature_bits)`` means the same gather-row width and
@@ -652,10 +661,10 @@ class VerificationEngine:
         stacked pass is cache-blocked over slot-major tiles and each model's
         contiguous slice gathers through its plane's rotated-arange
         structure when one was detected at fuse time (see
-        :func:`~repro.core.signature._stacked_sums`).  Buckets run one
-        after another on the calling thread.
+        :func:`~repro.core.signature._stacked_sums`).  Empty slices are
+        settled here; the tick runs the returned passes one after another on
+        the calling thread (:meth:`_run_batch`).
         """
-        assemble_span = self.tracer.span("tick.assemble", parent=parent)
         batches: Dict[Tuple, List[_PlannedSlice]] = {}
         for planned in slices:
             if planned.rows.size == 0:
@@ -682,10 +691,7 @@ class VerificationEngine:
                 sub_batch = [batch[index] for index in sorted(part)]
                 verifier = self._bucket_verifier((key, sub_index), sub_batch)
                 groups.append((sub_batch, scratch, verifier))
-        assemble_span.set_attr("buckets", len(groups))
-        assemble_span.finish()
-        for batch, scratch, verifier in groups:
-            self._run_batch(batch, scratch, verifier)
+        return groups
 
     def _bucket_verifier(
         self, cache_key: Tuple, batch: List[_PlannedSlice]
@@ -722,11 +728,6 @@ class VerificationEngine:
         scratch: ScanScratch,
         verifier: StackedVerifier,
     ) -> None:
-        span = (
-            self.tracer.span("scan.kernel", parent=self._tick_span_ctx)
-            if self.tracer.enabled
-            else NULL_SPAN
-        )
         homogeneous = verifier.shared_geometry and _same_rows(batch)
         started = time.perf_counter()
         # Singletons go through the same kernel: a one-model "stack" costs the
@@ -738,9 +739,6 @@ class VerificationEngine:
         elapsed = time.perf_counter() - started
         share = elapsed / len(batch)
         width = max(planned.rows.size for planned in batch)
-        span.set_attr("batch", len(batch))
-        span.set_attr("width", int(width))
-        span.finish(duration_s=elapsed)
         for planned, flagged_rows in zip(batch, flagged):
             planned.flagged_rows = flagged_rows
             # Every model's column in the padded stack is gathered and
@@ -762,17 +760,6 @@ class VerificationEngine:
         transitions: List[ProtectionState] = []
         recovery: Optional[RecoveryReport] = None
         reprotected = False
-        # Transitions are rare (a clean tick never gets here with flags),
-        # so the span is only opened when the lifecycle actually moves.
-        span = (
-            self.tracer.span(
-                "lifecycle.transition",
-                parent=self._tick_span_ctx,
-                attrs={"model": managed.name},
-            )
-            if self.tracer.enabled and planned.flagged_rows.size
-            else NULL_SPAN
-        )
 
         def move(state: ProtectionState) -> None:
             managed.state = state
@@ -839,24 +826,17 @@ class VerificationEngine:
                         {"trigger": "recovery", **detail},
                     )
                     move(ProtectionState.PROTECTED)
-        else:
-            if policy is not RecoveryPolicy.NONE:
-                recovery = managed.protector.recover(
-                    managed.model, scan.report, policy=policy, layer_map=managed.layer_map
-                )
-            if (
-                managed.state is not ProtectionState.PROTECTED
-                and scan.rotation_complete
-                and scan.rotation_report is not None
-                and not scan.rotation_report.attack_detected
-            ):
-                # A full clean rotation proves the signatures verify clean
-                # again (e.g. RELOAD restored the golden weights): heal the
-                # state without a re-sign.
-                move(ProtectionState.PROTECTED)
+        elif (
+            managed.state is not ProtectionState.PROTECTED
+            and scan.rotation_complete
+            and scan.rotation_report is not None
+            and not scan.rotation_report.attack_detected
+        ):
+            # A full clean rotation proves the signatures verify clean again
+            # (e.g. RELOAD restored the golden weights): heal the state
+            # without a re-sign.
+            move(ProtectionState.PROTECTED)
 
-        span.set_attr("transitions", [state.value for state in transitions])
-        span.finish()
         return EngineTickOutcome(
             name=managed.name,
             scan=scan,

@@ -1,6 +1,6 @@
 """Telemetry, SLA, persistence and observability subsystem for the fleet engine.
 
-Five layers, each usable alone:
+Five modules, each usable alone:
 
 * :mod:`repro.telemetry.metrics` — bounded metric primitives (counters,
   gauges, ring-buffer histograms with p50/p95/p99 nearest-rank estimation)
@@ -9,30 +9,29 @@ Five layers, each usable alone:
   which subscribes to a :class:`~repro.core.fleet.VerificationEngine`'s
   event bus and tick outcomes and tracks, per model, detection latency
   (corruption injection → FLAGGED), recovery and reprotect time,
-  scan-budget utilisation and bucketed-stacking efficiency;
-* :mod:`repro.telemetry.trace` — a low-overhead span tracer and bounded
-  flight recorder instrumenting the full engine tick (plan → bucket
-  assembly → kernel → verdict → lifecycle);
+  scan-budget utilisation and bucketed-stacking efficiency, plus the
+  fleet's ``tick_duration_s`` and per-stage ``stage_duration_s`` histograms
+  (plan → assemble → kernel → verdict → lifecycle, timed once per tick by
+  the engine);
 * :mod:`repro.telemetry.exposition` — Prometheus text-format (0.0.4)
   rendering of a :class:`~repro.telemetry.metrics.MetricRegistry`, plus a
   strict parser used by tests and the CI scrape smoke;
 * :mod:`repro.telemetry.httpd` — a stdlib ``http.server`` thread serving
-  ``/metrics``, ``/healthz`` and ``/trace``;
+  ``/metrics`` and ``/healthz``;
 * :mod:`repro.telemetry.store` — :class:`~repro.telemetry.store.StateStore`,
   JSON persistence of everything a service *learns* (measured cost-model
   EWMAs, planner flip rates, scheduler rotation counters, lifecycle
   states) so a restart resumes warm instead of re-calibrating.
 
-Exports resolve lazily (PEP 562).  This is load-bearing, not cosmetic:
-:mod:`repro.core.fleet` imports :mod:`repro.telemetry.trace` for the
-null tracer, while :mod:`repro.telemetry.monitor` imports :mod:`repro.core.fleet` — an
-eager ``__init__`` would close that loop into a circular import the moment
-the core package loads.
+Exports resolve lazily (PEP 562): :mod:`repro.telemetry.monitor` and
+:mod:`repro.telemetry.store` import :mod:`repro.core`, so an eager
+``__init__`` would load the whole engine for a caller that wants only the
+metric primitives.
 
 The scenario-diverse attack-campaign driver feeding this subsystem lives
 in :mod:`repro.experiments.campaign`; the CLI surface is
-``repro-radar sla-report`` plus ``--state-dir``/``--http-port``/
-``--trace-dir`` on the protection subcommands.
+``repro-radar sla-report`` plus ``--state-dir``/``--http-port`` on the
+protection subcommands.
 """
 
 from typing import TYPE_CHECKING
@@ -43,10 +42,6 @@ _EXPORTS = {
     "MetricRegistry": "repro.telemetry.metrics",
     "RingHistogram": "repro.telemetry.metrics",
     "FleetTelemetry": "repro.telemetry.monitor",
-    "FlightRecorder": "repro.telemetry.trace",
-    "NULL_TRACER": "repro.telemetry.trace",
-    "Span": "repro.telemetry.trace",
-    "SpanTracer": "repro.telemetry.trace",
     "PROMETHEUS_CONTENT_TYPE": "repro.telemetry.exposition",
     "parse_prometheus": "repro.telemetry.exposition",
     "render_prometheus": "repro.telemetry.exposition",
@@ -68,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling only
     from repro.telemetry.httpd import ObservabilityServer
     from repro.telemetry.metrics import Counter, Gauge, MetricRegistry, RingHistogram
     from repro.telemetry.monitor import FleetTelemetry
-    from repro.telemetry.trace import NULL_TRACER, FlightRecorder, Span, SpanTracer
     from repro.telemetry.store import (
         StateStore,
         cost_model_state,

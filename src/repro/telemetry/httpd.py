@@ -1,4 +1,4 @@
-"""Observability HTTP surface: ``/metrics``, ``/healthz``, ``/trace``.
+"""Observability HTTP surface: ``/metrics`` and ``/healthz``.
 
 A deliberately small stdlib server — the forerunner of the ROADMAP's full
 HTTP control plane (register/scan/reprotect will land there, not here).
@@ -16,9 +16,10 @@ Routes:
 * ``/healthz`` — JSON liveness: engine presence, tick index and model
   count.  ``200`` while an engine is attached, ``503`` after
   :meth:`ObservabilityServer.close` detaches it — so a rolling restart's
-  load balancer sees the drain;
-* ``/trace`` — the flight recorder's retained spans as JSONL, when a
-  recorder is attached.
+  load balancer sees the drain.
+
+Where a tick's time went is on ``/metrics`` too: the engine's per-stage
+timings render as the ``stage_duration_s{stage=...}`` summaries.
 
 The server binds ``127.0.0.1`` by default and port ``0`` picks an
 ephemeral port (tests; ``serve-demo --http-port 0`` prints the choice).
@@ -73,16 +74,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             elif path == "/healthz":
                 self._reply_json(*owner.health())
-            elif path == "/trace":
-                recorder = owner.recorder
-                if recorder is None:
-                    self._reply_json(404, {"error": "no flight recorder attached"})
-                    return
-                body = "".join(
-                    json.dumps(span, sort_keys=True) + "\n"
-                    for span in recorder.spans()
-                )
-                self._reply(200, "application/x-ndjson", body.encode("utf-8"))
             else:
                 self._reply_json(404, {"error": f"unknown path {path}"})
         except Exception as error:  # surface, don't kill the serving thread
@@ -111,7 +102,6 @@ class ObservabilityServer:
         telemetry=None,
         registry=None,
         engine=None,
-        recorder=None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -123,7 +113,6 @@ class ObservabilityServer:
             )
         self.registry = registry
         self.engine = engine
-        self.recorder = recorder
         self._httpd = _Server((host, int(port)), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None

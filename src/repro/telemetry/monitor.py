@@ -13,7 +13,10 @@ repo could say a flip was caught, not how fast at what percentile.
 * the **tick hook** (``engine.telemetry``) for per-tick economics that
   never travel over the bus — scan-budget utilisation (measured wall-clock
   against the allocated share) and bucketed-stacking efficiency (own rows
-  against the padded batch width).
+  against the padded batch width) — and for where the tick's time went:
+  ``tick_duration_s`` and one ``stage_duration_s{stage=...}`` histogram
+  per stage of :data:`~repro.core.fleet.TICK_STAGES`, fed from the
+  engine's own per-stage ``perf_counter`` deltas.
 
 Detection latency needs one piece of ground truth only the attacker
 knows: *when* corruption entered the model.  Callers injecting faults
@@ -35,16 +38,31 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.fleet import (
+    TICK_STAGES,
     EngineTickOutcome,
     FleetEvent,
     FleetEventType,
     VerificationEngine,
 )
 from repro.errors import ProtectionError
-from repro.telemetry.metrics import Gauge, MetricRegistry, RingHistogram
+from repro.telemetry.metrics import Counter, Gauge, MetricRegistry, RingHistogram
 
 #: ``perf_counter`` timestamp plus engine tick index of one injection.
 _Injection = Tuple[float, int]
+
+
+class _FleetSeries:
+    """The fleet-wide per-tick series, resolved from the registry once."""
+
+    __slots__ = ("ticks", "tick_duration", "stages")
+
+    def __init__(self, registry: MetricRegistry) -> None:
+        self.ticks: Counter = registry.counter("ticks_total")
+        self.tick_duration = registry.histogram("tick_duration_s")
+        self.stages: Tuple[Tuple[str, RingHistogram], ...] = tuple(
+            (stage, registry.histogram("stage_duration_s", stage=stage))
+            for stage in TICK_STAGES
+        )
 
 
 class _TickSeries:
@@ -108,6 +126,8 @@ class FleetTelemetry:
         self._detection_started: Dict[str, float] = {}
         #: Each model's per-tick series, resolved once (observe_tick).
         self._series: Dict[str, _TickSeries] = {}
+        #: The fleet-wide per-tick series, resolved on the first tick.
+        self._fleet: Optional[_FleetSeries] = None
 
     # -- wiring -----------------------------------------------------------------
     @property
@@ -200,15 +220,20 @@ class FleetTelemetry:
     def observe_tick(
         self, tick: int, outcomes: Dict[str, EngineTickOutcome]
     ) -> None:
-        """Per-tick economics (called by the engine at the end of ``tick``)."""
-        self.registry.counter("ticks_total").inc()
+        """Per-tick economics and stage timings (called by the engine at
+        the end of ``tick``)."""
+        fleet = self._fleet
+        if fleet is None:
+            fleet = self._fleet = _FleetSeries(self.registry)
+        fleet.ticks.inc()
         engine = self._engine
         tick_s = getattr(engine, "last_tick_duration_s", None)
         if tick_s is not None:
-            # The same ``elapsed`` the engine stamps on its tick span, so
-            # trace_analysis.py's per-stage p99 and this histogram agree
-            # sample-for-sample.
-            self.registry.histogram("tick_duration_s").observe(tick_s)
+            fleet.tick_duration.observe(tick_s)
+        stage_s = getattr(engine, "last_stage_durations_s", None)
+        if stage_s is not None:
+            for stage, histogram in fleet.stages:
+                histogram.observe(stage_s[stage])
         for name, outcome in outcomes.items():
             series = self._series.get(name)
             if series is None:

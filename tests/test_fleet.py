@@ -664,6 +664,23 @@ class TestLifecycle:
         ]
         assert detected == []
 
+    def test_clean_tick_runs_no_recovery(self, engine):
+        engine.register("m", _small_model(1))
+        for _ in range(engine.get("m").scheduler.worst_case_lag_passes):
+            outcome = engine.tick()["m"]
+            assert outcome.recovery is None
+            assert outcome.transitions == []
+
+    def test_reload_without_golden_weights_is_refused_on_a_clean_fleet(
+        self, engine
+    ):
+        engine.register("m", _small_model(1))
+        with pytest.raises(ProtectionError, match="golden weights"):
+            engine.tick(recovery_policy=RecoveryPolicy.RELOAD)
+        # Refused before anything ran: no tick was counted or scanned.
+        assert engine.tick_index == 0
+        assert engine.get("m").scheduler.passes == 0
+
     def test_reprotect_preserves_planner_flip_memory(self):
         engine = VerificationEngine(
             RadarConfig(group_size=8),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import RadarConfig, VerificationEngine
+from repro.core.fleet import TICK_STAGES
 from repro.errors import ProtectionError
 from repro.models.small import MLP
 from repro.quant.layers import quantize_model, quantized_layers
@@ -27,7 +28,6 @@ from repro.telemetry.exposition import (
 from repro.telemetry.httpd import ObservabilityServer
 from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.monitor import FleetTelemetry
-from repro.telemetry.trace import FlightRecorder, SpanTracer
 
 
 def _small_model(seed: int) -> MLP:
@@ -67,10 +67,11 @@ class TestRegistryOnlyServer:
         assert health_status == 503
         assert json.loads(health_body)["status"] == "no-engine"
 
-    def test_trace_answers_404_without_a_recorder(self):
+    def test_trace_is_404(self):
         with ObservabilityServer(registry=MetricRegistry()) as server:
-            status, _, _ = _get(f"{server.url}/trace")
+            status, _, body = _get(f"{server.url}/trace")
         assert status == 404
+        assert "unknown path" in json.loads(body)["error"]
 
     def test_unknown_path_is_404(self):
         with ObservabilityServer(registry=MetricRegistry()) as server:
@@ -112,20 +113,16 @@ class TestEngineBackedServer:
         assert find_sample(parsed, "ticks_total") == 3.0
         assert parsed["families"]["tick_duration_s"] == "summary"
 
-    def test_trace_serves_the_flight_recorder_as_ndjson(self, engine):
-        recorder = FlightRecorder()
-        engine.tracer = SpanTracer(recorder=recorder)
+    def test_metrics_serve_every_tick_stage(self, engine):
+        telemetry = FleetTelemetry().attach(engine)
         engine.tick()
-        server = ObservabilityServer(engine=engine, recorder=recorder).start()
-        try:
-            status, content_type, body = _get(f"{server.url}/trace")
-        finally:
-            server.close()
-        assert status == 200
-        assert content_type == "application/x-ndjson"
-        spans = [json.loads(line) for line in body.splitlines()]
-        assert spans == recorder.spans()
-        assert any(span["name"] == "engine.tick" for span in spans)
+        with ObservabilityServer(telemetry=telemetry, engine=engine) as server:
+            _, _, body = _get(f"{server.url}/metrics")
+        parsed = parse_prometheus(body)
+        assert parsed["families"]["stage_duration_s"] == "summary"
+        for stage in TICK_STAGES:
+            assert find_sample(parsed, "stage_duration_s_count", stage=stage) == 1.0
+            assert find_sample(parsed, "stage_duration_s_sum", stage=stage) >= 0.0
 
 
 class TestLifecycle:

@@ -14,6 +14,7 @@ from repro.core import (
     RecoveryPolicy,
     VerificationEngine,
 )
+from repro.core.fleet import TICK_STAGES
 from repro.errors import ProtectionError
 from repro.models.small import MLP
 from repro.quant.layers import quantize_model
@@ -267,7 +268,14 @@ class TestFleetTelemetryWiring:
                 name: engine.get(name).cost_model.seconds_per_group
                 for name in outcomes
             }
-            ticks.append((engine.last_tick_duration_s, outcomes, prices))
+            ticks.append(
+                (
+                    engine.last_tick_duration_s,
+                    engine.last_stage_durations_s,
+                    outcomes,
+                    prices,
+                )
+            )
 
         for tick in range(8):
             if tick == 3:
@@ -281,9 +289,11 @@ class TestFleetTelemetryWiring:
             run(budgeted=tick % 2 == 0)
 
         reference = MetricRegistry()
-        for duration, outcomes, prices in ticks:
+        for duration, stages, outcomes, prices in ticks:
             reference.counter("ticks_total").inc()
             reference.histogram("tick_duration_s").observe(duration)
+            for stage, seconds in stages.items():
+                reference.histogram("stage_duration_s", stage=stage).observe(seconds)
             for name, outcome in outcomes.items():
                 reference.counter("groups_checked_total", model=name).inc(
                     outcome.scan.groups_checked
@@ -335,6 +345,84 @@ class TestFleetTelemetryWiring:
         snapshot = telemetry.snapshot()
         assert snapshot["pending_injections"] == {"model-2": 1}
         assert "metrics" in snapshot
+
+
+class TestStageDurations:
+    """The engine's per-stage tick timings, as telemetry records them."""
+
+    TICKS = 24
+    ATTACK_TICKS = (0, 8, 16)
+
+    def _attacked_budgeted_run(self):
+        """``TICKS`` budgeted ticks with flips injected into one model."""
+        engine = _fleet()
+        telemetry = FleetTelemetry().attach(engine)
+        detecting = []
+        for tick in range(self.TICKS):
+            if tick in self.ATTACK_TICKS:
+                _attack(engine, "model-0", seed=tick)
+            budget = sum(
+                engine.get(name).scheduler.planned_slice_cost_s()
+                for name in engine.names()
+            ) + engine.get("model-0").cost_model.pass_cost_s(1)
+            outcomes = engine.tick(budget_s=budget)
+            detecting.append(
+                any(outcome.attack_detected for outcome in outcomes.values())
+            )
+        return engine, telemetry, detecting
+
+    def _windows(self, registry):
+        return {
+            stage: registry.histogram("stage_duration_s", stage=stage).ordered_window()
+            for stage in TICK_STAGES
+        }
+
+    def test_stage_samples_partition_each_tick(self):
+        engine, telemetry, _ = self._attacked_budgeted_run()
+        registry = telemetry.registry
+        windows = self._windows(registry)
+        assert set(registry.label_values("stage_duration_s", "stage")) == set(
+            TICK_STAGES
+        )
+        for stage in TICK_STAGES:
+            assert registry.histogram("stage_duration_s", stage=stage).count == self.TICKS
+        ticks = registry.histogram("tick_duration_s").ordered_window()
+        assert len(ticks) == self.TICKS
+        for index, tick_s in enumerate(ticks):
+            stages = [float(windows[stage][index]) for stage in TICK_STAGES]
+            assert min(stages) >= 0.0
+            # The stages are consecutive perf_counter deltas inside the tick.
+            assert sum(stages) <= tick_s * (1 + 1e-9)
+        assert engine.last_stage_durations_s == {
+            stage: windows[stage][-1] for stage in TICK_STAGES
+        }
+
+    def test_detecting_ticks_spend_longer_in_lifecycle(self):
+        _, telemetry, detecting = self._attacked_budgeted_run()
+        lifecycle = self._windows(telemetry.registry)["lifecycle"]
+        detected = lifecycle[np.array(detecting)]
+        clean = lifecycle[~np.array(detecting)]
+        assert detected.size and clean.size
+        # A detection sweeps, recovers and re-signs the model; a clean
+        # tick's lifecycle only reads each model's state.
+        assert detected.min() > np.median(clean)
+
+    def test_stage_windows_survive_a_state_store_round_trip(self, tmp_path):
+        from repro.telemetry.store import StateStore
+
+        _, telemetry, _ = self._attacked_budgeted_run()
+        before = self._windows(telemetry.registry)
+        store = StateStore(tmp_path)
+        store.save_telemetry(telemetry)
+        restored = FleetTelemetry()
+        assert store.restore_telemetry(restored)
+        after = self._windows(restored.registry)
+        for stage in TICK_STAGES:
+            np.testing.assert_array_equal(after[stage], before[stage])
+            assert (
+                restored.registry.histogram("stage_duration_s", stage=stage).count
+                == self.TICKS
+            )
 
 
 class TestMetricPersistence:
