@@ -14,7 +14,8 @@ would:
    tick timings, the tick counter and the lifecycle event counter;
 4. assert ``stage_duration_s`` carries a series for every tick stage
    (``plan``, ``assemble``, ``kernel``, ``verdict``, ``lifecycle``);
-5. wait for the demo to exit cleanly.
+5. once the demo lingers, end it with SIGINT (its linger stops early)
+   and assert it exits cleanly.
 
 Exit status 0 on success; any failure prints the reason and exits 1.
 Used by the ``observability-smoke`` CI job; runs locally the same way:
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -97,6 +99,9 @@ def main() -> int:
         f"{LINGER_S:g}",
     ]
     env = dict(os.environ)
+    # Line by line: the smoke acts on the demo's "listening" and
+    # "lingering" lines while it runs, not when it exits.
+    env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         part
         for part in (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))
@@ -168,7 +173,16 @@ def main() -> int:
             f"stage_duration_s for all {len(REQUIRED_STAGES)} stages"
         )
 
-        remainder = process.communicate(timeout=LINGER_S + 60.0)[0]
+        # The checks are done: stop the linger instead of waiting it out.
+        # SIGINT before the linger starts would interrupt the passes.
+        for line in process.stdout:
+            print(f"  demo | {line.rstrip()}")
+            if line.startswith("lingering"):
+                process.send_signal(signal.SIGINT)
+                break
+        else:
+            fail("serve-demo exited before it lingered")
+        remainder = process.communicate(timeout=60.0)[0]
         for line in remainder.splitlines():
             print(f"  demo | {line}")
         if process.returncode != 0:

@@ -95,7 +95,7 @@ def _announce_restore(engine, restore: Optional[Dict]) -> None:
     restored = restore["restored"]
     calibrated = []
     for name in restored:
-        observations = getattr(engine.get(name).cost_model, "observations", 0)
+        observations = engine.get(name).cost_model.observations
         if observations:
             calibrated.append(f"{name} ({observations} obs)")
     print(
@@ -262,12 +262,8 @@ def _build_engine(args: argparse.Namespace, models: Dict, recovery_policy):
     directory's snapshot.  Returns ``(engine, state_store)``; the store is
     ``None`` without ``--state-dir``.
     """
-    from repro.core import (
-        MeasuredScanCostModel,
-        RecoveryPolicy,
-        ScanPolicy,
-        VerificationEngine,
-    )
+    from repro.core import RecoveryPolicy, ScanCostModel, ScanPolicy, VerificationEngine
+    from repro.core.cost import MEASURED_ALPHA
 
     engine = VerificationEngine(
         num_shards=args.num_shards,
@@ -283,7 +279,7 @@ def _build_engine(args: argparse.Namespace, models: Dict, recovery_policy):
             config=config,
             keep_golden_weights=recovery_policy is RecoveryPolicy.RELOAD,
             cost_model=(
-                MeasuredScanCostModel.from_radar_config(config)
+                ScanCostModel.from_radar_config(config, alpha=MEASURED_ALPHA)
                 if args.state_dir is not None
                 else None
             ),
@@ -700,8 +696,11 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     if server is not None and args.linger_s is not None:
         import time as _time
 
-        print(f"lingering {args.linger_s:g}s for scrapes on {server.url}")
-        _time.sleep(args.linger_s)
+        try:  # announce inside the try: a scraper may SIGINT once it reads this
+            print(f"lingering {args.linger_s:g}s for scrapes on {server.url}")
+            _time.sleep(args.linger_s)
+        except KeyboardInterrupt:  # a scraper that is done ends the linger early
+            print("linger interrupted")
     if server is not None:
         server.close()
     return 0
@@ -741,12 +740,11 @@ def _cmd_infer_demo(args: argparse.Namespace) -> int:
         warm = state_store.restore_runtime(
             "infer-demo", runtime, radar_config=runtime.protector.config
         )
-    observations = getattr(runtime.cost_model, "observations", 0)
-    price = getattr(runtime.cost_model, "seconds_per_group", float("nan"))
+    cost = runtime.cost_model
     if warm:
         print(
-            f"resumed calibration: {price * 1e6:.4g} us/group after "
-            f"{observations} observed checks; cadence re-derived to every "
+            f"resumed calibration: {cost.seconds_per_group * 1e6:.4g} us/group after "
+            f"{cost.observations} observed checks; cadence re-derived to every "
             f"{runtime.check_every} batch(es)"
         )
     else:
@@ -757,8 +755,6 @@ def _cmd_infer_demo(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     for _ in range(args.batches):
         runtime(rng.normal(size=(args.batch_size, 64)))
-    observations = getattr(runtime.cost_model, "observations", 0)
-    price = getattr(runtime.cost_model, "seconds_per_group", float("nan"))
     rows = [
         {
             "batches": runtime.log.batches,
@@ -766,8 +762,8 @@ def _cmd_infer_demo(args: argparse.Namespace) -> int:
             "check_every": runtime.check_every,
             "detections": runtime.log.detections,
             "check_ms_total": round(runtime.log.check_seconds * 1e3, 4),
-            "calibrated_us_per_group": round(price * 1e6, 4),
-            "observations": observations,
+            "calibrated_us_per_group": round(cost.seconds_per_group * 1e6, 4),
+            "observations": cost.observations,
             "warm_start": warm,
         }
     ]
@@ -783,7 +779,8 @@ def _cmd_infer_demo(args: argparse.Namespace) -> int:
         )
         print(
             f"runtime calibration persisted to {path}: "
-            f"{price * 1e6:.4g} us/group ({observations} total observations, "
+            f"{cost.seconds_per_group * 1e6:.4g} us/group "
+            f"({cost.observations} total observations, "
             f"cadence {runtime.check_every})"
         )
     return 0
@@ -998,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--linger-s", type=_positive_float, default=None,
         help="keep the --http-port server up this many seconds after the "
         "passes finish (a scrape window; the demo itself runs in "
-        "milliseconds)",
+        "milliseconds); SIGINT ends it early with exit status 0",
     )
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument("--output", type=Path, default=None)

@@ -1,4 +1,4 @@
-"""Scan cost models: pricing a verification slice in seconds.
+"""Scan cost model: pricing a verification slice in seconds.
 
 The paper's deployment constraint is *time* — checking must hide inside the
 inference loop at 1–5 % overhead (Tables IV/V) — while the scheduler's knobs
@@ -12,23 +12,27 @@ bridges the two: it prices "verify ``g`` signature groups" in seconds, so
 * :mod:`repro.memsim.timing` can re-price Table IV for amortized checking
   (``results/table4_amortized.json``).
 
-Two implementations share the protocol:
+One class covers both prices a caller wants, told apart by ``alpha``:
 
-* :class:`AnalyticScanCostModel` — the :class:`~repro.memsim.timing.TimingModel`
-  per-group price (``group_size`` × per-weight checksum cycles, which depend on
-  whether the interleaved gather breaks unit-stride access, plus the per-group
-  binarize/compare cycles, divided by the platform frequency).  Deterministic
-  and available before any pass has run.  The price carries the
-  narrow-accumulation discount
-  (``TimingConfig.narrow_accumulation_speedup`` on the per-weight term), so
-  budgets are sized for the scan kernel the scheduler actually runs.
-* :class:`MeasuredScanCostModel` — an exponentially-weighted moving average of
-  observed wall-clock seconds per group, for hosts where the analytic
-  calibration constants do not apply.
+* ``alpha = 0`` — a fixed price.  :meth:`ScanCostModel.from_radar_config`
+  seeds it with the :class:`~repro.memsim.timing.TimingModel` per-group
+  price (``group_size`` × per-weight checksum cycles, which depend on
+  whether the interleaved gather breaks unit-stride access, plus the
+  per-group binarize/compare cycles, divided by the platform frequency).
+  The price carries the narrow-accumulation discount
+  (``TimingConfig.narrow_accumulation_speedup`` on the per-weight term).
+  :meth:`~ScanCostModel.observe` leaves it untouched, so budgets and
+  campaigns priced with it are deterministic.  This is the engine's and
+  the scheduler's default.
+* ``alpha > 0`` — a learned price: an exponentially-weighted moving
+  average of observed wall-clock seconds per group, seeded with the same
+  analytic price, for hosts where the calibration constants do not apply.
+  :data:`MEASURED_ALPHA` is the weight budgeted
+  :class:`~repro.core.runtime.ProtectedInference` and ``--state-dir`` use.
 
 The import of :mod:`repro.memsim.timing` happens lazily inside
-:meth:`AnalyticScanCostModel.from_radar_config` so that ``repro.core`` keeps
-its documented one-directional boundary with the memory simulator at module
+:meth:`ScanCostModel.from_radar_config` so that ``repro.core`` keeps its
+documented one-directional boundary with the memory simulator at module
 import time.
 """
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.core.config import RadarConfig
 from repro.errors import ProtectionError
@@ -44,75 +48,33 @@ from repro.errors import ProtectionError
 if TYPE_CHECKING:  # lazy at run time; see module docstring
     from repro.memsim.timing import TimingConfig
 
-
-@runtime_checkable
-class ScanCostModel(Protocol):
-    """Prices a verification slice: how long does checking ``g`` groups take?"""
-
-    def pass_cost_s(self, num_groups: int) -> float:
-        """Seconds to recompute and compare ``num_groups`` signatures."""
-        ...
-
-    def groups_within(self, budget_s: float) -> int:
-        """Largest group count whose :meth:`pass_cost_s` fits in ``budget_s``."""
-        ...
+#: EWMA weight of a learned price (each observation moves it 20 % of the way).
+MEASURED_ALPHA = 0.2
 
 
-class AnalyticScanCostModel:
-    """Constant seconds-per-group pricing (the memsim timing model's price)."""
+def _check_alpha(alpha: float, what: str = "alpha") -> float:
+    if not 0 <= alpha <= 1:
+        raise ProtectionError(f"{what} must be in [0, 1], got {alpha}")
+    return float(alpha)
 
-    def __init__(self, seconds_per_group: float) -> None:
+
+class ScanCostModel:
+    """Seconds-per-group pricing, fixed (``alpha = 0``) or learned (EWMA).
+
+    A learned price folds every observed ``(groups, elapsed)`` pair in with
+    weight ``alpha``, so it tracks the actual host instead of the calibrated
+    Cortex-M platform.  :meth:`observe` is what
+    :meth:`~repro.core.scheduler.ScanScheduler.apply_scan` calls after a
+    timed pass; a fixed price returns from it at once.
+    """
+
+    def __init__(self, seconds_per_group: float, alpha: float = 0.0) -> None:
         if not seconds_per_group > 0:
             raise ProtectionError(
                 f"seconds_per_group must be positive, got {seconds_per_group}"
             )
         self.seconds_per_group = float(seconds_per_group)
-
-    @classmethod
-    def from_radar_config(
-        cls,
-        radar_config: RadarConfig,
-        timing_config: Optional["TimingConfig"] = None,
-    ) -> "AnalyticScanCostModel":
-        """Price a group with :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`."""
-        from repro.memsim.timing import TimingModel
-
-        timing = TimingModel(timing_config)
-        return cls(timing.scan_seconds_per_group(radar_config))
-
-    def pass_cost_s(self, num_groups: int) -> float:
-        if num_groups < 0:
-            raise ProtectionError(f"num_groups must be >= 0, got {num_groups}")
-        return num_groups * self.seconds_per_group
-
-    def groups_within(self, budget_s: float) -> int:
-        if budget_s < 0:
-            raise ProtectionError(f"budget_s must be >= 0, got {budget_s}")
-        return int(budget_s / self.seconds_per_group)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AnalyticScanCostModel(seconds_per_group={self.seconds_per_group:.3e})"
-
-
-class MeasuredScanCostModel:
-    """EWMA of observed per-group wall-clock cost.
-
-    Starts from a prior (``initial_seconds_per_group``, typically the analytic
-    price) and folds in every observed ``(groups, elapsed)`` pair with weight
-    ``alpha``, so the price tracks the actual host instead of the calibrated
-    Cortex-M platform.  ``observe`` is what
-    :meth:`~repro.core.scheduler.ScanScheduler.step` calls after timing a pass.
-    """
-
-    def __init__(self, initial_seconds_per_group: float, alpha: float = 0.2) -> None:
-        if not initial_seconds_per_group > 0:
-            raise ProtectionError(
-                f"initial_seconds_per_group must be positive, got {initial_seconds_per_group}"
-            )
-        if not 0 < alpha <= 1:
-            raise ProtectionError(f"alpha must be in (0, 1], got {alpha}")
-        self.seconds_per_group = float(initial_seconds_per_group)
-        self.alpha = float(alpha)
+        self.alpha = _check_alpha(alpha)
         self.observations = 0
 
     @classmethod
@@ -120,16 +82,19 @@ class MeasuredScanCostModel:
         cls,
         radar_config: RadarConfig,
         timing_config: Optional["TimingConfig"] = None,
-        alpha: float = 0.2,
-    ) -> "MeasuredScanCostModel":
-        """Seed the EWMA with the analytic price, then learn from observations."""
-        prior = AnalyticScanCostModel.from_radar_config(radar_config, timing_config)
-        return cls(prior.seconds_per_group, alpha=alpha)
+        alpha: float = 0.0,
+    ) -> "ScanCostModel":
+        """Price a group with :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`
+        (the fixed price, or a learned price's prior)."""
+        from repro.memsim.timing import TimingModel
+
+        timing = TimingModel(timing_config)
+        return cls(timing.scan_seconds_per_group(radar_config), alpha=alpha)
 
     def observe(self, num_groups: int, elapsed_s: float) -> None:
-        """Fold one timed pass into the estimate."""
-        if num_groups < 1:
-            return  # an empty pass carries no per-group information
+        """Fold one timed pass into a learned price (a fixed price ignores it)."""
+        if not self.alpha or num_groups < 1:
+            return  # fixed, or an empty pass with no per-group information
         if elapsed_s < 0:
             raise ProtectionError(f"elapsed_s must be >= 0, got {elapsed_s}")
         if elapsed_s == 0:
@@ -139,11 +104,13 @@ class MeasuredScanCostModel:
         self.observations += 1
 
     def pass_cost_s(self, num_groups: int) -> float:
+        """Seconds to recompute and compare ``num_groups`` signatures."""
         if num_groups < 0:
             raise ProtectionError(f"num_groups must be >= 0, got {num_groups}")
         return num_groups * self.seconds_per_group
 
     def groups_within(self, budget_s: float) -> int:
+        """Largest group count whose :meth:`pass_cost_s` fits in ``budget_s``."""
         if budget_s < 0:
             raise ProtectionError(f"budget_s must be >= 0, got {budget_s}")
         return int(budget_s / self.seconds_per_group)
@@ -151,9 +118,9 @@ class MeasuredScanCostModel:
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable calibration snapshot (what a restart must keep).
 
-        The EWMA *is* the calibration: persisting ``seconds_per_group`` and
-        the observation count lets :mod:`repro.telemetry.store` restore a
-        measured price without re-observing a single pass, so a restarted
+        A learned EWMA *is* the calibration: persisting ``seconds_per_group``,
+        ``alpha`` and the observation count lets :mod:`repro.telemetry.store`
+        restore it without re-observing a single pass, so a restarted
         service prices budgets from the learned host speed immediately.
         """
         return {
@@ -163,22 +130,20 @@ class MeasuredScanCostModel:
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
+        """Restore a snapshot produced by :meth:`state_dict`, in place."""
         seconds = float(state["seconds_per_group"])
         if not seconds > 0:
             raise ProtectionError(
                 f"persisted seconds_per_group must be positive, got {seconds}"
             )
-        alpha = float(state.get("alpha", self.alpha))
-        if not 0 < alpha <= 1:
-            raise ProtectionError(f"persisted alpha must be in (0, 1], got {alpha}")
+        alpha = _check_alpha(float(state.get("alpha", self.alpha)), "persisted alpha")
         self.seconds_per_group = seconds
         self.alpha = alpha
         self.observations = int(state.get("observations", 0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MeasuredScanCostModel(seconds_per_group={self.seconds_per_group:.3e}, "
+            f"ScanCostModel(seconds_per_group={self.seconds_per_group:.3e}, "
             f"alpha={self.alpha}, observations={self.observations})"
         )
 

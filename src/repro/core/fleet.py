@@ -78,7 +78,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import RadarConfig
-from repro.core.cost import AnalyticScanCostModel, ScanCostModel
+from repro.core.cost import ScanCostModel
 from repro.core.detector import DetectionReport
 from repro.core.protector import ModelProtector
 from repro.core.recovery import RecoveryPolicy, RecoveryReport, require_golden_weights
@@ -194,7 +194,6 @@ class ManagedModel:
     model: Module
     protector: ModelProtector
     scheduler: ScanScheduler
-    cost_model: ScanCostModel
     #: Lifecycle position (see :class:`ProtectionState`).
     state: ProtectionState = ProtectionState.PROTECTED
     #: ``{layer_name: quantized layer}`` cache so batched execution does not
@@ -202,10 +201,16 @@ class ManagedModel:
     #: ``qweight`` buffers are mutated in place by attacks and recovery).
     layer_map: Dict[str, Module] = field(default_factory=dict)
     #: ``(scheduler, price, floor)`` memo for :meth:`min_feasible_budget_s` —
-    #: the floor only changes when a measured cost model recalibrates (or
-    #: the scheduler is replaced), but feasibility is re-checked on every
+    #: the floor only changes when a learned price recalibrates (or the
+    #: scheduler is replaced), but feasibility is re-checked on every
     #: budgeted tick.
-    _min_feasible_memo: Optional[Tuple[ScanScheduler, Optional[float], float]] = None
+    _min_feasible_memo: Optional[Tuple[ScanScheduler, float, float]] = None
+
+    @property
+    def cost_model(self) -> ScanCostModel:
+        """The price of this model's scan slices: the scheduler's, the one
+        owner that both prices and observes passes."""
+        return self.scheduler.cost_model
 
     def refresh_layer_map(self) -> None:
         self.layer_map = dict(quantized_layers(self.model))
@@ -217,11 +222,12 @@ class ManagedModel:
     def min_feasible_budget_s(self) -> float:
         """Cost of this model's largest shard — the least budget that can
         ever advance its rotation past that shard."""
-        price = getattr(self.cost_model, "seconds_per_group", None)
+        cost_model = self.scheduler.cost_model
+        price = cost_model.seconds_per_group
         memo = self._min_feasible_memo
         if memo is not None and memo[0] is self.scheduler and memo[1] == price:
             return memo[2]
-        floor = self.cost_model.pass_cost_s(self.scheduler.largest_shard_groups)
+        floor = cost_model.pass_cost_s(self.scheduler.largest_shard_groups)
         self._min_feasible_memo = (self.scheduler, price, floor)
         return floor
 
@@ -400,7 +406,7 @@ class VerificationEngine:
         """Protect ``model`` and enrol it in the scan rotation.
 
         ``cost_model`` prices this model's scan slices for budgeted ticks;
-        it defaults to the analytic model derived from the model's
+        it defaults to the fixed price of the model's
         :class:`~repro.core.config.RadarConfig`.
         """
         if not name:
@@ -410,9 +416,6 @@ class VerificationEngine:
         radar_config = config or self.default_config
         protector = ModelProtector(radar_config)
         protector.protect(model, keep_golden_weights=keep_golden_weights)
-        resolved_cost_model = cost_model or AnalyticScanCostModel.from_radar_config(
-            radar_config
-        )
         scheduler = ScanScheduler(
             protector.store,
             num_shards=num_shards if num_shards is not None else self.num_shards,
@@ -420,14 +423,10 @@ class VerificationEngine:
             shards_per_pass=(
                 shards_per_pass if shards_per_pass is not None else self.shards_per_pass
             ),
-            cost_model=resolved_cost_model,
+            cost_model=cost_model or ScanCostModel.from_radar_config(radar_config),
         )
         managed = ManagedModel(
-            name=name,
-            model=model,
-            protector=protector,
-            scheduler=scheduler,
-            cost_model=resolved_cost_model,
+            name=name, model=model, protector=protector, scheduler=scheduler
         )
         managed.refresh_layer_map()
         if self.budget_s is not None:

@@ -131,8 +131,8 @@ class ModelProtector:
 
         Each returned scheduler has independent rotation state; a fresh one
         starts a fresh rotation.  ``budget_s`` caps the priced cost of each
-        pass under ``cost_model`` (defaulting to the analytic model priced
-        from this protector's config); to *derive* the shard count from a
+        pass under ``cost_model`` (defaulting to the fixed price of this
+        protector's config); to *derive* the shard count from a
         budget instead, use :meth:`scheduler_for_budget`.
         """
         self._require_protected()

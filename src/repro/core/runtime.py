@@ -17,7 +17,7 @@ modelled separately by :mod:`repro.memsim.timing`.
 
 The amortized and budgeted modes check one scheduler slice before the
 forward instead.  Budgeted checking self-calibrates: in budgeted mode the
-default cost model is a :class:`~repro.core.cost.MeasuredScanCostModel`
+default cost model is a learned :class:`~repro.core.cost.ScanCostModel`
 seeded with the analytic price, every check's wall-clock is folded back
 into it, and — unless an explicit ``check_every`` overrides it — the check
 cadence is re-derived from the calibrated price after each check, so the
@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.config import RadarConfig
-from repro.core.cost import MeasuredScanCostModel, ScanCostModel
+from repro.core.cost import MEASURED_ALPHA, ScanCostModel
 from repro.core.detector import DetectionReport
 from repro.core.protector import ModelProtector
 from repro.core.recovery import (
@@ -107,7 +107,7 @@ class ProtectedInference:
     * **budgeted** (``budget_s=B``): the slice is sized from a per-batch
       latency budget instead of a shard count — the scheduler derives its
       shards so no check is priced above ``B`` seconds under ``cost_model``
-      (a self-calibrating :class:`~repro.core.cost.MeasuredScanCostModel`
+      (a self-calibrating, learned :class:`~repro.core.cost.ScanCostModel`
       seeded with the analytic price, by default).  Combine with
       ``num_shards`` to keep a fixed structure and merely cap its per-pass
       cost.
@@ -153,8 +153,8 @@ class ProtectedInference:
         self.protector.protect(model)
         if budget_s is not None and cost_model is None:
             # Self-calibrating default: analytic prior, measured updates.
-            cost_model = MeasuredScanCostModel.from_radar_config(
-                self.protector.config
+            cost_model = ScanCostModel.from_radar_config(
+                self.protector.config, alpha=MEASURED_ALPHA
             )
         self.cost_model = cost_model
         self.scheduler: Optional[ScanScheduler] = None
@@ -256,9 +256,10 @@ class ProtectedInference:
                 layer.weight_source = None
             detection, recovery = stream.finish()
             self.log.check_wait_seconds += stream.wait_s
-            observe = getattr(self.cost_model, "observe", None)
-            if observe is not None:
-                observe(fused.total_groups, stream.kernel_s + stream.recovery_s)
+            if self.cost_model is not None:
+                self.cost_model.observe(
+                    fused.total_groups, stream.kernel_s + stream.recovery_s
+                )
             verdict = self._record_check(
                 stream.busy_s + stream.recovery_s, detection, recovery
             )
@@ -333,8 +334,8 @@ class ProtectedInference:
         """JSON-serializable calibration snapshot.
 
         What a restart must keep is exactly what this runtime *learned*:
-        the measured cost model's EWMA price (when the cost model is
-        measurable) and the cadence it settled on.  Everything else —
+        a learned cost model's EWMA price (a fixed price is configuration,
+        not calibration) and the cadence it settled on.  Everything else —
         signatures, scheduler structure — is rebuilt from the model and
         config at construction time.
         """
@@ -343,9 +344,8 @@ class ProtectedInference:
             "check_every": int(self.check_every),
             "budget_s": self.budget_s,
         }
-        snapshot = getattr(self.cost_model, "state_dict", None)
-        if snapshot is not None:
-            state["cost_model"] = snapshot()
+        if self.cost_model is not None and self.cost_model.alpha:
+            state["cost_model"] = self.cost_model.state_dict()
         return state
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
@@ -357,9 +357,8 @@ class ProtectedInference:
         still yields a consistent cadence for this runtime's budget.
         """
         persisted = state.get("cost_model")
-        loader = getattr(self.cost_model, "load_state_dict", None)
-        if persisted is not None and loader is not None:
-            loader(persisted)
+        if persisted is not None and self.cost_model is not None:
+            self.cost_model.load_state_dict(persisted)
         if self.auto_cadence:
             self._retune_cadence()
         else:

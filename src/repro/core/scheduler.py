@@ -56,7 +56,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import AnalyticScanCostModel, ScanCostModel, plan_rotation
+from repro.core.cost import ScanCostModel, plan_rotation
 from repro.core.detector import DetectionReport, report_from_fused_rows
 from repro.core.planner import (
     FullScanPlanner,
@@ -275,11 +275,11 @@ class ScanScheduler:
         The shard count is derived with :func:`~repro.core.cost.plan_rotation`
         so that the analytic cost of every pass stays within ``budget_s``
         (raising :class:`~repro.errors.ProtectionError` when the budget cannot
-        cover even one group).  ``cost_model`` defaults to the
-        :class:`~repro.core.cost.AnalyticScanCostModel` priced from the
-        store's :class:`~repro.core.config.RadarConfig`.
+        cover even one group).  ``cost_model`` defaults to the fixed
+        :class:`~repro.core.cost.ScanCostModel` price of the store's
+        :class:`~repro.core.config.RadarConfig`.
         """
-        model = cost_model or AnalyticScanCostModel.from_radar_config(store.config)
+        model = cost_model or ScanCostModel.from_radar_config(store.config)
         plan = plan_rotation(store.fused().total_groups, budget_s, model)
         return cls(
             store,
@@ -373,7 +373,7 @@ class ScanScheduler:
 
     def _require_cost_model(self) -> ScanCostModel:
         if self.cost_model is None:
-            self.cost_model = AnalyticScanCostModel.from_radar_config(self.store.config)
+            self.cost_model = ScanCostModel.from_radar_config(self.store.config)
         return self.cost_model
 
     def _shard_views(self) -> List[ShardView]:
@@ -542,9 +542,8 @@ class ScanScheduler:
         it (however they were computed — per model via
         ``fused.mismatched_rows`` as :meth:`step` does, or stacked across
         models by :class:`~repro.core.signature.StackedVerifier`).
-        ``measured_s`` is fed to the cost model's ``observe`` hook when it
-        has one, so measured pricing calibrates no matter who executed the
-        verification.
+        ``measured_s`` is fed to the cost model's ``observe``, so a learned
+        price calibrates no matter who executed the verification.
         """
         sizes = self._shard_sizes
         groups_checked = sum(sizes[index] for index in shard_indices)
@@ -552,9 +551,7 @@ class ScanScheduler:
         if self.cost_model is not None:
             planned_cost = self.cost_model.pass_cost_s(groups_checked)
             if measured_s is not None:
-                observe = getattr(self.cost_model, "observe", None)
-                if observe is not None:
-                    observe(groups_checked, measured_s)
+                self.cost_model.observe(groups_checked, measured_s)
 
         self._pass_index += 1
         self._exposure_base += 1

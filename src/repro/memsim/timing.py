@@ -201,8 +201,8 @@ class TimingModel:
 
         ``group_size`` masked additions (pricier when the interleaved gather
         breaks unit-stride access) plus the per-group binarize/compare cost.
-        This is the per-group price the amortized scheduler's analytic
-        :class:`~repro.core.cost.AnalyticScanCostModel` is built on.
+        This is the per-group price the amortized scheduler's fixed
+        :class:`~repro.core.cost.ScanCostModel` is built on.
 
         ``narrow`` (the default) prices the zero-copy scan kernel's int8
         gather + int32 accumulation — the per-weight term divided by

@@ -253,11 +253,7 @@ class FleetTelemetry:
                     outcome.measured_s / outcome.budget_s
                 )
             if engine is not None and name in engine:
-                price = getattr(
-                    engine.get(name).cost_model, "seconds_per_group", None
-                )
-                if price is not None:
-                    series.price().set(price)
+                series.price().set(engine.get(name).cost_model.seconds_per_group)
 
     # -- defense feedback ---------------------------------------------------------
     def tune_jitter(self) -> Dict[str, float]:

@@ -1,7 +1,7 @@
 """Durable state store: calibrated pricing and fleet state across restarts.
 
 A long-running :class:`~repro.core.fleet.VerificationEngine` *learns*: its
-:class:`~repro.core.cost.MeasuredScanCostModel` EWMAs converge on the real
+learned :class:`~repro.core.cost.ScanCostModel` EWMAs converge on the real
 host's per-group price, its
 :class:`~repro.core.planner.PriorityExposurePlanner` accumulates per-shard
 flip rates, and its schedulers carry exposure backlog that drives fleet
@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.core.config import RadarConfig
-from repro.core.cost import MeasuredScanCostModel
+from repro.core.cost import MEASURED_ALPHA, ScanCostModel
 from repro.core.fleet import ProtectionState, VerificationEngine
 from repro.errors import ProtectionError
 
@@ -97,20 +97,15 @@ def _check_version(payload: Dict[str, object], kind: str) -> Dict[str, object]:
     return payload
 
 
-def cost_model_state(cost_model: object) -> Dict[str, object]:
-    """Serializable pricing state of any cost model.
+def cost_model_state(cost_model: ScanCostModel) -> Dict[str, object]:
+    """Serializable pricing state of a cost model, tagged by kind.
 
-    Only the measured model carries true mutable state (its EWMA); any
-    other model is a pure function of configuration and is recorded by type
-    and price for the report's benefit only.
+    Only a learned (``"measured"``) price carries true mutable state (its
+    EWMA) and is ever restored; a ``"fixed"`` price is a pure function of
+    configuration and is recorded for the report's benefit only.
     """
-    if isinstance(cost_model, MeasuredScanCostModel):
-        return {"type": "measured", **cost_model.state_dict()}
-    state: Dict[str, object] = {"type": type(cost_model).__name__}
-    price = getattr(cost_model, "seconds_per_group", None)
-    if price is not None:
-        state["seconds_per_group"] = float(price)
-    return state
+    kind = "measured" if cost_model.alpha else "fixed"
+    return {"type": kind, **cost_model.state_dict()}
 
 
 def engine_state_dict(engine: VerificationEngine) -> Dict[str, object]:
@@ -171,18 +166,8 @@ def restore_engine_state(
                 "calibrated pricing not restored"
             )
         elif cost_state.get("type") == "measured":
-            if isinstance(managed.cost_model, MeasuredScanCostModel):
-                managed.cost_model.load_state_dict(cost_state)
-            else:
-                restored = MeasuredScanCostModel(
-                    float(cost_state["seconds_per_group"]),
-                    alpha=float(cost_state.get("alpha", 0.2)),
-                )
-                restored.load_state_dict(cost_state)
-                # The scheduler holds the same object the registry does;
-                # swap both so pricing and observation stay one model.
-                managed.cost_model = restored
-                managed.scheduler.cost_model = restored
+            # In place, alpha included: a fixed price resumes learning.
+            managed.cost_model.load_state_dict(cost_state)
         # -- planner cursor and learned flip rates -------------------------------
         planner = managed.scheduler.planner
         planner_state = saved.get("planner") or {}
@@ -308,7 +293,7 @@ class StateStore:
     def save_calibration(
         self,
         name: str,
-        cost_model: object,
+        cost_model: ScanCostModel,
         radar_config: Optional[RadarConfig] = None,
     ) -> Path:
         """Persist one named calibration entry (read-modify-write, atomic)."""
@@ -324,9 +309,9 @@ class StateStore:
         return self._entries(self.calibration_path, "calibration").get(name)
 
     def measured_cost_model(
-        self, name: str, radar_config: RadarConfig, alpha: float = 0.2
-    ) -> MeasuredScanCostModel:
-        """A measured cost model for ``name``, warm if calibration exists.
+        self, name: str, radar_config: RadarConfig, alpha: float = MEASURED_ALPHA
+    ) -> ScanCostModel:
+        """A learned cost model for ``name``, warm if calibration exists.
 
         Cold path: the usual analytic-prior seeding.  Warm path: the
         persisted EWMA is restored verbatim, so the first budgeted pass is
@@ -336,7 +321,7 @@ class StateStore:
         a per-group price calibrated under another grouping would misprice
         every budget until the EWMA reconverged.
         """
-        model = MeasuredScanCostModel.from_radar_config(radar_config, alpha=alpha)
+        model = ScanCostModel.from_radar_config(radar_config, alpha=alpha)
         saved = self.load_calibration(name)
         if (
             saved is not None

@@ -243,6 +243,39 @@ class TestServeDemoObservability:
         for stage in TICK_STAGES:
             assert find_sample(parsed, "stage_duration_s_count", stage=stage) == 6.0
 
+    def test_interrupted_linger_closes_the_server_and_exits_clean(
+        self, monkeypatch, capsys
+    ):
+        import time
+
+        from repro.telemetry.httpd import ObservabilityServer
+
+        closed = []
+        close = ObservabilityServer.close
+
+        def record_close(server):
+            closed.append(server.url)
+            close(server)
+
+        def interrupted_sleep(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ObservabilityServer, "close", record_close)
+        monkeypatch.setattr(time, "sleep", interrupted_sleep)
+        code = main(
+            [
+                "serve-demo",
+                "--models", "2",
+                "--num-shards", "4",
+                "--passes", "4",
+                "--http-port", "0",
+                "--linger-s", "20",
+            ]
+        )
+        assert code == 0
+        assert len(closed) == 1
+        assert "linger interrupted" in capsys.readouterr().out
+
     def test_http_port_announces_and_serves(self, tmp_path, capsys):
         # Port 0 binds an ephemeral port; the demo must announce it so a
         # scraper (or the smoke script) can find the surface.

@@ -919,10 +919,10 @@ class TestInPlaceResign:
 
 class TestBudgetedEngine:
     def test_budget_exhausted_event_for_underfunded_model(self):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         config = RadarConfig(group_size=8)
-        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        cost_model = ScanCostModel.from_radar_config(config)
         engine = VerificationEngine(config, num_shards=4)
         engine.register("alpha", _small_model(1))
         engine.register("beta", _small_model(2))
@@ -965,7 +965,7 @@ class TestBudgetedEngine:
         assert sum(shares.values()) <= 1.0
 
     def test_flagged_history_makes_a_model_claim_first(self, manual_engine):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         manual_engine.register("clean", _small_model(1), keep_golden_weights=True)
         manual_engine.register("victim", _small_model(2), keep_golden_weights=True)
@@ -976,17 +976,17 @@ class TestBudgetedEngine:
         # Both backlogs are identical after the shared ticks; the victim's
         # flag history tips the urgency, so under a one-slice budget it
         # claims the whole tick and the clean model gets nothing.
-        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8))
         one_slice = victim.scheduler.planned_slice_cost_s()
         shares = manual_engine.allocate_budget(one_slice + cost_model.seconds_per_group)
         assert shares["victim"] == pytest.approx(one_slice)
         assert shares["clean"] == 0.0
 
     def test_budgeted_tick_passes_each_model_its_share(self):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         config = RadarConfig(group_size=8)
-        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        cost_model = ScanCostModel.from_radar_config(config)
         # Affords one ~39-group shard for each of the two models.
         engine = VerificationEngine(
             config, num_shards=4, budget_s=2 * cost_model.pass_cost_s(40)
@@ -1000,10 +1000,10 @@ class TestBudgetedEngine:
             assert result.shard_indices  # both models afford their slice
 
     def test_underfunded_model_preempts_on_the_next_tick(self):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         config = RadarConfig(group_size=8)
-        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        cost_model = ScanCostModel.from_radar_config(config)
         # Each model's shard holds ~39 groups; the fleet budget affords one
         # shard *total* per tick, so exactly one model scans each tick.
         engine = VerificationEngine(
@@ -1035,9 +1035,9 @@ class TestBudgetedEngine:
             engine.allocate_budget(0.0)
 
     def test_budget_accounting_validates_end_to_end(self, engine):
-        from repro.core import MeasuredScanCostModel
+        from repro.core import ScanCostModel
 
-        cost_model = MeasuredScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8), alpha=0.2)
         engine.register("alpha", _small_model(1), cost_model=cost_model)
         result = _detect(engine, budget_s=1.0)["alpha"]
         # Planned cost and measured spend are both visible, and the measured
@@ -1061,10 +1061,10 @@ class TestBudgetFeasibility:
             engine.allocate_budget(1e-9)
 
     def test_feasible_budget_passes_the_check(self):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         config = RadarConfig(group_size=8)
-        cost_model = AnalyticScanCostModel.from_radar_config(config)
+        cost_model = ScanCostModel.from_radar_config(config)
         engine = VerificationEngine(config, num_shards=4, budget_s=cost_model.pass_cost_s(40))
         engine.register("alpha", _small_model(1))
         assert _detect(engine)["alpha"].shard_indices

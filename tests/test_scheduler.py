@@ -335,10 +335,10 @@ class TestBudgetedScheduler:
     """Budget-driven shard sizing (ScanScheduler.from_budget and step overrides)."""
 
     def test_from_budget_prices_every_pass_within_budget(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         budget_s = cost_model.pass_cost_s(50)  # affords 50 of the 264 groups
         scheduler = protector.scheduler_for_budget(budget_s, cost_model=cost_model)
         for _ in range(scheduler.worst_case_lag_passes):
@@ -349,12 +349,12 @@ class TestBudgetedScheduler:
         assert result.rotation_complete
 
     def test_budgeted_rotation_still_matches_full_scan(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
         _flip_msb(model, 0, 3)
         _flip_msb(model, 2, 7)
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         scheduler = protector.scheduler_for_budget(
             cost_model.pass_cost_s(40), cost_model=cost_model
         )
@@ -373,10 +373,10 @@ class TestBudgetedScheduler:
             protector.scheduler_for_budget(1e-12)
 
     def test_structural_scheduler_with_too_small_budget_rejected(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         _, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         # Largest shard of a 4-shard split holds 66 groups; a 10-group budget
         # cannot cover it, and the constructor must say so instead of
         # silently overrunning.
@@ -388,10 +388,10 @@ class TestBudgetedScheduler:
             )
 
     def test_per_call_budget_override_narrows_the_slice(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         scheduler = protector.scheduler(
             num_shards=8, shards_per_pass=4, cost_model=cost_model
         )
@@ -402,10 +402,10 @@ class TestBudgetedScheduler:
         assert result.within_budget
 
     def test_underfunded_pass_scans_nothing_but_keeps_exposure_growing(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         scheduler = protector.scheduler(num_shards=4, cost_model=cost_model)
         before = scheduler.max_exposure_passes
         result = scheduler.step(model, budget_s=cost_model.seconds_per_group / 2)
@@ -415,10 +415,10 @@ class TestBudgetedScheduler:
         assert scheduler.max_exposure_passes == before + 1
 
     def test_measured_cost_model_learns_from_passes(self, protected):
-        from repro.core import MeasuredScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = MeasuredScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config, alpha=0.2)
         scheduler = protector.scheduler(num_shards=4, cost_model=cost_model)
         assert cost_model.observations == 0
         scheduler.step(model)
@@ -463,10 +463,10 @@ class TestAmortizedProtectedInference:
         assert not outcome.attack_detected
 
     def test_budgeted_runtime_sizes_shards_from_budget(self, trained_tiny):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, test_set, _ = trained_tiny
-        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8))
         budget_s = cost_model.pass_cost_s(10)
         runtime = ProtectedInference(
             model, RadarConfig(group_size=8), budget_s=budget_s, cost_model=cost_model
@@ -492,10 +492,10 @@ class TestAutoCadence:
         assert not runtime.auto_cadence
 
     def test_explicit_check_every_disables_tuning(self, trained_tiny):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, _, _ = trained_tiny
-        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8))
         runtime = ProtectedInference(
             model,
             RadarConfig(group_size=8),
@@ -506,14 +506,14 @@ class TestAutoCadence:
         assert not runtime.auto_cadence
 
     def test_budgeted_runtime_defaults_to_a_measured_cost_model(self, trained_tiny):
-        from repro.core import MeasuredScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, test_set, _ = trained_tiny
-        cost_model = MeasuredScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8), alpha=0.2)
         runtime = ProtectedInference(
             model, RadarConfig(group_size=8), budget_s=cost_model.pass_cost_s(10)
         )
-        assert isinstance(runtime.cost_model, MeasuredScanCostModel)
+        assert runtime.cost_model.alpha > 0
         assert runtime.auto_cadence
         runtime(test_set.images[:8])
         # The check's wall-clock was folded back into the estimate.
@@ -522,10 +522,10 @@ class TestAutoCadence:
         assert runtime.log.check_seconds > 0
 
     def test_feasible_budget_checks_every_batch(self, trained_tiny):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, _, _ = trained_tiny
-        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8))
         runtime = ProtectedInference(
             model,
             RadarConfig(group_size=8),
@@ -536,10 +536,10 @@ class TestAutoCadence:
         assert runtime.check_every == 1
 
     def test_sub_group_budget_stretches_the_cadence(self, trained_tiny):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, test_set, _ = trained_tiny
-        cost_model = AnalyticScanCostModel.from_radar_config(RadarConfig(group_size=8))
+        cost_model = ScanCostModel.from_radar_config(RadarConfig(group_size=8))
         # Half a group per batch: from_budget would refuse this outright.
         budget_s = cost_model.seconds_per_group / 2
         runtime = ProtectedInference(
@@ -557,10 +557,10 @@ class TestAutoCadence:
         assert runtime.log.checks == 1
 
     def test_cadence_retunes_as_the_measured_price_drifts(self, trained_tiny):
-        from repro.core import MeasuredScanCostModel
+        from repro.core import ScanCostModel
 
         model, _, test_set, _ = trained_tiny
-        cost_model = MeasuredScanCostModel.from_radar_config(
+        cost_model = ScanCostModel.from_radar_config(
             RadarConfig(group_size=8), alpha=1.0
         )
         runtime = ProtectedInference(
@@ -586,10 +586,10 @@ class TestFullPolicyUnderBudget:
     """FULL policy + budget must rotate through all shards, not rescan a prefix."""
 
     def test_budgeted_full_policy_completes_a_rotation(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         # 4 shards of 66 groups; the budget affords exactly one shard per pass.
         scheduler = protector.scheduler(
             num_shards=4,
@@ -606,10 +606,10 @@ class TestFullPolicyUnderBudget:
         assert result.rotation_complete
 
     def test_budgeted_full_policy_detects_flip_in_last_shard(self, protected):
-        from repro.core import AnalyticScanCostModel
+        from repro.core import ScanCostModel
 
         model, protector = protected
-        cost_model = AnalyticScanCostModel.from_radar_config(protector.config)
+        cost_model = ScanCostModel.from_radar_config(protector.config)
         scheduler = protector.scheduler(
             num_shards=4,
             policy=ScanPolicy.FULL,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
 from repro.core import (
-    MeasuredScanCostModel,
+    ScanCostModel,
     ProtectedInference,
     RadarConfig,
     RecoveryPolicy,
@@ -54,17 +54,17 @@ def _build_engine(num_models=2, policy=ScanPolicy.PRIORITY_EXPOSURE, seed=0):
             f"model-{index}",
             model,
             keep_golden_weights=True,
-            cost_model=MeasuredScanCostModel.from_radar_config(config),
+            cost_model=ScanCostModel.from_radar_config(config, alpha=0.2),
         )
     return engine
 
 
 class TestCoreStateDicts:
     def test_measured_cost_model_round_trip(self):
-        model = MeasuredScanCostModel(1e-6, alpha=0.3)
+        model = ScanCostModel(1e-6, alpha=0.3)
         model.observe(100, 5e-4)
         model.observe(50, 1e-4)
-        twin = MeasuredScanCostModel(9e-9, alpha=0.9)
+        twin = ScanCostModel(9e-9, alpha=0.9)
         twin.load_state_dict(model.state_dict())
         assert twin.seconds_per_group == model.seconds_per_group
         assert twin.alpha == model.alpha
@@ -72,7 +72,7 @@ class TestCoreStateDicts:
         assert twin.pass_cost_s(123) == model.pass_cost_s(123)
 
     def test_measured_cost_model_rejects_bad_state(self):
-        model = MeasuredScanCostModel(1e-6)
+        model = ScanCostModel(1e-6, alpha=0.2)
         with pytest.raises(ProtectionError):
             model.load_state_dict({"seconds_per_group": 0.0})
         with pytest.raises(ProtectionError):
@@ -129,13 +129,10 @@ class TestCoreStateDicts:
             scheduler.load_state_dict(state)
 
     def test_cost_model_state_tags_types(self):
-        measured = MeasuredScanCostModel(1e-6)
+        measured = ScanCostModel(1e-6, alpha=0.2)
         assert cost_model_state(measured)["type"] == "measured"
-        from repro.core import AnalyticScanCostModel
-
-        analytic = AnalyticScanCostModel(2e-7)
-        state = cost_model_state(analytic)
-        assert state["type"] == "AnalyticScanCostModel"
+        state = cost_model_state(ScanCostModel(2e-7))
+        assert state["type"] == "fixed"
         assert state["seconds_per_group"] == 2e-7
 
 
@@ -239,16 +236,40 @@ class TestEngineStateRoundTrip:
         twin = VerificationEngine(config, num_shards=4)
         model = MLP(input_dim=48, num_classes=4, hidden_dims=(32, 16), seed=0)
         quantize_model(model)
-        twin.register("model-0", model)  # analytic default
+        managed = twin.register("model-0", model)  # fixed-price default
+        fixed = managed.cost_model
+        assert fixed.alpha == 0
         store.restore_engine(twin)
-        managed = twin.get("model-0")
-        assert isinstance(managed.cost_model, MeasuredScanCostModel)
-        # Scheduler and registry must share the restored pricing object.
-        assert managed.scheduler.cost_model is managed.cost_model
-        assert (
-            managed.cost_model.seconds_per_group
-            == engine.get("model-0").cost_model.seconds_per_group
+        saved = engine.get("model-0").cost_model
+        # Loaded in place: the scheduler stays the price's one owner.
+        assert managed.cost_model is fixed
+        assert managed.cost_model is managed.scheduler.cost_model
+        assert fixed.state_dict() == saved.state_dict()
+        # The restored price learns from the next tick, in place.
+        twin.tick()
+        assert managed.cost_model is managed.scheduler.cost_model
+        assert fixed.observations == saved.observations + 1
+
+    def test_persisted_measured_entry_restores_exactly(self):
+        # The on-disk shape of a learned price; a fixed-price registration
+        # takes its price, alpha and observation count verbatim.
+        entry = {
+            "type": "measured",
+            "seconds_per_group": 3.25e-7,
+            "alpha": 0.3,
+            "observations": 17,
+        }
+        payload = engine_state_dict(_build_engine(num_models=1))
+        payload["models"]["model-0"]["cost_model"] = entry
+        twin = VerificationEngine(
+            RadarConfig(group_size=16), num_shards=4, policy=ScanPolicy.PRIORITY_EXPOSURE
         )
+        model = MLP(input_dim=48, num_classes=4, hidden_dims=(32, 16), seed=0)
+        quantize_model(model)
+        managed = twin.register("model-0", model)
+        report = restore_engine_state(twin, payload)
+        assert report["restored"] == ["model-0"] and not report["partial"]
+        assert cost_model_state(managed.cost_model) == entry
 
     def test_restore_under_another_grouping_keeps_fresh_pricing(self, tmp_path):
         engine = _build_engine(num_models=1)
@@ -259,7 +280,7 @@ class TestEngineStateRoundTrip:
         twin = VerificationEngine(regrouped, num_shards=4, policy=ScanPolicy.PRIORITY_EXPOSURE)
         model = MLP(input_dim=48, num_classes=4, hidden_dims=(32, 16), seed=0)
         quantize_model(model)
-        fresh = MeasuredScanCostModel.from_radar_config(regrouped)
+        fresh = ScanCostModel.from_radar_config(regrouped, alpha=0.2)
         twin.register("model-0", model, cost_model=fresh)
         report = store.restore_engine(twin)
         assert report["restored"] == ["model-0"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.attacks import RandomBitFlipAttack, RandomFlipConfig
 from repro.core import (
-    MeasuredScanCostModel,
+    ScanCostModel,
     RadarConfig,
     RecoveryPolicy,
     VerificationEngine,
@@ -40,7 +40,7 @@ def _fleet(num_models=3, budget_s=None, measured=False, **engine_kwargs):
             model,
             keep_golden_weights=True,
             cost_model=(
-                MeasuredScanCostModel.from_radar_config(config) if measured else None
+                ScanCostModel.from_radar_config(config, alpha=0.2) if measured else None
             ),
         )
     return engine
