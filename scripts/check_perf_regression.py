@@ -100,10 +100,12 @@ def check(fresh_path: Path, baseline_path: Path) -> List[str]:
         return [f"{name}: no baseline at {baseline_path}"]
     baseline = load_rows(baseline_path, spec.key_field)
     fresh = load_rows(fresh_path, spec.key_field)
-    if set(baseline) != set(fresh):
+    missing = sorted(baseline.keys() - fresh.keys())
+    extra = sorted(fresh.keys() - baseline.keys())
+    if missing or extra:
         return [
-            f"{name}: {spec.key_field} values differ — "
-            f"baseline {sorted(baseline)}, fresh {sorted(fresh)}"
+            f"{name}: {spec.key_field} values differ — missing from the fresh "
+            f"run: {missing or 'none'}; not in the baseline: {extra or 'none'}"
         ]
     failures = []
     for key, base_row in sorted(baseline.items()):

@@ -39,6 +39,9 @@ seeded-random epoch permutations keep every shard's next scan uniform over
 the next epoch, collapsing the tracker's edge back to the random
 attacker's expectation while the rotation-aligned starvation bound (two
 rotations, ``rotation_lag_multiplier``) keeps worst-case latency finite.
+Each permutation depends on the seed and the epoch alone — the planner
+learns nothing from where flips were caught — so no salvo can steer the
+schedule later salvos face.
 ``experiments/campaign.py`` runs the full adversary × cadence × defense
 matrix and ``results/campaign_matrix.json`` pins the measured margins.
 """

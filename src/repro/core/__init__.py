@@ -28,8 +28,9 @@ Several run-time extensions go beyond the paper's stop-the-world scan:
   in seconds (analytic, from the memsim timing constants, or measured via an
   EWMA), so slices can be sized from a *latency budget* rather than a shard
   count (``ScanScheduler.from_budget``).
-* :mod:`repro.core.planner` — pluggable shard-selection planners behind the
-  scheduler's policies, including flip-rate-tuned priority-exposure ordering.
+* :mod:`repro.core.planner` — the shard-selection planners behind the
+  scheduler's policies: round-robin (also ``FULL``), flip-rate-tuned
+  priority-exposure ordering, and seeded epoch jitter.
 * :class:`repro.core.fleet.VerificationEngine` — the fleet engine: one work
   queue of scan slices drawn from all registered models, coalesced into
   batched cross-model vectorized passes, with an explicit
@@ -43,7 +44,6 @@ Several run-time extensions go beyond the paper's stop-the-world scan:
 from repro.core.config import RadarConfig
 from repro.core.cost import BudgetPlan, ScanCostModel, plan_rotation
 from repro.core.planner import (
-    FullScanPlanner,
     JitteredPlanner,
     PriorityExposurePlanner,
     RoundRobinPlanner,
@@ -69,7 +69,6 @@ from repro.core.scheduler import (
     ScanPolicy,
     ScanScheduler,
     ShardInfo,
-    SliceDescriptor,
 )
 from repro.core.protector import ModelProtector, ProtectionSummary
 from repro.core.runtime import InferenceOutcome, ProtectedInference
@@ -95,7 +94,6 @@ __all__ = [
     "plan_rotation",
     "VerificationPlanner",
     "ShardView",
-    "FullScanPlanner",
     "RoundRobinPlanner",
     "PriorityExposurePlanner",
     "JitteredPlanner",
@@ -120,7 +118,6 @@ __all__ = [
     "ScanPassResult",
     "ScanScheduler",
     "ShardInfo",
-    "SliceDescriptor",
     "ModelProtector",
     "ProtectionSummary",
     "ProtectedInference",

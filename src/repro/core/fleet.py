@@ -200,11 +200,6 @@ class ManagedModel:
     #: re-walk the module tree every tick (layer objects are stable; their
     #: ``qweight`` buffers are mutated in place by attacks and recovery).
     layer_map: Dict[str, Module] = field(default_factory=dict)
-    #: ``(scheduler, price, floor)`` memo for :meth:`min_feasible_budget_s` —
-    #: the floor only changes when a learned price recalibrates (or the
-    #: scheduler is replaced), but feasibility is re-checked on every
-    #: budgeted tick.
-    _min_feasible_memo: Optional[Tuple[ScanScheduler, float, float]] = None
 
     @property
     def cost_model(self) -> ScanCostModel:
@@ -220,16 +215,10 @@ class ManagedModel:
         self.scheduler.fused.adopt(self.layer_map)
 
     def min_feasible_budget_s(self) -> float:
-        """Cost of this model's largest shard — the least budget that can
-        ever advance its rotation past that shard."""
-        cost_model = self.scheduler.cost_model
-        price = cost_model.seconds_per_group
-        memo = self._min_feasible_memo
-        if memo is not None and memo[0] is self.scheduler and memo[1] == price:
-            return memo[2]
-        floor = cost_model.pass_cost_s(self.scheduler.largest_shard_groups)
-        self._min_feasible_memo = (self.scheduler, price, floor)
-        return floor
+        """Cost of this model's largest shard at its current price — the
+        least budget that can ever advance its rotation past that shard."""
+        scheduler = self.scheduler
+        return scheduler.cost_model.pass_cost_s(scheduler.largest_shard_groups)
 
     def urgency(self) -> float:
         """Budget-allocation rank: exposure backlog plus flagged history.
@@ -299,19 +288,21 @@ class _PlannedSlice:
 
 
 def _same_rows(batch: List[_PlannedSlice]) -> bool:
-    """Whether every slice of a stacked batch plans the same row ranges.
+    """Whether every slice of a stacked batch plans the same rows.
 
-    With one shared geometry (:attr:`StackedVerifier.shared_geometry`)
-    that lets the batch take the kernel's broadcast branch.
+    Only asked under one shared geometry
+    (:attr:`StackedVerifier.shared_geometry`): equal group counts split
+    into an equal number of shards give equal shards, so equal shard
+    indices are equal rows and the batch may take the kernel's broadcast
+    branch.  Either branch gives the same verdicts.
     """
-    first, rest = batch[0], batch[1:]
-    if not rest:
-        return True
-    ranges = first.managed.scheduler.slice_descriptor(first.shard_indices).row_ranges
+    first = batch[0]
+    num_shards = first.managed.scheduler.num_shards
+    shard_indices = first.shard_indices
     return all(
-        planned.managed.scheduler.slice_descriptor(planned.shard_indices).row_ranges
-        == ranges
-        for planned in rest
+        planned.managed.scheduler.num_shards == num_shards
+        and planned.shard_indices == shard_indices
+        for planned in batch[1:]
     )
 
 
@@ -386,10 +377,6 @@ class VerificationEngine:
         # identity each tick).  A re-sign keeps the view and refreshes the
         # verifiers' prestacked goldens instead (_resign).
         self._verifiers: Dict[Tuple, StackedVerifier] = {}
-        # Feasibility-check memo (see _require_feasible): bumped by
-        # register/unregister.
-        self._models_version = 0
-        self._feasible_for: Optional[Tuple[float, int]] = None
 
     # -- registry ---------------------------------------------------------------
     def register(
@@ -398,8 +385,6 @@ class VerificationEngine:
         model: Module,
         config: Optional[RadarConfig] = None,
         num_shards: Optional[int] = None,
-        policy: Optional[ScanPolicy] = None,
-        shards_per_pass: Optional[int] = None,
         keep_golden_weights: bool = False,
         cost_model: Optional[ScanCostModel] = None,
     ) -> ManagedModel:
@@ -419,10 +404,8 @@ class VerificationEngine:
         scheduler = ScanScheduler(
             protector.store,
             num_shards=num_shards if num_shards is not None else self.num_shards,
-            policy=policy if policy is not None else self.policy,
-            shards_per_pass=(
-                shards_per_pass if shards_per_pass is not None else self.shards_per_pass
-            ),
+            policy=self.policy,
+            shards_per_pass=self.shards_per_pass,
             cost_model=cost_model or ScanCostModel.from_radar_config(radar_config),
         )
         managed = ManagedModel(
@@ -432,14 +415,12 @@ class VerificationEngine:
         if self.budget_s is not None:
             self._require_feasible(self.budget_s, {name: managed})
         self._models[name] = managed
-        self._models_version += 1
         return managed
 
     def unregister(self, name: str) -> ManagedModel:
         if name not in self._models:
             raise ProtectionError(f"Model {name!r} is not registered")
         managed = self._models.pop(name)
-        self._models_version += 1
         # A cached bucket verifier would keep the model's view, plane and
         # shared geometry alive until the next tick rebuilt it.
         self._verifiers.clear()
@@ -886,19 +867,16 @@ class VerificationEngine:
         silently disable that model's protection forever (every allocation
         would grant it nothing); fail fast instead.
 
-        The verdict only changes when the registry does (which bumps
-        ``_models_version``) or the budget does — a re-sign keeps every
-        scheduler and its shards — so a passing check is memoized on
-        ``(budget, version)``; this runs every tick of every budgeted
-        fleet.
+        Checked at registration and on every budgeted tick, at each model's
+        current price: a learned price can rise past the budget, and a model
+        that scans nothing never observes a pass that could bring its price
+        back down.
         """
-        cache_key = (budget_s, self._models_version)
-        if cache_key == self._feasible_for:
-            return
-        needs = {
-            name: managed.min_feasible_budget_s() for name, managed in models.items()
+        infeasible = {
+            name: need
+            for name, managed in models.items()
+            if (need := managed.min_feasible_budget_s()) > budget_s
         }
-        infeasible = {name: need for name, need in needs.items() if need > budget_s}
         if infeasible:
             detail = ", ".join(
                 f"{name!r} needs >= {need * 1e3:.6g} ms"
@@ -909,7 +887,6 @@ class VerificationEngine:
                 f"scan slice of: {detail}; raise the budget or register the "
                 "model with more shards"
             )
-        self._feasible_for = cache_key
 
     def _require_models(self) -> None:
         if not self._models:

@@ -1,10 +1,12 @@
-"""Verification planners: the pluggable shard-selection layer of the scheduler.
+"""Verification planners: the shard-selection layer of the scheduler.
 
-PR 1's :class:`~repro.core.scheduler.ScanScheduler` hard-wired its three
-policies into one ``plan()`` method.  This module pulls selection out into a
-:class:`VerificationPlanner` object the scheduler delegates to, so policies
-can carry their own state (a round-robin cursor, per-shard flip-rate
-estimates) and new ones can be plugged in without touching scan bookkeeping.
+The :class:`~repro.core.scheduler.ScanScheduler` delegates *which shards
+a pass scans* to one :class:`VerificationPlanner` per scheduler, chosen by
+its :class:`~repro.core.scheduler.ScanPolicy`, so a policy keeps its own
+state (a round-robin cursor, per-shard flip-rate estimates, an epoch
+permutation) out of the scan bookkeeping.  Three planners cover the four
+policies: ``FULL`` is :class:`RoundRobinPlanner` with every shard in the
+slice (``shards_per_pass = num_shards``).
 
 The planner contract is deliberately small:
 
@@ -15,7 +17,8 @@ The planner contract is deliberately small:
   (``shards_per_pass``, further narrowed by a latency budget when one is set).
 * :meth:`VerificationPlanner.committed` — feedback after the scheduler
   actually scanned a slice: which shards ran and how many flagged groups each
-  produced.  This is where the cursor advances and flip-rate EWMAs update.
+  produced.  This is where the cursor and epoch advance and
+  :class:`PriorityExposurePlanner`'s flip-rate EWMA updates.
 
 Keeping ``order`` pure means :meth:`ScanScheduler.plan` stays side-effect
 free, and the budget truncation composes with every policy.
@@ -77,10 +80,6 @@ class ShardView(NamedTuple):
 class VerificationPlanner(ABC):
     """Orders shards for scanning; sees feedback after every committed pass."""
 
-    #: Planners that want every shard scanned every pass (the stop-the-world
-    #: baseline) set this; the scheduler then ignores ``shards_per_pass``.
-    scan_everything: bool = False
-
     #: Planners whose :meth:`order` reads per-pass shard state (exposure,
     #: flip counts) keep this True.  State-blind planners (cyclic orders use
     #: only the shard *count*) set it False, letting the scheduler hand
@@ -99,9 +98,9 @@ class VerificationPlanner(ABC):
     def order(self, shards: Sequence[ShardView]) -> List[int]:
         """All shard indices, most scan-worthy first.  Must not mutate state.
 
-        The returned indices are built-in ``int``s — plans flow into
-        plain-data slice descriptors (persisted as JSON), so no NumPy
-        scalars may leak out of a planner.
+        The returned indices are built-in ``int``s — plans flow into scan
+        results and event details (persisted as JSON), so no NumPy scalars
+        may leak out of a planner.
         """
 
     def committed(
@@ -164,18 +163,6 @@ class RoundRobinPlanner(VerificationPlanner):
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
         self._cursor = int(state.get("cursor", 0))
-
-
-class FullScanPlanner(RoundRobinPlanner):
-    """Every shard, every pass — degenerates to a stop-the-world scan.
-
-    Inherits the round-robin cursor so that when a latency budget truncates
-    the pass to an affordable prefix, consecutive passes still rotate through
-    all shards instead of rescanning the same prefix forever.  Without a
-    budget the cursor is irrelevant: every pass selects every shard.
-    """
-
-    scan_everything = True
 
 
 class PriorityExposurePlanner(VerificationPlanner):
@@ -261,52 +248,30 @@ class JitteredPlanner(VerificationPlanner):
     detection latency on every salvo.
 
     This planner instead partitions time into **epochs** of one rotation
-    each: at the start of every epoch it draws a fresh permutation of all
-    shards from ``default_rng([seed, epoch])`` and serves the epoch from it.
-    Every epoch covers every shard (the rotation-aligned starvation bound),
-    but *where* in the next epoch a given shard lands is uniform — an
-    attacker targeting the just-scanned shard now waits a uniformly random
-    fraction of a rotation, the same expectation a blind random attacker
-    gets.  The worst-case gap between two scans of one shard is ``2B - 1``
-    passes (scanned first in one epoch, last in the next), declared via
-    ``rotation_lag_multiplier = 2``.
+    each: at the start of every epoch it draws a fresh uniform permutation
+    of all shards from ``default_rng([seed, epoch])`` and serves the epoch
+    from it.  Every epoch covers every shard (the rotation-aligned
+    starvation bound), but *where* in the next epoch a given shard lands is
+    uniform — an attacker targeting the just-scanned shard now waits a
+    uniformly random fraction of a rotation, the same expectation a blind
+    random attacker gets.  The worst-case gap between two scans of one
+    shard is ``2B - 1`` passes (scanned first in one epoch, last in the
+    next), declared via ``rotation_lag_multiplier = 2``.
 
     Epoch-boundary passes may straddle two epochs; the straddling slice is
     drawn from the *next* epoch's permutation (skipping shards still owed by
     the current one), and the shards it consumes are excluded from the next
-    epoch via ``carryover`` — both epochs still cover every shard.
-
-    Like :class:`PriorityExposurePlanner` the planner keeps a per-shard
-    flip-rate EWMA; ``hot_bias > 0`` turns the uniform draw into an
-    Efraimidis–Spirakis weighted shuffle that *front-loads* flip-prone
-    shards within each epoch.  The bias reshapes each epoch's permutation
-    but never removes a shard from it, so the bound is unaffected.  The
-    EWMA (and the RNG seed) survive :meth:`reset`; only the epoch position
-    clears — and the epoch counter *advances*, so a rebuilt rotation never
-    replays an already-observed permutation.
-
-    :meth:`tune` closes the loop with
-    :meth:`repro.telemetry.monitor.FleetTelemetry.tune_jitter`: observed
-    detection-latency pressure (p99 ticks against the declared bound) moves
-    ``hot_bias``, biasing future epochs toward the shards attacks actually
-    land in.
+    epoch via ``carryover`` — both epochs still cover every shard.  The seed
+    survives :meth:`reset`; only the epoch position clears — and the epoch
+    counter *advances*, so a rebuilt rotation never replays an
+    already-observed permutation.
     """
 
     uses_shard_state = False  # epoch permutations ignore per-pass exposure
     rotation_lag_multiplier = 2
 
-    #: Ceiling :meth:`tune` may push ``hot_bias`` to.
-    MAX_HOT_BIAS = 4.0
-
-    def __init__(self, seed: int = 0, hot_bias: float = 0.0, ewma_alpha: float = 0.5) -> None:
-        if hot_bias < 0:
-            raise ProtectionError(f"hot_bias must be >= 0, got {hot_bias}")
-        if not 0 < ewma_alpha <= 1:
-            raise ProtectionError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.hot_bias = float(hot_bias)
-        self.ewma_alpha = float(ewma_alpha)
-        self._flip_rate: Dict[int, float] = {}
         self._epoch = 0
         #: Shards the current epoch still owes (``None`` = epoch not started;
         #: materialized lazily by :meth:`order`, which is the first caller
@@ -316,30 +281,8 @@ class JitteredPlanner(VerificationPlanner):
         #: *next* epoch; excluded when that epoch materializes.
         self._carryover: List[int] = []
 
-    # -- randomized ordering ----------------------------------------------------
-    def flip_rate(self, shard_index: int) -> float:
-        """Current EWMA flip rate of one shard (0 until it flags something)."""
-        return self._flip_rate.get(shard_index, 0.0)
-
-    def _keys(self, epoch: int, count: int) -> np.ndarray:
-        """Efraimidis–Spirakis shuffle keys for one epoch (descending order).
-
-        With all weights 1 (no flips observed, or ``hot_bias == 0``) the
-        keys are i.i.d. uniform draws and sorting them yields a uniform
-        permutation; a weight ``w > 1`` pushes a shard's key toward 1,
-        front-loading it in expectation without ever excluding anyone.
-        """
-        draws = np.random.default_rng([self.seed, epoch]).random(count)
-        if self.hot_bias > 0 and self._flip_rate:
-            weights = np.ones(count)
-            for index, rate in self._flip_rate.items():
-                if 0 <= index < count:
-                    weights[index] += self.hot_bias * rate / (1.0 + rate)
-            return draws ** (1.0 / weights)
-        return draws
-
     def _epoch_order(self, epoch: int, count: int) -> List[int]:
-        keys = self._keys(epoch, count)
+        keys = np.random.default_rng([self.seed, epoch]).random(count)
         return sorted(range(count), key=lambda index: (-keys[index], index))
 
     def order(self, shards: Sequence[ShardView]) -> List[int]:
@@ -365,11 +308,6 @@ class JitteredPlanner(VerificationPlanner):
     def committed(
         self, shard_indices: Sequence[int], flagged_counts: Mapping[int, int]
     ) -> None:
-        for index in shard_indices:
-            index = int(index)  # keep the EWMA dict keyed by built-in ints
-            observed = 1.0 if flagged_counts.get(index, 0) > 0 else 0.0
-            rate = self._flip_rate.get(index, 0.0)
-            self._flip_rate[index] = rate + self.ewma_alpha * (observed - rate)
         if not shard_indices:
             return
         if self._remaining is None:
@@ -389,45 +327,12 @@ class JitteredPlanner(VerificationPlanner):
             self._carryover = overflow
 
     def reset(self) -> None:
-        # Positional state only — flip rates and the seed survive.  The
-        # epoch counter advances past every permutation the old rotation may
-        # have revealed, so a reprotected model resumes unpredictable.
+        # Positional state only — the seed survives.  The epoch counter
+        # advances past every permutation the old rotation may have
+        # revealed, so a reprotected model resumes unpredictable.
         self._epoch += 1
         self._remaining = None
         self._carryover = []
-
-    # -- telemetry-driven tuning -------------------------------------------------
-    def tune(
-        self,
-        observed_p99_ticks: Optional[float] = None,
-        bound_ticks: Optional[float] = None,
-        hot_bias: Optional[float] = None,
-    ) -> float:
-        """Adjust ``hot_bias`` and return the new value.
-
-        Either set ``hot_bias`` directly, or pass telemetry feedback: when
-        the observed p99 detection latency consumes more than half of the
-        declared bound the bias steps toward :data:`MAX_HOT_BIAS` (future
-        epochs front-load the flip-prone shards); when pressure relaxes the
-        bias decays back toward uniform.  Pure arithmetic — deterministic
-        for deterministic inputs.
-        """
-        if hot_bias is not None:
-            if hot_bias < 0:
-                raise ProtectionError(f"hot_bias must be >= 0, got {hot_bias}")
-            self.hot_bias = min(float(hot_bias), self.MAX_HOT_BIAS)
-            return self.hot_bias
-        if (
-            observed_p99_ticks is None
-            or bound_ticks is None
-            or not bound_ticks > 0
-            or not np.isfinite(observed_p99_ticks)
-        ):
-            return self.hot_bias
-        pressure = float(observed_p99_ticks) / float(bound_ticks)
-        target = self.MAX_HOT_BIAS * min(1.0, max(0.0, (pressure - 0.5) * 2.0))
-        self.hot_bias += 0.5 * (target - self.hot_bias)
-        return self.hot_bias
 
     # -- persistence -------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -440,10 +345,6 @@ class JitteredPlanner(VerificationPlanner):
                 else [int(index) for index in self._remaining]
             ),
             "carryover": [int(index) for index in self._carryover],
-            "hot_bias": float(self.hot_bias),
-            "flip_rate": {
-                str(index): float(rate) for index, rate in self._flip_rate.items()
-            },
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
@@ -453,9 +354,6 @@ class JitteredPlanner(VerificationPlanner):
         self._remaining = (
             None if remaining is None else [int(index) for index in remaining]
         )
+        # Older snapshots also carry the fields of a since-removed
+        # flip-rate bias; the uniform permutations never read them.
         self._carryover = [int(index) for index in state.get("carryover", [])]
-        self.hot_bias = float(state.get("hot_bias", 0.0))
-        rates = state.get("flip_rate", {})
-        self._flip_rate = {
-            int(index): float(rate) for index, rate in dict(rates).items()
-        }

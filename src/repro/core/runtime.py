@@ -48,7 +48,7 @@ from repro.core.recovery import (
     recover_groups,
     require_golden_weights,
 )
-from repro.core.scheduler import ScanPolicy, ScanScheduler
+from repro.core.scheduler import ScanScheduler
 from repro.core.signature import FusedSignatures, SignatureStore
 from repro.errors import ProtectionError
 from repro.nn.module import Module, no_grad
@@ -134,8 +134,6 @@ class ProtectedInference:
         policy: RecoveryPolicy = RecoveryPolicy.ZERO,
         check_every: Optional[int] = None,
         num_shards: Optional[int] = None,
-        scan_policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
-        shards_per_pass: int = 1,
         budget_s: Optional[float] = None,
         cost_model: Optional[ScanCostModel] = None,
     ) -> None:
@@ -161,7 +159,7 @@ class ProtectedInference:
         if budget_s is not None and num_shards is None:
             try:
                 self.scheduler = self.protector.scheduler_for_budget(
-                    budget_s, cost_model=cost_model, policy=scan_policy
+                    budget_s, cost_model=cost_model
                 )
             except ProtectionError:
                 if not self.auto_cadence:
@@ -170,14 +168,11 @@ class ProtectedInference:
                 # store allows and let the cadence stretch to afford it.
                 self.scheduler = self.protector.scheduler(
                     num_shards=self.protector.store.total_groups(),
-                    policy=scan_policy,
                     cost_model=cost_model,
                 )
         elif num_shards is not None:
             self.scheduler = self.protector.scheduler(
                 num_shards=num_shards,
-                policy=scan_policy,
-                shards_per_pass=shards_per_pass,
                 budget_s=budget_s,
                 cost_model=cost_model,
             )

@@ -13,9 +13,9 @@ verified within one full rotation.
 
 The scheduler splits responsibilities across two collaborators:
 
-* **Planning** — a pluggable :class:`~repro.core.planner.VerificationPlanner`
-  orders the shards each pass (see :class:`ScanPolicy` for the built-in
-  policies); the scheduler truncates that order to the affordable slice.
+* **Planning** — a :class:`~repro.core.planner.VerificationPlanner`,
+  chosen by the :class:`ScanPolicy`, orders the shards each pass; the
+  scheduler truncates that order to the affordable slice.
 * **Pricing** — an optional :class:`~repro.core.cost.ScanCostModel` converts
   "g groups" into seconds, which lets the slice be chosen from a *latency
   budget* instead of a fixed shard count: :meth:`ScanScheduler.from_budget`
@@ -24,7 +24,7 @@ The scheduler splits responsibilities across two collaborators:
   :class:`~repro.core.fleet.VerificationEngine` spreads one fleet-wide
   budget across models).
 
-Three built-in policies decide which shards a pass scans:
+Four policies decide which shards a pass scans:
 
 * ``ROUND_ROBIN`` — cyclic order; every rotation takes exactly
   ``ceil(num_shards / shards_per_pass)`` passes.
@@ -32,8 +32,10 @@ Three built-in policies decide which shards a pass scans:
   flip-rate bias that revisits shards that keep catching flips sooner while
   provably preserving the rotation bound (see
   :class:`~repro.core.planner.PriorityExposurePlanner`).
-* ``FULL`` — every shard every pass (degenerates to a full scan; useful
-  as a baseline and for the highest-assurance deployments).
+* ``FULL`` — the round-robin planner with ``shards_per_pass = num_shards``:
+  every shard every pass (degenerates to a full scan; useful as a baseline
+  and for the highest-assurance deployments).  A budget still truncates
+  the slice, and the cursor then rotates the affordable prefix.
 * ``JITTERED`` — seeded-random epoch permutations that deny a
   schedule-aware attacker the deterministic rotation while still covering
   every shard each epoch (see
@@ -52,14 +54,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cost import ScanCostModel, plan_rotation
 from repro.core.detector import DetectionReport, report_from_fused_rows
 from repro.core.planner import (
-    FullScanPlanner,
     JitteredPlanner,
     PriorityExposurePlanner,
     RoundRobinPlanner,
@@ -70,10 +71,6 @@ from repro.core.signature import SignatureStore
 from repro.errors import ProtectionError
 from repro.nn.module import Module
 
-#: Slice descriptors one scheduler keeps memoized (see slice_descriptor).
-MAX_MEMOIZED_DESCRIPTORS = 256
-
-
 class ScanPolicy(str, Enum):
     """Shard-selection policy of the :class:`ScanScheduler`."""
 
@@ -83,16 +80,14 @@ class ScanPolicy(str, Enum):
     JITTERED = "jittered"
 
 
-def planner_for_policy(policy: ScanPolicy) -> VerificationPlanner:
-    """The default :class:`VerificationPlanner` implementing one policy."""
-    policy = ScanPolicy(policy)
-    if policy is ScanPolicy.FULL:
-        return FullScanPlanner()
-    if policy is ScanPolicy.PRIORITY_EXPOSURE:
-        return PriorityExposurePlanner()
-    if policy is ScanPolicy.JITTERED:
-        return JitteredPlanner()
-    return RoundRobinPlanner()
+#: The planner class behind each policy (FULL differs from ROUND_ROBIN only
+#: in its slice width, set by the scheduler).
+_PLANNERS = {
+    ScanPolicy.ROUND_ROBIN: RoundRobinPlanner,
+    ScanPolicy.PRIORITY_EXPOSURE: PriorityExposurePlanner,
+    ScanPolicy.FULL: RoundRobinPlanner,
+    ScanPolicy.JITTERED: JitteredPlanner,
+}
 
 
 @dataclass(slots=True)
@@ -132,37 +127,6 @@ class ScanPassResult:
         return self.planned_cost_s <= self.budget_s
 
 
-class SliceDescriptor(NamedTuple):
-    """A planned slice as plain data: shard indices plus their row ranges.
-
-    The compact form of :meth:`ScanScheduler.slice_rows` — what the fleet
-    engine compares to decide whether a bucket's slices coincide.  Shards
-    are contiguous ``arange`` blocks by construction (``np.array_split`` of
-    ``arange``), so a slice is exactly one ``(start, stop)`` range per
-    planned shard, in plan order; expanding the ranges back (:meth:`rows`)
-    reproduces ``slice_rows`` bit for bit.  Everything here is built-in
-    ints, so the descriptor round-trips through JSON unchanged.
-    """
-
-    shard_indices: Tuple[int, ...]
-    row_ranges: Tuple[Tuple[int, int], ...]
-
-    @property
-    def num_rows(self) -> int:
-        return sum(stop - start for start, stop in self.row_ranges)
-
-    def rows(self) -> np.ndarray:
-        """Materialize the global row array (identical to ``slice_rows``)."""
-        if not self.row_ranges:
-            return np.empty(0, dtype=np.int64)
-        if len(self.row_ranges) == 1:
-            start, stop = self.row_ranges[0]
-            return np.arange(start, stop, dtype=np.int64)
-        return np.concatenate(
-            [np.arange(start, stop, dtype=np.int64) for start, stop in self.row_ranges]
-        )
-
-
 @dataclass
 class ShardInfo:
     """Introspection row for one shard (used by reports and the CLI)."""
@@ -196,7 +160,6 @@ class ScanScheduler:
         num_shards: int = 8,
         policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
         shards_per_pass: int = 1,
-        planner: Optional[VerificationPlanner] = None,
         budget_s: Optional[float] = None,
         cost_model: Optional[ScanCostModel] = None,
     ) -> None:
@@ -213,12 +176,16 @@ class ScanScheduler:
             raise ProtectionError(f"budget_s must be positive, got {budget_s}")
         self.store = store
         self.policy = ScanPolicy(policy)
-        self._planner = planner if planner is not None else planner_for_policy(self.policy)
+        self._planner: VerificationPlanner = _PLANNERS[self.policy]()
         self.fused = store.fused()
         # Data-dependent clamping (distinct from argument validation above):
         # a store can expose fewer groups than the requested shard count.
         self.num_shards = min(num_shards, self.fused.total_groups)
-        self.shards_per_pass = min(shards_per_pass, self.num_shards)
+        self.shards_per_pass = (
+            self.num_shards
+            if self.policy is ScanPolicy.FULL
+            else min(shards_per_pass, self.num_shards)
+        )
         self.cost_model = cost_model
         self.budget_s = budget_s
         # Shards are write-locked views of one all-rows array: slice_rows
@@ -228,7 +195,6 @@ class ScanScheduler:
         self._all_rows.setflags(write=False)
         self._shards: List[np.ndarray] = np.array_split(self._all_rows, self.num_shards)
         self._in_order: List[int] = list(range(self.num_shards))
-        self._descriptors: Dict[Tuple[int, ...], SliceDescriptor] = {}
         # Plain-int mirrors of each shard's size and row range: planning,
         # pricing and flag attribution consult these once per model per
         # tick, where NumPy scalar extraction is pure dispatch overhead.
@@ -237,9 +203,12 @@ class ScanScheduler:
             (int(shard[0]), int(shard[-1])) if shard.size else (0, -1)
             for shard in self._shards
         ]
+        #: Groups in the largest shard — what a one-shard pass can cost.
+        #: Shards never change, so budget checks read this on every tick.
+        self.largest_shard_groups: int = max(self._shard_sizes)
         if budget_s is not None:
-            largest = max(shard.size for shard in self._shards)
-            cost = self._require_cost_model().pass_cost_s(int(largest))
+            largest = self.largest_shard_groups
+            cost = self._require_cost_model().pass_cost_s(largest)
             if cost > budget_s:
                 raise ProtectionError(
                     f"budget of {budget_s * 1e3:.6g} ms cannot cover the largest shard "
@@ -268,7 +237,6 @@ class ScanScheduler:
         budget_s: float,
         cost_model: Optional[ScanCostModel] = None,
         policy: ScanPolicy = ScanPolicy.ROUND_ROBIN,
-        planner: Optional[VerificationPlanner] = None,
     ) -> "ScanScheduler":
         """Size the shard rotation from a per-pass latency budget.
 
@@ -286,7 +254,6 @@ class ScanScheduler:
             num_shards=plan.num_shards,
             policy=policy,
             shards_per_pass=1,
-            planner=planner,
             budget_s=budget_s,
             cost_model=model,
         )
@@ -335,11 +302,6 @@ class ScanScheduler:
         return self.fused.total_groups
 
     @property
-    def largest_shard_groups(self) -> int:
-        """Groups in the largest shard — what a one-shard pass can cost."""
-        return int(max(shard.size for shard in self._shards))
-
-    @property
     def planner(self) -> VerificationPlanner:
         return self._planner
 
@@ -357,19 +319,16 @@ class ScanScheduler:
         only collapses to one pass when every shard actually fits the budget.
         """
         rotation = -(-self.num_shards // self._effective_slice(self.budget_s))
-        return rotation * getattr(self._planner, "rotation_lag_multiplier", 1)
-
-    def _slots(self) -> int:
-        return self.num_shards if self._planner.scan_everything else self.shards_per_pass
+        return rotation * self._planner.rotation_lag_multiplier
 
     def _effective_slice(self, budget_s: Optional[float]) -> int:
-        """Shards one pass can afford: the policy's slot count, narrowed by budget."""
-        slots = self._slots()
+        """Shards one pass can afford: ``shards_per_pass``, narrowed by budget."""
         if budget_s is None:
-            return slots
-        largest = max(shard.size for shard in self._shards)
-        affordable = self._require_cost_model().groups_within(budget_s) // max(largest, 1)
-        return max(1, min(slots, int(affordable)))
+            return self.shards_per_pass
+        affordable = (
+            self._require_cost_model().groups_within(budget_s) // self.largest_shard_groups
+        )
+        return max(1, min(self.shards_per_pass, int(affordable)))
 
     def _require_cost_model(self) -> ScanCostModel:
         if self.cost_model is None:
@@ -403,9 +362,7 @@ class ScanScheduler:
         )
         order = self._planner.order(views)
         budget = budget_s if budget_s is not None else self.budget_s
-        if self._planner.scan_everything and budget is None:
-            return order
-        selection = order[: self._slots()]
+        selection = order[: self.shards_per_pass]
         if budget is None:
             return selection
         cost_model = self._require_cost_model()
@@ -462,39 +419,6 @@ class ScanScheduler:
         if shard_indices == self._in_order:
             return self._all_rows
         return np.concatenate([self._shards[index] for index in shard_indices])
-
-    def slice_descriptor(self, shard_indices: List[int]) -> SliceDescriptor:
-        """The plain-data form of a planned slice (see :class:`SliceDescriptor`).
-
-        Shards hold contiguous ascending rows by construction, so each
-        planned shard contributes one ``(start, stop)`` range; a shard left
-        empty by the data-dependent clamp contributes nothing.  Memoized
-        per shard tuple: the fleet engine asks for every model's
-        descriptor every tick, and a rotation revisits the same slices.
-        """
-        key = tuple(shard_indices)
-        descriptor = self._descriptors.get(key)
-        if descriptor is not None:
-            return descriptor
-        if len(self._descriptors) >= MAX_MEMOIZED_DESCRIPTORS:
-            # Randomized planners can produce many distinct slices.
-            self._descriptors.clear()
-        ranges: List[Tuple[int, int]] = []
-        indices: List[int] = []
-        for index in shard_indices:
-            if not 0 <= index < self.num_shards:
-                raise ProtectionError(
-                    f"shard_index {index} out of range ({self.num_shards})"
-                )
-            indices.append(int(index))
-            shard = self._shards[index]
-            if shard.size:
-                ranges.append((int(shard[0]), int(shard[-1]) + 1))
-        descriptor = SliceDescriptor(
-            shard_indices=tuple(indices), row_ranges=tuple(ranges)
-        )
-        self._descriptors[key] = descriptor
-        return descriptor
 
     # -- scanning ---------------------------------------------------------------
     def step(
@@ -715,8 +639,8 @@ class ScanScheduler:
         }
         if self.budget_s is not None:
             row["budget_ms"] = round(self.budget_s * 1e3, 6)
-            largest = max(shard.size for shard in self._shards)
             row["per_pass_cost_ms"] = round(
-                self._require_cost_model().pass_cost_s(int(largest)) * 1e3, 6
+                self._require_cost_model().pass_cost_s(self.largest_shard_groups) * 1e3,
+                6,
             )
         return row

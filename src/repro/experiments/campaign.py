@@ -17,7 +17,7 @@ studies).  This driver measures the claim itself as an SLA, in two forms:
   :mod:`repro.attacks.adaptive` (rotation tracking, budget-starvation
   timing, the oracle upper bound) and defenses pit the fixed round-robin
   rotation against the randomized :class:`~repro.core.planner.JitteredPlanner`
-  (plain, telemetry-tuned, and the matched-bound dense variant).  Each
+  (plain and the matched-bound dense variant).  Each
   cell reports its detection-latency percentiles **and** its scheduler's
   declared worst-case bound, so the margin the attacker extracts is
   explicit: the rotation tracker saturates a fixed rotation's bound on
@@ -120,10 +120,7 @@ class DefenseConfig:
     """One defender configuration of a matrix cell.
 
     ``budget_ms`` enables the engine's fleet-wide latency budget (the
-    surface :class:`~repro.attacks.adaptive.BudgetAwareAttacker` exploits);
-    ``tuned`` drives :meth:`~repro.core.planner.JitteredPlanner.tune` from
-    :meth:`~repro.telemetry.monitor.FleetTelemetry.tune_jitter` feedback
-    every few ticks.
+    surface :class:`~repro.attacks.adaptive.BudgetAwareAttacker` exploits).
     """
 
     name: str
@@ -132,24 +129,18 @@ class DefenseConfig:
     shards_per_pass: int = 1
     budget_ms: Optional[float] = None
     jitter_seed: int = 7
-    tuned: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("DefenseConfig.name must be non-empty")
-        if self.tuned and ScanPolicy(self.policy) is not ScanPolicy.JITTERED:
-            raise ConfigurationError(
-                "tuned defenses require the jittered policy — there is no "
-                f"jitter to tune under {ScanPolicy(self.policy).value!r}"
-            )
 
 
 def default_defenses() -> Tuple[DefenseConfig, ...]:
     """The matrix's defender axis.
 
-    ``fixed-rr`` is the PR-2 baseline the adaptive attacker exploits;
-    ``jittered`` / ``jittered-tuned`` randomize the same four-shard
-    rotation (worst-case bound doubles, predictability vanishes);
+    ``fixed-rr`` is the round-robin baseline the adaptive attacker
+    exploits; ``jittered`` randomizes the same four-shard rotation
+    (worst-case bound doubles, predictability vanishes);
     ``jittered-dense`` halves the shard count so the jittered bound
     *matches* the fixed baseline's — the equal-bound deployment, paying
     double the per-pass scan cost to hold the bound against an adaptive
@@ -158,7 +149,6 @@ def default_defenses() -> Tuple[DefenseConfig, ...]:
     return (
         DefenseConfig(name="fixed-rr", policy=ScanPolicy.ROUND_ROBIN),
         DefenseConfig(name="jittered", policy=ScanPolicy.JITTERED),
-        DefenseConfig(name="jittered-tuned", policy=ScanPolicy.JITTERED, tuned=True),
         DefenseConfig(name="jittered-dense", policy=ScanPolicy.JITTERED, num_shards=2),
     )
 
@@ -210,7 +200,7 @@ def smoke_matrix() -> Tuple[MatrixCell, ...]:
     oracle calibrating how close a total-knowledge attacker can get; and
     the budget attacker measured under a budgeted engine.
     """
-    fixed, jittered, tuned, dense = default_defenses()
+    fixed, jittered, dense = default_defenses()
     budgeted_fixed = replace(fixed, name="budgeted-rr", budget_ms=0.02)
     budgeted_jittered = replace(jittered, name="budgeted-jittered", budget_ms=0.02)
     return (
@@ -218,7 +208,6 @@ def smoke_matrix() -> Tuple[MatrixCell, ...]:
         MatrixCell(adversary="random", cadence=_SMOKE_TRICKLE, defense=jittered),
         MatrixCell(adversary="rotation", cadence=_SMOKE_TRICKLE, defense=fixed),
         MatrixCell(adversary="rotation", cadence=_SMOKE_TRICKLE, defense=jittered),
-        MatrixCell(adversary="rotation", cadence=_SMOKE_TRICKLE, defense=tuned),
         MatrixCell(adversary="rotation", cadence=_SMOKE_TRICKLE, defense=dense),
         MatrixCell(adversary="rotation", cadence=_SMOKE_BURST, defense=fixed),
         MatrixCell(adversary="rotation", cadence=_SMOKE_BURST, defense=jittered),
@@ -238,11 +227,10 @@ def full_matrix() -> Tuple[MatrixCell, ...]:
     starvation surface in every cadence; blind kinds run against them too
     (starvation hurts everyone's latency, not just its exploiter).
     """
-    fixed, jittered, tuned, dense = default_defenses()
+    fixed, jittered, dense = default_defenses()
     defenses = (
         fixed,
         jittered,
-        tuned,
         dense,
         replace(fixed, name="budgeted-rr", budget_ms=0.02),
         replace(jittered, name="budgeted-jittered", budget_ms=0.02),
@@ -343,8 +331,6 @@ def _build_fleet(
     jitter_seed: int = 7,
 ) -> VerificationEngine:
     """A fresh engine-managed fleet with the full lifecycle enabled."""
-    from repro.core.planner import JitteredPlanner
-
     config = RadarConfig(group_size=group_size, signature_bits=signature_bits)
     engine = VerificationEngine(
         config,
@@ -366,9 +352,7 @@ def _build_fleet(
         managed = engine.register(f"model-{index}", model, keep_golden_weights=True)
         if ScanPolicy(policy) is ScanPolicy.JITTERED:
             # One deterministic stream per model: same cell, same schedule.
-            planner = managed.scheduler.planner
-            if isinstance(planner, JitteredPlanner):
-                planner.seed = int(jitter_seed) + index
+            managed.scheduler.planner.seed = int(jitter_seed) + index
     return engine
 
 
@@ -378,7 +362,6 @@ def _drive(
     adversary: ScriptedAdversary,
     victim_name: str,
     passes: int,
-    tune_every: Optional[int] = None,
 ) -> None:
     """The inject-then-tick loop, with adaptive-adversary observation feeds.
 
@@ -402,8 +385,6 @@ def _drive(
                 adversary.observe_scan(
                     tick, outcomes[victim.name].scan.shard_indices
                 )
-            if tune_every and (tick + 1) % tune_every == 0:
-                telemetry.tune_jitter()
     finally:
         if unsubscribe is not None:
             unsubscribe()
@@ -540,14 +521,7 @@ def run_cell(
         # Budget starvation can stretch detection past the structural lag;
         # give budgeted cells one extra rotation of window.
         passes += lag
-    _drive(
-        engine,
-        telemetry,
-        adversary,
-        cell.victim,
-        passes,
-        tune_every=3 if defense.tuned else None,
-    )
+    _drive(engine, telemetry, adversary, cell.victim, passes)
     base_row = {
         "case": cell.case_id,
         "scenario": cell.case_id,
@@ -687,7 +661,6 @@ def matrix_summary(rows: Sequence[Dict]) -> List[Dict]:
         for label, row in (
             ("fixed", tracker_fixed),
             ("jittered", tracker_jittered),
-            ("jittered_tuned", by_key.get(("rotation", cadence, "jittered-tuned"))),
             ("jittered_dense", by_key.get(("rotation", cadence, "jittered-dense"))),
         ):
             value = saturation(row)

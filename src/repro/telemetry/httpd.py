@@ -136,7 +136,7 @@ class ObservabilityServer:
             return 503, {"status": "no-engine"}
         return 200, {
             "status": "ok",
-            "tick": int(getattr(engine, "tick_index", 0)),
+            "tick": engine.tick_index,
             "models": len(engine),
         }
 

@@ -227,13 +227,11 @@ class FleetTelemetry:
             fleet = self._fleet = _FleetSeries(self.registry)
         fleet.ticks.inc()
         engine = self._engine
-        tick_s = getattr(engine, "last_tick_duration_s", None)
-        if tick_s is not None:
-            fleet.tick_duration.observe(tick_s)
-        stage_s = getattr(engine, "last_stage_durations_s", None)
-        if stage_s is not None:
-            for stage, histogram in fleet.stages:
-                histogram.observe(stage_s[stage])
+        # The engine stamps both before it calls this hook.
+        fleet.tick_duration.observe(engine.last_tick_duration_s)
+        stage_s = engine.last_stage_durations_s
+        for stage, histogram in fleet.stages:
+            histogram.observe(stage_s[stage])
         for name, outcome in outcomes.items():
             series = self._series.get(name)
             if series is None:
@@ -252,37 +250,7 @@ class FleetTelemetry:
                 series.get("budget_utilization").observe(
                     outcome.measured_s / outcome.budget_s
                 )
-            if engine is not None and name in engine:
-                series.price().set(engine.get(name).cost_model.seconds_per_group)
-
-    # -- defense feedback ---------------------------------------------------------
-    def tune_jitter(self) -> Dict[str, float]:
-        """Feed observed detection latency back into jittered planners.
-
-        For every managed model whose planner exposes ``tune`` (the
-        :class:`~repro.core.planner.JitteredPlanner`), pass the model's
-        observed p99 detection latency in ticks together with its
-        scheduler's declared worst-case bound; the planner raises or
-        decays its hot-shard bias accordingly.  Returns the resulting
-        bias per tuned model (empty when nothing is tunable or no
-        latency has been observed yet).
-        """
-        engine = self._require_engine()
-        biases: Dict[str, float] = {}
-        for name in engine.names():
-            managed = engine.get(name)
-            tune = getattr(managed.scheduler.planner, "tune", None)
-            if tune is None:
-                continue
-            ticks = self.registry.histogram("detection_latency_ticks", model=name)
-            p99 = ticks.percentiles().get("p99")
-            if p99 is None or p99 != p99:  # no matched detections yet
-                continue
-            biases[name] = tune(
-                observed_p99_ticks=float(p99),
-                bound_ticks=float(managed.scheduler.worst_case_lag_passes),
-            )
-        return biases
+            series.price().set(engine.get(name).cost_model.seconds_per_group)
 
     # -- reporting ---------------------------------------------------------------
     def models(self) -> List[str]:

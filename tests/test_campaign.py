@@ -211,15 +211,13 @@ class TestMatrixConfiguration:
         kinds = {cell.adversary for cell in cells}
         assert kinds == set(ADVERSARY_KINDS)
         defenses = {cell.defense.name for cell in cells}
-        assert {"fixed-rr", "jittered", "jittered-tuned", "jittered-dense"} <= defenses
+        assert {"fixed-rr", "jittered", "jittered-dense"} <= defenses
         cadences = {cell.cadence.salvos > 1 for cell in cells}
         assert cadences == {True, False}
 
     def test_defense_validation(self):
         with pytest.raises(ConfigurationError):
             DefenseConfig(name="")
-        with pytest.raises(ConfigurationError):
-            DefenseConfig(name="x", tuned=True)  # tuning needs jitter
         with pytest.raises(ConfigurationError):
             MatrixCell(
                 adversary="nope",

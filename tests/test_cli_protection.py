@@ -60,6 +60,29 @@ class TestProtectCommand:
         assert all({"layer", "weights", "groups"} <= set(row) for row in rows)
 
 
+    def test_protect_full_policy_plans_every_group_per_pass(
+        self, tiny_setup, tmp_path, capsys
+    ):
+        output = tmp_path / "protect_full.json"
+        code = main(
+            [
+                "protect",
+                "--setup", tiny_setup,
+                "--group-size", "16",
+                "--num-shards", "4",
+                "--scan-policy", "full",
+                "--output", str(output),
+            ]
+        )
+        assert code == 0
+        total = sum(row["groups"] for row in json.loads(output.read_text())["rows"])
+        out = capsys.readouterr().out
+        assert (
+            f"4 shards, policy full, ~{total} groups/pass, "
+            "full model verified within 1 passes"
+        ) in out
+
+
 class TestScanCommand:
     def test_clean_scan_completes_a_rotation(self, tiny_setup, capsys):
         code = main(

@@ -176,9 +176,10 @@ class TestEngineValidation:
         with pytest.raises(ProtectionError, match="budget_s must be positive"):
             VerificationEngine(budget_s=0.0)
 
-    def test_per_model_override_validated_at_register(self, engine):
+    def test_per_model_override_validated_at_register(self):
+        engine = VerificationEngine(num_shards=4, shards_per_pass=2)
         with pytest.raises(ProtectionError, match=r"within \[1, num_shards\]"):
-            engine.register("alpha", _small_model(1), num_shards=2, shards_per_pass=5)
+            engine.register("alpha", _small_model(1), num_shards=1)
 
 
 class TestRegistry:
@@ -217,11 +218,9 @@ class TestRegistry:
             _small_model(2),
             config=RadarConfig(group_size=4),
             num_shards=2,
-            policy=ScanPolicy.FULL,
         )
         assert managed.protector.config.group_size == 4
         assert managed.scheduler.num_shards == 2
-        assert managed.scheduler.policy is ScanPolicy.FULL
 
 
 class TestFleetOperations:
@@ -709,6 +708,49 @@ def _flip_group(managed, layer_index: int, group: int) -> None:
     flat[member] = np.int8(int(flat[member]) ^ -128)
 
 
+class TestSameRows:
+    """Equal shard counts and equal shard indices pick the broadcast branch."""
+
+    @pytest.mark.parametrize(
+        "shard_counts,broadcast", [((2, 2), True), ((2, 3), False)]
+    )
+    def test_branch_follows_shard_counts_and_verdicts_agree(
+        self, monkeypatch, shard_counts, broadcast
+    ):
+        from repro.core.signature import StackedVerifier
+
+        calls = []
+        original = StackedVerifier.verify
+
+        def spy(self, rows_list, scratch=None, homogeneous=False):
+            flagged = original(self, rows_list, scratch, homogeneous)
+            # The other branch must give the same verdicts.
+            for ours, theirs in zip(
+                flagged, original(self, rows_list, None, not homogeneous)
+            ):
+                np.testing.assert_array_equal(ours, theirs)
+            calls.append((len(rows_list), homogeneous and self.shared_geometry))
+            return flagged
+
+        monkeypatch.setattr(StackedVerifier, "verify", spy)
+        engine = VerificationEngine(
+            RadarConfig(group_size=8), recovery_policy=RecoveryPolicy.NONE
+        )
+        for index, num_shards in enumerate(shard_counts):
+            engine.register(f"m{index}", _small_model(60 + index), num_shards=num_shards)
+        _flip_group(engine.get("m1"), 0, 0)  # group 0 lies in every shard 0
+        outcomes = engine.tick()
+        assert calls == [(2, broadcast)]
+        assert all(outcome.scan.shard_indices == [0] for outcome in outcomes.values())
+        assert outcomes["m1"].attack_detected and not outcomes["m0"].attack_detected
+        for name, outcome in outcomes.items():
+            managed = engine.get(name)
+            _assert_flags_equal(
+                outcome.scan.report.flagged_groups,
+                _oracle_flags(managed, outcome.scan.shard_indices),
+            )
+
+
 class TestInPlaceResign:
     """A re-sign rewrites goldens in place and keeps every cached object."""
 
@@ -873,7 +915,6 @@ class TestInPlaceResign:
             "planner": victim.scheduler.planner,
             "verifier": next(iter(engine._verifiers.values())),
         }
-        version = engine._models_version
         _flip_group(victim, 0, 100)  # shard 1: the next slice
         assert engine.tick()["m0"].reprotected
         now = {
@@ -890,7 +931,6 @@ class TestInPlaceResign:
         assert all(now[name] is kept[name] for name in kept), [
             name for name in kept if now[name] is not kept[name]
         ]
-        assert engine._models_version == version
         assert victim.scheduler.passes == 0
 
     def test_reprotect_events_report_the_resign_stage(self):
@@ -1059,6 +1099,30 @@ class TestBudgetFeasibility:
         engine.register("alpha", _small_model(1))
         with pytest.raises(ProtectionError, match="can never cover a full scan slice"):
             engine.allocate_budget(1e-9)
+
+    def test_a_learned_price_past_the_budget_fails_the_next_tick(self):
+        """Registration and a first tick passed at the prior price; one
+        slow pass lifts the learned price above the budget, and the next
+        budgeted tick must say so rather than hand the model empty slices
+        forever."""
+        from repro.core import ScanCostModel
+
+        config = RadarConfig(group_size=8)
+        fixed = ScanCostModel.from_radar_config(config)
+        learned = ScanCostModel.from_radar_config(config, alpha=0.2)
+        engine = VerificationEngine(
+            config, num_shards=4, budget_s=fixed.pass_cost_s(40)
+        )
+        engine.register("steady", _small_model(1), cost_model=fixed)
+        drifting = engine.register("drifting", _small_model(2), cost_model=learned)
+        largest = drifting.scheduler.largest_shard_groups
+        assert learned.pass_cost_s(largest) <= engine.budget_s
+        engine.tick()
+        learned.observe(largest, 100 * engine.budget_s)
+        with pytest.raises(ProtectionError, match="can never cover") as raised:
+            engine.tick()
+        assert "'drifting' needs" in str(raised.value)
+        assert "'steady'" not in str(raised.value)
 
     def test_feasible_budget_passes_the_check(self):
         from repro.core import ScanCostModel

@@ -99,7 +99,13 @@ def test_a_regression_fails_the_gate(gate, tmp_path, capsys):
     "name, baseline, fresh, expected",
     [
         ("fleet_throughput", _fleet(), _fleet(groups=64), "groups_per_tick changed"),
-        ("fleet_throughput", _fleet(), {"rows": _fleet()["rows"][:2]}, "values differ"),
+        (
+            "fleet_throughput",
+            _fleet(),
+            {"rows": _fleet()["rows"][:2]},
+            "fleet_throughput: num_models values differ — missing from the fresh "
+            "run: [16]; not in the baseline: none",
+        ),
         ("campaign_sla", _campaign(), _campaign(p99=4.0), "p99_detection_ticks"),
         ("scan_overview", _fleet(), _fleet(), "scan_overview: no gate declared"),
     ],

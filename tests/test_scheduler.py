@@ -103,25 +103,6 @@ class TestFusedSignatures:
             FusedSignatures(SignatureStore(RadarConfig(group_size=8)))
 
 
-class TestSliceDescriptors:
-    """A slice descriptor's row ranges expand back to the planned rows."""
-
-    def test_slice_descriptor_round_trips_rows(self):
-        model = MLP(input_dim=64, num_classes=4, hidden_dims=(32, 16), seed=1)
-        quantize_model(model)
-        protector = ModelProtector(RadarConfig(group_size=8))
-        protector.protect(model)
-        scheduler = ScanScheduler(protector.store, num_shards=4)
-        for indices in ([0], [2], [1, 2], list(range(scheduler.num_shards))):
-            descriptor = scheduler.slice_descriptor(indices)
-            expected = scheduler.slice_rows(indices)
-            np.testing.assert_array_equal(descriptor.rows(), expected)
-            assert descriptor.num_rows == expected.size
-        empty = scheduler.slice_descriptor([])
-        assert empty.rows().size == 0
-        assert empty.num_rows == 0
-
-
 class TestScanSchedulerRotation:
     def test_rotation_union_matches_full_scan_exactly(self, protected):
         model, protector = protected
@@ -212,12 +193,9 @@ class TestRestart:
         scheduler.restart()
         assert scheduler.planner.state_dict() == expected_planner.state_dict()
         fresh = ScanScheduler(
-            protector.store,
-            num_shards=5,
-            policy=policy,
-            shards_per_pass=2,
-            planner=copy.deepcopy(scheduler.planner),
+            protector.store, num_shards=5, policy=policy, shards_per_pass=2
         )
+        fresh.planner.load_state_dict(scheduler.planner.state_dict())
         assert scheduler.state_dict() == fresh.state_dict()
         assert scheduler.shard_info() == fresh.shard_info()
         assert scheduler.passes == fresh.passes == 0
@@ -280,6 +258,8 @@ class TestScanPolicies:
         model, protector = protected
         scheduler = protector.scheduler(num_shards=4, policy=ScanPolicy.FULL)
         assert scheduler.worst_case_lag_passes == 1
+        assert scheduler.shards_per_pass == scheduler.num_shards == 4
+        assert scheduler.describe()["shards_per_pass"] == 4
         for _ in range(2):
             result = scheduler.step(model)
             assert result.groups_checked == scheduler.total_groups

@@ -27,7 +27,6 @@ from repro.core import (
 )
 from repro.core.fleet import ProtectionState
 from repro.core.planner import (
-    FullScanPlanner,
     PriorityExposurePlanner,
     RoundRobinPlanner,
 )
@@ -87,9 +86,12 @@ class TestCoreStateDicts:
         assert twin.order(views) == planner.order(views)
 
     def test_full_scan_planner_inherits_cursor_state(self):
-        planner = FullScanPlanner()
-        planner.committed([0, 1], {})
-        assert planner.state_dict() == {"cursor": 2}
+        """FULL runs the round-robin planner, cursor state included."""
+        engine = _build_engine(num_models=1, policy=ScanPolicy.FULL)
+        engine.tick()
+        planner = engine.get("model-0").scheduler.planner
+        assert type(planner) is RoundRobinPlanner
+        assert planner.state_dict() == {"cursor": 4}
 
     def test_priority_planner_flip_rates_round_trip(self):
         planner = PriorityExposurePlanner()
@@ -105,14 +107,13 @@ class TestCoreStateDicts:
     def test_jittered_planner_round_trip_resumes_mid_epoch(self):
         from repro.core.planner import JitteredPlanner
 
-        planner = JitteredPlanner(seed=13, hot_bias=1.5)
+        planner = JitteredPlanner(seed=13)
         views = [None] * 6  # JitteredPlanner only reads len()
         picks = planner.order(views)[:2]
         planner.committed(picks, {picks[0]: 2})
         # JSON round trip (as the StateStore performs) mid-epoch.
         twin = JitteredPlanner()
         twin.load_state_dict(json.loads(json.dumps(planner.state_dict())))
-        assert twin.flip_rate(picks[0]) == planner.flip_rate(picks[0])
         for _ in range(10):
             expected = planner.order(views)[:2]
             assert twin.order(views)[:2] == expected
@@ -205,6 +206,25 @@ class TestEngineStateRoundTrip:
                     twin.get(name).scheduler.plan()
                     == engine.get(name).scheduler.plan()
                 )
+
+    def test_full_policy_snapshot_of_the_retired_planner_restores_partially(self):
+        """FULL used to run its own ``FullScanPlanner``; such a snapshot
+        restores everything but the planner cursor, and says so."""
+        engine = _build_engine(num_models=1, policy=ScanPolicy.FULL)
+        self._calibrate(engine, ticks=2)
+        payload = json.loads(json.dumps(engine_state_dict(engine)))
+        payload["models"]["model-0"]["planner"]["type"] = "FullScanPlanner"
+        twin = _build_engine(num_models=1, policy=ScanPolicy.FULL)
+        report = restore_engine_state(twin, payload)
+        assert report["restored"] == ["model-0"]
+        assert report["partial"] == [
+            "model-0: planner type changed (FullScanPlanner -> RoundRobinPlanner); "
+            "planner state not restored"
+        ]
+        saved, restored = engine.get("model-0"), twin.get("model-0")
+        assert restored.scheduler.state_dict() == saved.scheduler.state_dict()
+        assert restored.cost_model.seconds_per_group == saved.cost_model.seconds_per_group
+        assert restored.scheduler.plan() == [0, 1, 2, 3]
 
     def test_restore_into_empty_dir_reports_cold_start(self, tmp_path):
         engine = _build_engine(num_models=1)
